@@ -31,12 +31,43 @@ class ConfigError(Exception):
 
 # --- config file: flat key=value with [section] headers ---
 
-CONFIG_SCHEMA = {
-    "experiment": {"seed", "out", "jobs", "scale"},
-    "set": {"kind", "n", "k", "radius", "n1", "n2", "r", "h", "file", "basis"},
-    "ensemble": {"kind", "kappa"},
-    "quantizer": {"delta", "variant", "dithered"},
-    "sweep": {"m_grid", "pairs", "trials", "k0", "eps"},
+# the parameters each set kind reads, lower-cased as in sparse:N=64,K=4,d=1
+SET_PARAMS = {
+    "sparse": {"n", "k", "d"},
+    "ball": {"n", "d"},
+    "lowrank": {"n1", "n2", "r", "d"},
+    "mesh": {"n", "h", "d"},
+    "finite": {"file"},
+}
+
+# (section, key) -> (flag attribute, conversion) for every config key that
+# stands in for a flag; [set] keys are assembled into a --set string instead
+CONFIG_FLAGS = {
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "out"): ("out", str),
+    ("experiment", "jobs"): ("jobs", int),
+    ("experiment", "scale"): ("scale", str),
+    ("ensemble", "kind"): ("ensemble", str),
+    ("ensemble", "kappa"): ("kappa", str),
+    ("quantizer", "delta"): ("delta", float),
+    ("quantizer", "variant"): ("variant", str),
+    ("quantizer", "dithered"): ("no_dither", lambda v: v.lower() in ("0", "false", "no")),
+    ("sweep", "m_grid"): ("m_grid", str),
+    ("sweep", "pairs"): ("pairs", int),
+    ("sweep", "trials"): ("trials", int),
+    ("sweep", "k0"): ("k0", float),
+}
+
+CONFIG_SCHEMA = {section: {k for s, k in CONFIG_FLAGS if s == section}
+                 for section, _ in CONFIG_FLAGS}
+CONFIG_SCHEMA["set"] = {"kind"}.union(*SET_PARAMS.values())
+
+# defaults of the flags a config file can set, filled in after the merge so
+# that an explicit flag beats the file even when it equals its default
+FLAG_DEFAULTS = {
+    "out": ".", "jobs": 1, "scale": "full", "ensemble": "gaussian", "kappa": "default",
+    "delta": 1.0, "variant": "floor", "no_dither": False,
+    "m_grid": "128,256,512,1024,2048,4096,8192", "pairs": 200, "trials": 20, "k0": 1.0,
 }
 
 
@@ -66,9 +97,13 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def parse_set_spec(text: str) -> geometry.SetSpec:
+def parse_set_spec(text) -> geometry.SetSpec:
     """Parse e.g. sparse:N=64,K=4,d=1 or ball:N=3,d=1 or mesh:N=3,h=0.3."""
+    if not text:
+        raise ConfigError("no set given: pass --set or a [set] config section")
     kind, _, rest = text.partition(":")
+    if kind not in SET_PARAMS:
+        raise ConfigError(f"unknown set kind {kind!r}")
     kv = {}
     if rest:
         for item in rest.split(","):
@@ -76,6 +111,9 @@ def parse_set_spec(text: str) -> geometry.SetSpec:
                 raise ConfigError(f"bad set parameter {item!r}")
             k, _, v = item.partition("=")
             kv[k.strip().lower()] = v.strip()
+    unread = sorted(set(kv) - SET_PARAMS[kind])
+    if unread:
+        raise ConfigError(f"set kind {kind!r} takes no parameter {', '.join(unread)}")
     try:
         if kind == "sparse":
             return geometry.SparseBall(n=int(kv["n"]), k=int(kv["k"]),
@@ -93,7 +131,8 @@ def parse_set_spec(text: str) -> geometry.SetSpec:
             return geometry.FiniteSet(points=np.asarray(pts))
     except KeyError as exc:
         raise ConfigError(f"set kind {kind!r} is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown set kind {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"bad set parameter in {text!r}: {exc}") from exc
 
 
 def read_vectors(path: str) -> list[np.ndarray]:
@@ -115,15 +154,14 @@ def _default_seed() -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", type=str, default=".")
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument("--jobs", type=int, default=None)
     common.add_argument("--config", type=str, default=None)
-    common.add_argument("--ensemble", type=str, default="gaussian",
-                        choices=list(ensembles.KINDS))
-    common.add_argument("--kappa", type=str, default="default")
-    common.add_argument("--delta", type=float, default=1.0)
-    common.add_argument("--variant", type=str, default="floor", choices=["floor", "round"])
-    common.add_argument("--no-dither", action="store_true")
+    common.add_argument("--ensemble", type=str, default=None, choices=list(ensembles.KINDS))
+    common.add_argument("--kappa", type=str, default=None)
+    common.add_argument("--delta", type=float, default=None)
+    common.add_argument("--variant", type=str, default=None, choices=["floor", "round"])
+    common.add_argument("--no-dither", action="store_true", default=None)
     common.add_argument("--set", type=str, default=None, dest="set_spec")
 
     p = argparse.ArgumentParser(prog="qembed", description=__doc__)
@@ -149,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     pq = sub.add_parser("quasi-isometry", parents=[common], help="distortion decay sweep")
     pc = sub.add_parser("consistency-width", parents=[common], help="consistency width sweep")
     for sp in (pq, pc):
-        sp.add_argument("--m-grid", type=str, default="128,256,512,1024,2048,4096,8192")
-        sp.add_argument("--pairs", type=int, default=200)
-        sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--k0", type=float, default=1.0)
+        sp.add_argument("--m-grid", type=str, default=None)
+        sp.add_argument("--pairs", type=int, default=None)
+        sp.add_argument("--trials", type=int, default=None)
+        sp.add_argument("--k0", type=float, default=None)
         sp.add_argument("--slope-band", type=str, default=None,
                         help="lo,hi acceptance band for the fitted slope")
 
@@ -171,33 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--mad-max", type=int, default=40)
 
     ps = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    ps.add_argument("--scale", type=str, default="full", choices=["full", "quick"])
+    ps.add_argument("--scale", type=str, default=None, choices=["full", "quick"])
     return p
 
 
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    cfg = parse_config(args.config)
-    exp = cfg.get("experiment", {})
-    if args.seed is None and "seed" in exp:
-        args.seed = int(exp["seed"])
-    if "out" in exp and args.out == ".":
-        args.out = exp["out"]
-    if "jobs" in exp and args.jobs == 1:
-        args.jobs = int(exp["jobs"])
-    ens = cfg.get("ensemble", {})
-    if "kind" in ens:
-        args.ensemble = ens["kind"]
-    if "kappa" in ens:
-        args.kappa = ens["kappa"]
-    q = cfg.get("quantizer", {})
-    if "delta" in q:
-        args.delta = float(q["delta"])
-    if "variant" in q:
-        args.variant = q["variant"]
-    if "dithered" in q:
-        args.no_dither = q["dithered"].lower() in ("0", "false", "no")
+def _merge_config(args) -> None:
+    """Resolve the flags: an explicit flag, else the config file, else the default."""
+    cfg = parse_config(args.config) if args.config else {}
+    for (section, key), (attr, conv) in CONFIG_FLAGS.items():
+        if key in cfg.get(section, {}) and vars(args).get(attr, 0) is None:
+            try:
+                setattr(args, attr, conv(cfg[section][key]))
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
     st = cfg.get("set", {})
     if st and args.set_spec is None:
         kind = st.get("kind")
@@ -205,16 +229,18 @@ def _apply_config(args) -> None:
             raise ConfigError("[set] section needs a kind")
         parts = ",".join(f"{k}={v}" for k, v in st.items() if k != "kind")
         args.set_spec = f"{kind}:{parts}" if parts else kind
-    sw = cfg.get("sweep", {})
-    for key, attr in (("m_grid", "m_grid"), ("pairs", "pairs"), ("trials", "trials"),
-                      ("k0", "k0")):
-        if key in sw and hasattr(args, attr):
-            cur = getattr(args, attr)
-            default = {"m_grid": "128,256,512,1024,2048,4096,8192", "pairs": 200,
-                       "trials": 20, "k0": 1.0}[key]
-            if cur == default:
-                val = sw[key]
-                setattr(args, attr, val if attr == "m_grid" else type(default)(val))
+    for attr, default in FLAG_DEFAULTS.items():
+        if vars(args).get(attr, 0) is None:
+            setattr(args, attr, default)
+    if args.seed is None:
+        args.seed = _default_seed()
+
+
+def _parse_list(text: str, conv, flag: str) -> tuple:
+    try:
+        return tuple(conv(tok) for tok in str(text).split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {text!r}: expected comma-separated numbers") from exc
 
 
 def _ensemble(args) -> ensembles.Ensemble:
@@ -285,14 +311,15 @@ def cmd_min_m(args) -> int:
 
 def _sweep_common(args, which: str) -> int:
     spec = parse_set_spec(args.set_spec)
-    grid = tuple(int(tok) for tok in str(args.m_grid).split(","))
+    grid = _parse_list(args.m_grid, int, "--m-grid")
     plan = experiments.TrialPlan(set_spec=spec, ensemble=_ensemble(args), delta=args.delta,
                                  m_grid=grid, pairs_per_m=args.pairs, trials_per_m=args.trials,
                                  k0=args.k0, master_seed=args.seed)
     band = None
     if args.slope_band:
-        lo, hi = (float(t) for t in args.slope_band.split(","))
-        band = (lo, hi)
+        band = _parse_list(args.slope_band, float, "--slope-band")
+        if len(band) != 2:
+            raise ConfigError(f"bad --slope-band {args.slope_band!r}: expected lo,hi")
     fn = experiments.quasi_isometry_sweep if which == "quasi-isometry" else experiments.consistency_width_sweep
     res = fn(plan, slope_band=band, jobs=args.jobs)
     out = _out_dir(args)
@@ -415,11 +442,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _apply_config(args)
-        if args.seed is None:
-            args.seed = _default_seed()
+        _merge_config(args)
         return COMMANDS[args.command](args)
-    except (ConfigError, InvalidArgument, FileNotFoundError) as exc:
+    except (ConfigError, InvalidArgument, FileNotFoundError, experiments.SetFilterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,11 +33,12 @@ from .geometry import (
     LowRankBall,
     SetSpec,
     SparseBall,
+    ambient_dim,
     anti_sparsity_level,
     diameter,
     sample_point,
 )
-from .quantizer import QuantizedMap, QuantizerConfig, apply_many, make_map
+from .quantizer import QuantizedMap, QuantizerConfig, apply_many, make_map, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 
@@ -159,19 +160,26 @@ def _quantile(vals: np.ndarray, q: float) -> float:
     return float(np.quantile(vals, q)) if len(vals) else math.nan
 
 
-def _aggregate(experiment: str, plan: TrialPlan, stats_by_m, rows, slope_band,
-               extra_detail=None) -> ExperimentResult:
+def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
+           detail=None) -> ExperimentResult:
+    """Fan the (m, trial) tasks out and aggregate them into rows, per-m
+    statistics and the log-log fit.
+
+    one(m_index, m, trial) returns (statistic, censored, fingerprint);
+    censored statistics stay out of the per-m values and the fit.
+    """
+    tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
+    rows = [TrialRow(experiment, m, t, *res)
+            for (_, m, t), res in zip(tasks, _run_tasks(tasks, one, jobs))]
     per_m = []
     fit_points = []
-    censored_total = 0
-    for m_index, m in enumerate(plan.m_grid):
-        vals, n_censored = stats_by_m[m_index]
-        vals = np.asarray(vals, dtype=np.float64)
-        censored_total += n_censored
+    for m in plan.m_grid:
+        trial_rows = [r for r in rows if r.m == m]
+        vals = np.array([r.statistic for r in trial_rows if not r.censored], dtype=np.float64)
         worst = float(np.max(vals)) if len(vals) else math.nan
         per_m.append(PerMStats(m=m, worst=worst, q90=_quantile(vals, 0.9),
                                q99=_quantile(vals, 0.99), n_values=len(vals),
-                               n_censored=n_censored))
+                               n_censored=len(trial_rows) - len(vals)))
         if len(vals) and worst > 0:
             fit_points.append((m, worst))
     slope = stderr = None
@@ -183,11 +191,11 @@ def _aggregate(experiment: str, plan: TrialPlan, stats_by_m, rows, slope_band,
     except InsufficientData:
         if slope_band is not None:
             verdict = False
-    detail = dict(extra_detail or {})
     return ExperimentResult(experiment=experiment, rows=rows, per_m=per_m, slope=slope,
                             slope_stderr=stderr, verdict=verdict,
-                            master_seed=plan.master_seed, censored_total=censored_total,
-                            detail=detail)
+                            master_seed=plan.master_seed,
+                            censored_total=sum(s.n_censored for s in per_m),
+                            detail=dict(detail or {}))
 
 
 def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
@@ -198,7 +206,7 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     e(x, y) / (||x - y|| + delta) and take the max; the ensemble's
     kappa / sqrt(k0) allowance is subtracted from the per-m statistic.
     """
-    n = plan.n_override or _ambient(plan.set_spec)
+    n = plan.n_override or ambient_dim(plan.set_spec)
     allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
 
     def one(m_index: int, m: int, trial: int):
@@ -217,34 +225,10 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
         l1 = np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0)
         d_vals = plan.delta * l1 / m
         errs = np.abs(d_vals - SQRT_2_OVER_PI * dists)
-        ratios = errs / (dists + plan.delta)
-        return ratios, seed_fingerprint(ss)
+        stat = float(np.max(errs / (dists + plan.delta))) - allowance
+        return stat, stat <= 0, seed_fingerprint(ss)
 
-    tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
-    results = _run_tasks(tasks, one, jobs)
-
-    rows = []
-    stats_by_m = []
-    idx = 0
-    for m in plan.m_grid:
-        all_ratios = []
-        for trial in range(plan.trials_per_m):
-            ratios, fp = results[idx]
-            idx += 1
-            stat = float(np.max(ratios)) - allowance
-            rows.append(TrialRow("quasi-isometry", m, trial, stat, stat <= 0, fp))
-            all_ratios.append(np.max(ratios))
-        vals = np.asarray(all_ratios) - allowance
-        keep = vals[vals > 0]
-        stats_by_m.append((keep, int(np.sum(vals <= 0))))
-    return _aggregate("quasi-isometry", plan, stats_by_m, rows, slope_band,
-                      {"allowance": allowance})
-
-
-def _ambient(spec: SetSpec) -> int:
-    from .geometry import ambient_dim
-
-    return ambient_dim(spec)
+    return _sweep("quasi-isometry", plan, one, slope_band, jobs, {"allowance": allowance})
 
 
 def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng, max_tries: int = 100):
@@ -288,41 +272,26 @@ def _radial_cap(x: np.ndarray, u: np.ndarray, radius: float) -> float:
     return -xu + math.sqrt(disc)
 
 
-def _largest_consistent_radius(qmap: QuantizedMap, zx: np.ndarray, zu: np.ndarray,
-                               codes_x: np.ndarray, r_max: float, resolution: float):
-    """Largest radius with identical codes, via log-spaced scan plus bisection.
+def _consistent_radii(cfg: QuantizerConfig, z: np.ndarray, dz: np.ndarray,
+                      caps: np.ndarray) -> np.ndarray:
+    """Per ray j, the supremum of r in [0, caps[j]] with
+    Q(z[:, j] + r dz[:, j]) == Q(z[:, j]) for the floor quantizer.
 
-    Returns (radius, censored). Code agreement is not monotone in r, so the
-    scan locates the largest consistent scanned radius and bisection refines
-    toward the next inconsistent one.
+    A code's cell is the intersection of the slabs k delta <= z < (k+1) delta
+    that quantize_array brackets exactly, so it is convex: along a ray the
+    code holds until the first wall ahead, (k+1) delta where a coordinate
+    rises and k delta where it falls.
     """
-    if r_max <= resolution:
-        return resolution, True
-    radii = np.geomspace(resolution, r_max, 64)
-    z = zx[:, None] + radii[None, :] * zu[:, None]
-    codes = _quantize_cols(qmap.quantizer, z)
-    consistent = np.all(codes == codes_x[:, None], axis=0)
-    if not np.any(consistent):
-        return resolution, True
-    j = int(np.max(np.flatnonzero(consistent)))
-    lo = float(radii[j])
-    if j == len(radii) - 1:
-        return lo, False
-    hi = float(radii[j + 1])
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        cm = _quantize_cols(qmap.quantizer, (zx + mid * zu)[:, None])[:, 0]
-        if np.array_equal(cm, codes_x):
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
-
-
-def _quantize_cols(cfg: QuantizerConfig, z: np.ndarray) -> np.ndarray:
-    from .quantizer import quantize_array
-
-    return quantize_array(cfg, z)
+    # in place: these (m, rays) arrays are a trial's largest after the matrix
+    k = quantize_array(cfg, z)
+    k += dz > 0  # index of the wall ahead
+    gap = k * cfg.delta
+    del k
+    gap -= z
+    moving = dz != 0
+    np.divide(gap, dz, out=gap, where=moving)
+    gap[~moving] = np.inf
+    return np.minimum(caps, gap.min(axis=0))
 
 
 def _max_filtered_distance(points: np.ndarray, k0: float, block: int = 256) -> float:
@@ -341,18 +310,18 @@ def _max_filtered_distance(points: np.ndarray, k0: float, block: int = 256) -> f
 
 
 def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
-                            jobs: int = 1, resolution_factor: float = 2.0**-20) -> ExperimentResult:
+                            jobs: int = 1) -> ExperimentResult:
     """Largest distance between vectors with identical codes, per m.
 
-    Continuum sets: anchors plus admissible directions, coarse scan and
-    bisection; finite sets: the largest distance among sampled consistent
-    pairs. A statistic at the bisection resolution is recorded as censored.
+    Continuum sets: anchors plus admissible directions, each ray measured
+    exactly to the edge of its anchor's quantizer cell or of the set;
+    finite sets: the largest filtered distance among points sharing a code.
+    A trial that sees no positive width is censored with statistic 0.
     """
     d = diameter(plan.set_spec)
     if d > 1.0 + 1e-9:
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
-    n = plan.n_override or _ambient(plan.set_spec)
-    resolution = resolution_factor * d
+    n = plan.n_override or ambient_dim(plan.set_spec)
     finite = isinstance(plan.set_spec, FiniteSet)
 
     def one(m_index: int, m: int, trial: int):
@@ -360,22 +329,14 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
         map_seed, sample_seed = ss.spawn(2)
         qmap = make_map(plan.ensemble, m, n, plan.delta, map_seed)
         rng = np.random.default_rng(sample_seed)
-        best = 0.0
-        censored = True
         if finite:
             # exact width: group all points by code vector, take the largest
             # filtered intra-group distance
             pts = plan.set_spec.points
             codes = apply_many(qmap, pts.T)
             _, inverse = np.unique(codes.T, axis=0, return_inverse=True)
-            for gid in range(int(inverse.max()) + 1):
-                members = pts[inverse == gid]
-                if len(members) < 2:
-                    continue
-                w = _max_filtered_distance(members, plan.k0)
-                if w > 0.0:
-                    censored = False
-                    best = max(best, w)
+            widths = [_max_filtered_distance(pts[inverse == gid], plan.k0)
+                      for gid in range(int(inverse.max()) + 1)]
         else:
             p = plan.pairs_per_m
             anchors = np.empty((n, p))
@@ -387,40 +348,14 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
-            zx_all = qmap.project_many(anchors)
-            zu_all = qmap.matrix.entries @ dirs
-            codes_all = _quantize_cols(qmap.quantizer, zx_all)
-            for j in range(p):
-                if caps[j] <= resolution:
-                    continue
-                r, cens = _largest_consistent_radius(qmap, zx_all[:, j], zu_all[:, j],
-                                                     codes_all[:, j], caps[j], resolution)
-                if not cens:
-                    censored = False
-                    best = max(best, r)
-        stat = best if not censored else resolution
-        return stat, censored, seed_fingerprint(ss)
+            widths = _consistent_radii(qmap.quantizer, qmap.project_many(anchors),
+                                       qmap.matrix.entries @ dirs, caps)
+        best = float(np.max(widths))
+        if best > 0:
+            return best, False, seed_fingerprint(ss)
+        return 0.0, True, seed_fingerprint(ss)
 
-    tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
-    results = _run_tasks(tasks, one, jobs)
-
-    rows = []
-    stats_by_m = []
-    idx = 0
-    for m in plan.m_grid:
-        vals = []
-        n_censored = 0
-        for trial in range(plan.trials_per_m):
-            stat, censored, fp = results[idx]
-            idx += 1
-            rows.append(TrialRow("consistency-width", m, trial, stat, censored, fp))
-            if censored:
-                n_censored += 1
-            else:
-                vals.append(stat)
-        stats_by_m.append((vals, n_censored))
-    return _aggregate("consistency-width", plan, stats_by_m, rows, slope_band,
-                      {"resolution": resolution})
+    return _sweep("consistency-width", plan, one, slope_band, jobs)
 
 
 # --- lemma-level Monte Carlo checks ---
@@ -477,7 +412,7 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
         raise InvalidArgument("eta must be positive")
     if not (0 < margin <= 1):
         raise InvalidArgument("margin must lie in (0, 1]")
-    n = _ambient(spec)
+    n = ambient_dim(spec)
     root = as_seedseq(seed)
     alpha = ensemble.alpha
     # width of the local set is at most min(sqrt(n), 2 w(K)/eta) * eta; the
@@ -748,7 +683,7 @@ def linear_baseline(ensemble: Ensemble, spec: SetSpec, m: int, pairs: int, delta
     ||x-y||; with the rounding quantizer the l2 code distance then satisfies
     (1-eps)||x-y|| - delta <= ||Q(Phi x)-Q(Phi y)||/sqrt(M) <= (1+eps)||x-y|| + delta.
     """
-    n = _ambient(spec)
+    n = ambient_dim(spec)
     root = as_seedseq(seed)
     mat_seed, pair_seed = root.spawn(2)
     mat = sample_matrix(ensemble, m, n, mat_seed)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import distances, ensembles, experiments, geometry, quantizer
-from .ensembles import SQRT_2_OVER_PI
+from .ensembles import SQRT_2_OVER_PI, InvalidArgument
 
 FULL = "full"
 QUICK = "quick"
@@ -364,6 +364,8 @@ CRITERIA = {
 
 def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print):
     """Run every criterion; returns (results, summary CSV text)."""
+    if scale not in (FULL, QUICK):
+        raise InvalidArgument(f"scale must be {FULL!r} or {QUICK!r}, got {scale!r}")
     results = []
     for cid in sorted(CRITERIA):
         fn = CRITERIA[cid]

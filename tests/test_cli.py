@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qembed import cli
 from qembed import quantizer as Q
@@ -92,6 +93,54 @@ def test_config_file_supplies_values(tmp_path, capsys):
     cfg.write_text("[experiment]\nseed = 9\n\n[set]\nkind = ball\nn = 2\n")
     code, out, _ = run_cli(["width", "--draws", "2000", "--config", str(cfg)], capsys)
     assert code == 0
+
+
+def test_config_rejects_keys_the_set_parser_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[set]\nkind = ball\nn = 2\nradius = 0.5\n")
+    code, _, err = run_cli(["width", "--draws", "100", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "radius" in err
+    code, _, err = run_cli(["width", "--draws", "100", "--set", "sparse:N=64,K=4,basis=dct"],
+                           capsys)
+    assert code == 2
+    assert "basis" in err
+
+
+def test_explicit_flag_beats_config_even_at_its_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[experiment]\njobs = 4\nout = elsewhere\n\n"
+                   "[quantizer]\ndelta = 0.25\n\n[sweep]\npairs = 7\ntrials = 3\n")
+    args = cli.build_parser().parse_args(["quasi-isometry", "--pairs", "200", "--jobs", "1",
+                                          "--out", ".", "--delta", "1.0",
+                                          "--config", str(cfg)])
+    cli._merge_config(args)
+    assert (args.pairs, args.jobs, args.out, args.delta) == (200, 1, ".", 1.0)
+    # keys without a flag come from the file, the rest from the defaults
+    assert (args.trials, args.k0, args.ensemble) == (3, 1.0, "gaussian")
+
+
+SWEEP = ["--delta", "0.5", "--m-grid", "16,32,64", "--pairs", "8", "--trials", "2",
+         "--seed", "4"]
+SPARSE = ["--set", "sparse:N=32,K=4,d=1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=-10,10"], 0),
+    (["consistency-width", *SWEEP, *SPARSE, "--slope-band=-10,10"], 0),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=5,6"], 1),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--m-grid", "4,x"], 2),
+    (["quasi-isometry", *SWEEP], 2),
+    (["consistency-width", *SWEEP], 2),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=bad"], 2),
+    (["consistency-width", *SWEEP, *SPARSE, "--slope-band=-1"], 2),
+    (["quasi-isometry", "--ensemble", "rademacher", "--set", "lowrank:N1=8,N2=8,r=2",
+      "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3", "--k0", "16"], 2),
+])
+def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys):
+    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == expected
+    assert err.startswith("error: ") == (expected == 2)
 
 
 def test_counterexample_no_dither(capsys, tmp_path):

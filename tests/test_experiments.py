@@ -101,13 +101,65 @@ def test_consistency_width_requires_unit_ball():
 
 
 def test_consistency_width_censoring_semantics():
-    # enormous m: no consistent pair above resolution, everything censored
+    # a trial is censored only when it sees no positive width; the exact
+    # cell radius is positive on every ray even at large m
     plan = _plan(m_grid=(4096, 8192), pairs_per_m=4, trials_per_m=2,
                  set_spec=G.SparseBall(n=16, k=2, radius=1.0))
-    res = X.consistency_width_sweep(plan, resolution_factor=2.0**-8)
-    assert res.censored_total == 4
-    assert all(r.censored for r in res.rows)
+    res = X.consistency_width_sweep(plan)
+    assert res.censored_total == 0
+    assert all(not r.censored and 0.0 < r.statistic <= 1.0 for r in res.rows)
+    # far-apart finite points never share a code at large m: every trial
+    # is censored with statistic 0 and there is nothing to fit
+    pts = 0.9 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    res = X.consistency_width_sweep(_plan(set_spec=G.FiniteSet(points=pts),
+                                          m_grid=(1024, 2048, 4096), trials_per_m=2))
+    assert res.censored_total == 6
+    assert all(r.censored and r.statistic == 0.0 for r in res.rows)
     assert res.slope is None
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("m", [16, 256, 4096])
+def test_consistent_radius_is_tight(kind, m):
+    # the radius is the supremum: codes hold just inside it and change just
+    # outside it, unless the ray ends at the set boundary first
+    from qembed import quantizer as Q
+
+    spec = G.SparseBall(n=64, k=4, radius=1.0)
+    qmap = Q.make_map(E.make_ensemble(kind), m, 64, 0.5, m)
+    rng = np.random.default_rng(m)
+    anchors, dirs, caps = [], [], []
+    for j in range(10):
+        x = G.sample_point(spec, rng)
+        u = X._direction_for(spec, x, 1.0, rng)
+        anchors.append(x)
+        dirs.append(u)
+        # every other ray gets a short cap, which binds at small m
+        caps.append(X._radial_cap(x, u, 1.0) if j % 2 else 1e-3)
+    anchors, dirs = np.array(anchors).T, np.array(dirs).T
+    radii = X._consistent_radii(qmap.quantizer, qmap.project_many(anchors),
+                                qmap.matrix.entries @ dirs, np.array(caps))
+    codes = Q.apply_many(qmap, anchors)
+    for j, r in enumerate(radii):
+        assert 0.0 < r <= caps[j]
+        inside = Q.apply_many(qmap, anchors[:, [j]] + r * (1 - 1e-9) * dirs[:, [j]])
+        assert np.array_equal(inside[:, 0], codes[:, j])
+        if r < caps[j]:
+            outside = Q.apply_many(qmap, anchors[:, [j]] + r * (1 + 1e-9) * dirs[:, [j]])
+            assert not np.array_equal(outside[:, 0], codes[:, j])
+
+
+def test_consistent_radius_on_a_wall_and_without_motion():
+    # column 0 starts on the wall 0.5 and falls: no room; column 1 does not
+    # move: the cap; column 2 rises from 0.7 to the wall at 1.0
+    from qembed import quantizer as Q
+
+    z = np.array([[0.5, 0.5, 0.5], [0.7, 0.7, 0.7]])
+    dz = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    radii = X._consistent_radii(Q.QuantizerConfig(delta=0.5), z, dz, np.full(3, 2.0))
+    assert radii[0] == 0.0
+    assert radii[1] == 2.0
+    assert radii[2] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_consistency_width_finite_exact_grouping():
