@@ -26,27 +26,19 @@ from .quantizer import (
 )
 from .distances import (
     PreconditionFailed,
-    SoftDistanceReport,
-    ThresholdCount,
-    hyperplane_count,
     lemma1_check,
     lemma3_check,
+    pair_distances,
     pseudo_distance,
-    soft_count_1d,
     soft_pseudo_distance,
 )
 from .geometry import (
-    AntiSparsityReport,
     EuclideanBall,
     FiniteSet,
     LowRankBall,
     SparseBall,
     WidthEstimate,
-    anti_sparsity,
-    empirical_net,
-    entropy_bound,
     minimal_m,
-    rotate_antisparsify,
     sample_point,
     sup_oracle,
     width_estimate,
@@ -60,7 +52,6 @@ from .experiments import (
     fit_loglog_slope,
     lemma4_diameter_check,
     lemma5_chernoff_check,
-    linear_baseline,
     no_dither_counterexample,
     quasi_isometry_sweep,
     section2_bernoulli_floor,

@@ -136,13 +136,18 @@ def parse_set_spec(text) -> geometry.SetSpec:
 
 
 def read_vectors(path: str) -> list[np.ndarray]:
-    """Whitespace-separated reals, one vector per line."""
+    """Whitespace-separated reals, one vector per line, all of one length."""
     out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
             continue
-        out.append(np.array([float(tok) for tok in line.split()], dtype=np.float64))
+        try:
+            vec = np.array([float(tok) for tok in line.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if out and len(vec) != len(out[0]):
+            raise ConfigError(f"{path}:{lineno}: expected {len(out[0])} values, got {len(vec)}")
+        out.append(vec)
     return out
 
 

@@ -9,7 +9,6 @@ F^t(a, b) = {a > t, b <= -t} union {a < -t, b >= t}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .quantizer import (
     QuantizedMap,
     apply_many,
     boundary_flags,
+    floor_argument,
+    quantize_array,
 )
 
 
@@ -52,52 +53,46 @@ def soft_count_array(a, b, t, delta: float) -> np.ndarray:
     return (n1 + n2 - overlap).astype(np.int64)
 
 
-def soft_count_1d(a: float, b: float, t: float, delta: float) -> int:
-    """Scalar soft threshold count; see soft_count_array."""
-    return int(soft_count_array(np.asarray([a]), np.asarray([b]), t, delta)[0])
+ENUMERATION_CHUNK = 4000  # tuples per block of the reference enumerator
 
 
-def soft_count_enumerated(a: float, b: float, t: float, delta: float,
-                          pad: int = 2) -> int:
-    """Reference count by direct enumeration of k over a covering range."""
-    k_lo = math.floor(min(a, b) / delta) - pad - math.ceil(abs(t) / delta)
-    k_hi = math.ceil(max(a, b) / delta) + pad + math.ceil(abs(t) / delta)
-    count = 0
-    for k in range(k_lo, k_hi + 1):
-        ak = a - k * delta
-        bk = b - k * delta
-        if (ak > t and bk <= -t) or (ak < -t and bk >= t):
-            count += 1
-    return count
+def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
+    """Reference for soft_count_array on 1-d arrays of equal length: count k
+    with F^t(a - k*delta, b - k*delta) by testing every k of one covering range.
+
+    Works through the tuples in blocks of ENUMERATION_CHUNK, and holds one
+    (tuples, k) float block at a time, so that the test arrays stay small.
+    """
+    a, b, t = (np.asarray(v, dtype=np.float64) for v in (a, b, t))
+    pad = 2 + math.ceil(float(np.max(np.abs(t))) / delta)
+    lo = math.floor(float(np.min(np.minimum(a, b))) / delta) - pad
+    hi = math.ceil(float(np.max(np.maximum(a, b))) / delta) + pad
+    ks = np.arange(lo, hi + 1, dtype=np.float64) * delta
+    out = np.zeros(a.shape, dtype=np.int64)
+    for start in range(0, len(a), ENUMERATION_CHUNK):
+        sl = slice(start, start + ENUMERATION_CHUNK)
+        tt = t[sl, None]
+        ak = a[sl, None] - ks
+        above, below = ak > tt, ak < -tt
+        del ak
+        bk = b[sl, None] - ks
+        out[sl] = ((above & (bk <= -tt)) | (below & (bk >= tt))).sum(axis=1)
+    return out
 
 
-@dataclass(frozen=True)
-class ThresholdCount:
-    """Per-coordinate separating-threshold counts for one pair of vectors."""
-
-    per_coordinate: np.ndarray
-    t: float
-    delta: float
-
-    @property
-    def value(self) -> float:
-        """(delta/M) * sum of counts."""
-        m = len(self.per_coordinate)
-        return self.delta * float(np.sum(self.per_coordinate)) / m
+def pair_distances(qmap: QuantizedMap, xs) -> np.ndarray:
+    """D for each pair of columns x0, y0, x1, y1, ... of xs:
+    (delta/M) * l1 distance of the integer codes."""
+    codes = apply_many(qmap, xs)
+    return qmap.delta * np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0) / qmap.m
 
 
-@dataclass(frozen=True)
-class SoftDistanceReport:
-    d0: float
-    dt_plus: float   # D^{|t|}
-    dt_minus: float  # D^{-|t|}
-    t: float
-    slack_pair: np.ndarray  # per coord |d^|t|| - d^{-|t|}| - 4(delta + 2|t|)
-    slack_abs: np.ndarray   # per coord worst of |d^{+-|t|} - |a-b|| - 4(delta + |t|)
-
-
-def _projected_pair(qmap: QuantizedMap, x, y) -> tuple[np.ndarray, np.ndarray]:
-    return qmap.project(np.asarray(x, dtype=np.float64)), qmap.project(np.asarray(y, dtype=np.float64))
+def _projected_pair(qmap: QuantizedMap, x, y) -> np.ndarray:
+    """Phi [x y] + xi from one projection, shape (M, 2)."""
+    xs = np.column_stack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
+    if xs.shape[0] != qmap.n:
+        raise InvalidArgument(f"expected vectors of dimension {qmap.n}")
+    return qmap.project_many(xs)
 
 
 def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
@@ -106,12 +101,10 @@ def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
     Internally cross-checked against the t = 0 threshold count on every
     coordinate not flagged as sitting on a bin boundary.
     """
-    xs = np.column_stack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
-    if xs.shape[0] != qmap.n:
-        raise InvalidArgument(f"expected vectors of dimension {qmap.n}")
-    codes = apply_many(qmap, xs)
+    z = _projected_pair(qmap, x, y)
+    codes = quantize_array(qmap.quantizer, z)
     diff = np.abs(codes[:, 0] - codes[:, 1])
-    za, zb = _projected_pair(qmap, x, y)
+    za, zb = floor_argument(qmap.quantizer, z).T
     counts0 = soft_count_array(za, zb, 0.0, qmap.delta)
     ok = boundary_flags(za, qmap.delta) | boundary_flags(zb, qmap.delta)
     if np.any((counts0 != diff) & ~ok):
@@ -121,62 +114,22 @@ def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
 
 def soft_pseudo_distance(qmap: QuantizedMap, x, y, t: float) -> float:
     """D^t(x, y) = (delta/M) * sum of per-coordinate soft counts."""
-    za, zb = _projected_pair(qmap, x, y)
+    za, zb = floor_argument(qmap.quantizer, _projected_pair(qmap, x, y)).T
     counts = soft_count_array(za, zb, float(t), qmap.delta)
     return qmap.delta * float(np.sum(counts)) / qmap.m
 
 
-def threshold_count(qmap: QuantizedMap, x, y, t: float = 0.0) -> ThresholdCount:
-    za, zb = _projected_pair(qmap, x, y)
-    counts = soft_count_array(za, zb, float(t), qmap.delta)
-    return ThresholdCount(per_coordinate=counts, t=float(t), delta=qmap.delta)
-
-
-def hyperplane_count(qmap: QuantizedMap, x, y) -> np.ndarray:
-    """Per-coordinate number of separating thresholds (|code difference|)."""
-    xs = np.column_stack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
-    if xs.shape[0] != qmap.n:
-        raise InvalidArgument(f"expected vectors of dimension {qmap.n}")
-    codes = apply_many(qmap, xs)
-    return np.abs(codes[:, 0] - codes[:, 1]).astype(np.int64)
-
-
-def soft_report(qmap: QuantizedMap, x, y, t: float) -> SoftDistanceReport:
-    """D, D^{|t|}, D^{-|t|} plus per-coordinate slack for the local bounds."""
-    za, zb = _projected_pair(qmap, x, y)
-    delta = qmap.delta
-    tt = abs(float(t))
-    c0 = soft_count_array(za, zb, 0.0, delta)
-    cp = soft_count_array(za, zb, tt, delta)
-    cm = soft_count_array(za, zb, -tt, delta)
-    m = qmap.m
-    dp = delta * cp.astype(np.float64)
-    dm = delta * cm.astype(np.float64)
-    gap = np.abs(za - zb)
-    slack_pair = np.abs(dp - dm) - 4.0 * (delta + 2.0 * tt)
-    slack_abs = np.maximum(np.abs(dp - gap), np.abs(dm - gap)) - 4.0 * (delta + tt)
-    return SoftDistanceReport(
-        d0=delta * float(np.sum(c0)) / m,
-        dt_plus=delta * float(np.sum(cp)) / m,
-        dt_minus=delta * float(np.sum(cm)) / m,
-        t=tt,
-        slack_pair=slack_pair,
-        slack_abs=slack_abs,
-    )
-
-
-def lemma1_check(a: float, b: float, t: float, s: float, delta: float):
-    """(|d^t - d^s|, 4(delta+|t-s|), |d^t - |a-b||, 4(delta+|t|)).
+def lemma1_check(a, b, t, s, delta: float):
+    """Elementwise (|d^t - d^s|, 4(delta+|t-s|), |d^t - |a-b||, 4(delta+|t|))
+    with d^t = delta * soft count.
 
     The caller asserts lhs <= bound for both pairs.
     """
-    dt = delta * soft_count_1d(a, b, t, delta)
-    ds = delta * soft_count_1d(a, b, s, delta)
-    lhs_ts = abs(dt - ds)
-    bound_ts = 4.0 * (delta + abs(t - s))
-    lhs_abs = abs(dt - abs(a - b))
-    bound_abs = 4.0 * (delta + abs(t))
-    return lhs_ts, bound_ts, lhs_abs, bound_abs
+    a, b, t, s = (np.asarray(v, dtype=np.float64) for v in (a, b, t, s))
+    dt = delta * soft_count_array(a, b, t, delta)
+    ds = delta * soft_count_array(a, b, s, delta)
+    return (np.abs(dt - ds), 4.0 * (delta + np.abs(t - s)),
+            np.abs(dt - np.abs(a - b)), 4.0 * (delta + np.abs(t)))
 
 
 class PreconditionFailed(RuntimeError):

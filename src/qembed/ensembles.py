@@ -371,26 +371,3 @@ def _uniform1_tail_gap() -> float:
     tail, _ = quad(_gauss_abs_tail, s3, 12.0, limit=200)
     return float(val + tail)
 
-
-def fit_tail_bound(ensemble: Ensemble, samples: int, seed, big_c: float = 2.0,
-                   eps_grid=None) -> tuple[float, float]:
-    """Fit (C, c) with empirical P(|X| > eps) <= C exp(-c eps^2 / alpha^2) on a grid.
-
-    Returns (C, c) with the largest c that keeps the bound valid at every grid
-    point with nonzero empirical tail; c > 0 certifies sub-Gaussian decay.
-    """
-    if eps_grid is None:
-        eps_grid = np.linspace(0.25, 3.0, 12)
-    draws = np.abs(sample_iid(ensemble, samples, seed))
-    a2 = ensemble.alpha**2
-    c_best = math.inf
-    for eps in eps_grid:
-        tail = float(np.mean(draws > eps))
-        if tail <= 0.0:
-            continue
-        if tail >= big_c:
-            continue
-        c_best = min(c_best, a2 * math.log(big_c / tail) / eps**2)
-    if not math.isfinite(c_best):
-        c_best = a2 * math.log(big_c * samples) / float(eps_grid[0]) ** 2
-    return big_c, float(c_best)

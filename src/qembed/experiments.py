@@ -27,7 +27,7 @@ from .ensembles import (
     sample_iid,
     sample_matrix,
 )
-from .distances import soft_count_array
+from .distances import pair_distances, soft_count_array
 from .geometry import (
     FiniteSet,
     LowRankBall,
@@ -221,10 +221,7 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
             xs[:, 2 * j] = x
             xs[:, 2 * j + 1] = y
             dists[j] = np.linalg.norm(x - y)
-        codes = apply_many(qmap, xs)
-        l1 = np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0)
-        d_vals = plan.delta * l1 / m
-        errs = np.abs(d_vals - SQRT_2_OVER_PI * dists)
+        errs = np.abs(pair_distances(qmap, xs) - SQRT_2_OVER_PI * dists)
         stat = float(np.max(errs / (dists + plan.delta))) - allowance
         return stat, stat <= 0, seed_fingerprint(ss)
 
@@ -239,15 +236,12 @@ def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng, max_tries: int 
         return None
     for _ in range(max_tries):
         if isinstance(spec, SparseBall):
-            c = x if spec.basis is None else spec.basis.T @ x
-            support = np.flatnonzero(np.abs(c) > 1e-12)
+            support = np.flatnonzero(np.abs(x) > 1e-12)
             if len(support) == 0:
                 support = rng.choice(spec.n, size=spec.k, replace=False)
             coeffs = rng.standard_normal(len(support))
             u = np.zeros(spec.n)
             u[support] = coeffs
-            if spec.basis is not None:
-                u = spec.basis @ u
         elif isinstance(spec, LowRankBall):
             mat = x.reshape(spec.n1, spec.n2)
             uu, _, _ = np.linalg.svd(mat, full_matrices=False)
@@ -641,73 +635,20 @@ def section2_bernoulli_floor(m: int, trials: int, seed, contrast: bool = False) 
     bern = make_ensemble("rademacher")
     root = as_seedseq(seed)
     n = 2
-    x = np.zeros(n)
-    x[0] = 1.0
-    y = np.zeros(n)
-    all_exact = True
+    pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
     subs = root.spawn(trials + (trials if contrast else 0))
-    for sub in subs[:trials]:
-        qmap = make_map(bern, m, n, 1.0, sub)
-        codes = apply_many(qmap, np.column_stack([x, y]))
-        total = int(np.sum(np.abs(codes[:, 0] - codes[:, 1])))
-        if total != m:
-            all_exact = False
+    all_exact = all(pair_distances(make_map(bern, m, n, 1.0, sub), pair)[0] == 1.0
+                    for sub in subs[:trials])
     g_mean = g_se = None
     if contrast:
         gauss = make_ensemble("gaussian")
-        vals = []
-        for sub in subs[trials:]:
-            qmap = make_map(gauss, m, n, 1.0, sub)
-            codes = apply_many(qmap, np.column_stack([x, y]))
-            vals.append(float(np.sum(np.abs(codes[:, 0] - codes[:, 1]))) / m)
-        vals = np.asarray(vals)
+        vals = np.array([pair_distances(make_map(gauss, m, n, 1.0, sub), pair)[0]
+                         for sub in subs[trials:]])
         g_mean = float(vals.mean())
         g_se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
     return FloorContrastReport(all_exact=all_exact, trials=trials, m=m,
                                implied_floor=1.0 - SQRT_2_OVER_PI,
                                gaussian_mean=g_mean, gaussian_stderr=g_se)
-
-
-@dataclass(frozen=True)
-class LinearBaselineReport:
-    eps_hat: float
-    pairs: int
-    quantized_relation_holds: bool
-
-
-def linear_baseline(ensemble: Ensemble, spec: SetSpec, m: int, pairs: int, delta: float,
-                    seed) -> LinearBaselineReport:
-    """Measured linear distortion plus the algebraic quantized consequence.
-
-    eps_hat is the worst relative deviation of ||Phi(x-y)||/sqrt(M) from
-    ||x-y||; with the rounding quantizer the l2 code distance then satisfies
-    (1-eps)||x-y|| - delta <= ||Q(Phi x)-Q(Phi y)||/sqrt(M) <= (1+eps)||x-y|| + delta.
-    """
-    n = ambient_dim(spec)
-    root = as_seedseq(seed)
-    mat_seed, pair_seed = root.spawn(2)
-    mat = sample_matrix(ensemble, m, n, mat_seed)
-    cfg = QuantizerConfig(delta=delta, variant="round")
-    qmap = QuantizedMap(matrix=mat, dither=None, quantizer=cfg)
-    rng = np.random.default_rng(pair_seed)
-    eps_hat = 0.0
-    recs = []
-    for _ in range(pairs):
-        x = sample_point(spec, rng)
-        y = sample_point(spec, rng)
-        d = float(np.linalg.norm(x - y))
-        if d == 0.0:
-            continue
-        proj = float(np.linalg.norm(mat.entries @ (x - y))) / math.sqrt(m)
-        eps_hat = max(eps_hat, abs(proj / d - 1.0))
-        recs.append((x, y, d))
-    holds = True
-    for x, y, d in recs:
-        codes = apply_many(qmap, np.column_stack([x, y]))
-        qdist = delta * float(np.linalg.norm((codes[:, 0] - codes[:, 1]).astype(np.float64))) / math.sqrt(m)
-        if not ((1 - eps_hat) * d - delta - 1e-12 <= qdist <= (1 + eps_hat) * d + delta + 1e-12):
-            holds = False
-    return LinearBaselineReport(eps_hat=eps_hat, pairs=len(recs), quantized_relation_holds=holds)
 
 
 # --- CSV emission (RFC 4180, header row mandatory) ---

@@ -1,5 +1,5 @@
 """Low-complexity sets: sampling, exact sup oracles, Gaussian mean width,
-entropy bounds, anti-sparsity diagnostics, and minimal measurement counts.
+anti-sparsity levels, and minimal measurement counts.
 
 Width estimates are Monte Carlo over the outer Gaussian draw only; the inner
 sup over the set has a closed form for every supported kind.
@@ -8,12 +8,12 @@ sup over the set has a closed form for every supported kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .ensembles import SQRT_2_OVER_PI, InvalidArgument
+from .ensembles import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,12 @@ class SparseBall:
     n: int
     k: int
     radius: float
-    basis: Optional[np.ndarray] = None  # orthonormal, columns span the sparsity domain
 
     def __post_init__(self):
         if self.k < 1 or self.k > self.n:
             raise InvalidArgument("need 1 <= k <= n")
         if not (self.radius > 0):
             raise InvalidArgument("radius must be positive")
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=np.float64)
-            if b.shape != (self.n, self.n):
-                raise InvalidArgument("basis must be n x n")
-            if not np.allclose(b.T @ b, np.eye(self.n), atol=1e-9):
-                raise InvalidArgument("basis must be orthonormal")
-            object.__setattr__(self, "basis", b)
 
 
 @dataclass(frozen=True)
@@ -104,8 +96,7 @@ def contains(spec: SetSpec, u: np.ndarray, tol: float = 1e-9) -> bool:
     if isinstance(spec, FiniteSet):
         return bool(np.any(np.linalg.norm(spec.points - u, axis=1) <= tol))
     if isinstance(spec, SparseBall):
-        c = u if spec.basis is None else spec.basis.T @ u
-        nz = np.sum(np.abs(c) > tol)
+        nz = np.sum(np.abs(u) > tol)
         return nz <= spec.k and np.linalg.norm(u) <= spec.radius + tol
     if isinstance(spec, LowRankBall):
         mat = u.reshape(spec.n1, spec.n2)
@@ -133,7 +124,7 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
         target = spec.radius * rng.random()
         c = np.zeros(spec.n)
         c[support] = coeffs * (target / norm)
-        return c if spec.basis is None else spec.basis @ c
+        return c
     if isinstance(spec, LowRankBall):
         a = rng.standard_normal((spec.n1, spec.r))
         b = rng.standard_normal((spec.r, spec.n2))
@@ -157,8 +148,7 @@ def sup_oracle(spec: SetSpec, g: np.ndarray) -> float:
     if isinstance(spec, FiniteSet):
         return float(np.max(np.abs(spec.points @ g)))
     if isinstance(spec, SparseBall):
-        c = g if spec.basis is None else spec.basis.T @ g
-        top = np.sort(np.abs(c))[-spec.k:]
+        top = np.sort(np.abs(g))[-spec.k:]
         return spec.radius * float(np.linalg.norm(top))
     if isinstance(spec, LowRankBall):
         s = np.linalg.svd(g.reshape(spec.n1, spec.n2), compute_uv=False)
@@ -166,14 +156,6 @@ def sup_oracle(spec: SetSpec, g: np.ndarray) -> float:
     if isinstance(spec, EuclideanBall):
         return spec.radius * float(np.linalg.norm(g))
     raise InvalidArgument(f"unknown set spec: {spec!r}")
-
-
-def scale_set(spec: SetSpec, lam: float) -> SetSpec:
-    if not (lam > 0):
-        raise InvalidArgument("scale must be positive")
-    if isinstance(spec, FiniteSet):
-        return FiniteSet(points=spec.points * lam)
-    return replace(spec, radius=spec.radius * lam)
 
 
 @dataclass(frozen=True)
@@ -197,50 +179,6 @@ def width_estimate(spec: SetSpec, draws: int, seed) -> WidthEstimate:
                          draws=draws)
 
 
-@dataclass(frozen=True)
-class WidthPropsReport:
-    homogeneity_max_dev: float      # per-draw |sup(lam K) - lam sup(K)|, max
-    diameter_lower_ok: bool         # sqrt(2/pi) ||K|| <= mean + 3 se
-    diameter_upper_ok: bool         # mean <= sqrt(N) ||K|| + 3 se
-    translation_gap: Optional[float]    # |w(K + t) - w(K)| (finite sets)
-    translation_bound: Optional[float]  # sqrt(2/pi) ||t|| + 3 se
-
-
-def width_properties_check(spec: SetSpec, lam: float, shift, draws: int, seed) -> WidthPropsReport:
-    """Scaling, diameter-link, and translation checks with common draws."""
-    rng = np.random.default_rng(seed)
-    dim = ambient_dim(spec)
-    scaled = scale_set(spec, lam)
-    base = np.empty(draws)
-    dev = 0.0
-    trans = None
-    shift = None if shift is None else np.asarray(shift, dtype=np.float64)
-    shifted_spec = None
-    if isinstance(spec, FiniteSet) and shift is not None:
-        shifted_spec = FiniteSet(points=spec.points + shift)
-        trans = np.empty(draws)
-    for i in range(draws):
-        g = rng.standard_normal(dim)
-        s = sup_oracle(spec, g)
-        base[i] = s
-        dev = max(dev, abs(sup_oracle(scaled, g) - lam * s))
-        if shifted_spec is not None:
-            trans[i] = sup_oracle(shifted_spec, g) - s
-    mean = float(base.mean())
-    se = float(base.std(ddof=1) / math.sqrt(draws))
-    d = diameter(spec)
-    lower_ok = SQRT_2_OVER_PI * d <= mean + 3 * se
-    upper_ok = mean <= math.sqrt(dim) * d + 3 * se
-    t_gap = t_bound = None
-    if shifted_spec is not None:
-        t_gap = abs(float(trans.mean()))
-        t_se = float(trans.std(ddof=1) / math.sqrt(draws))
-        t_bound = SQRT_2_OVER_PI * float(np.linalg.norm(shift)) + 3 * t_se
-    return WidthPropsReport(homogeneity_max_dev=dev, diameter_lower_ok=lower_ok,
-                            diameter_upper_ok=upper_ok, translation_gap=t_gap,
-                            translation_bound=t_bound)
-
-
 def structured_wbar_sq(spec: SetSpec, c_const: float = 1.0) -> float:
     """Diameter-free squared width bound for structured kinds.
 
@@ -255,114 +193,13 @@ def structured_wbar_sq(spec: SetSpec, c_const: float = 1.0) -> float:
     raise InvalidArgument("structured width bound needs a sparse or low-rank set")
 
 
-def entropy_bound(spec: SetSpec, eta: float, c_const: float = 1.0,
-                  draws: int = 2048, seed=0) -> float:
-    """Upper bound on the Kolmogorov eta-entropy of the set.
-
-    SparseBall uses the union-of-supports net count K log(eN/K (1 + 2d/eta));
-    finite sets cap at log |S|; everything else falls back to the Sudakov
-    form c * (width/eta)^2 with the width estimated by Monte Carlo.
-    """
-    if not (eta > 0):
-        raise InvalidArgument("eta must be positive")
-    if isinstance(spec, SparseBall):
-        d = spec.radius
-        return c_const * spec.k * math.log(math.e * spec.n / spec.k * (1.0 + 2.0 * d / eta))
-    sudakov = c_const * (width_estimate(spec, draws, seed).mean / eta) ** 2
-    if isinstance(spec, FiniteSet):
-        return min(math.log(spec.points.shape[0]), sudakov)
-    return sudakov
-
-
-@dataclass(frozen=True)
-class StructuredConstants:
-    """w-bar^2 bound plus an entropy tabulation honoring the log(1 + d/eta) form."""
-
-    w_bar_sq_bound: float
-    eta_grid: np.ndarray
-    entropy_values: np.ndarray
-    closed_form_w_bar_sq: float
-    inflation: float  # w_bar_sq_bound / closed-form value
-
-
-def structured_constants(spec: SetSpec, eta_grid, c_const: float = 1.0) -> StructuredConstants:
-    etas = np.asarray(list(eta_grid), dtype=np.float64)
-    if len(etas) == 0 or np.any(etas <= 0):
-        raise InvalidArgument("eta grid must be positive and nonempty")
-    base = structured_wbar_sq(spec, c_const)
-    d = diameter(spec)
-    vals = np.array([entropy_bound(spec, float(e)) for e in etas])
-    need = np.max(vals / np.log1p(d / etas))
-    bound = max(base, float(need))
-    return StructuredConstants(w_bar_sq_bound=bound, eta_grid=etas, entropy_values=vals,
-                               closed_form_w_bar_sq=base, inflation=bound / base)
-
-
-def empirical_net(points, eta: float):
-    """Greedy farthest-point eta-cover of a finite point list.
-
-    Returns (net points array, log of net size); every input point ends
-    within eta of some net point.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InvalidArgument("nonempty (count, dim) point list required")
-    if not (eta > 0):
-        raise InvalidArgument("eta must be positive")
-    chosen = [0]
-    dist = np.linalg.norm(pts - pts[0], axis=1)
-    while True:
-        far = int(np.argmax(dist))
-        if dist[far] <= eta:
-            break
-        chosen.append(far)
-        dist = np.minimum(dist, np.linalg.norm(pts - pts[far], axis=1))
-    net = pts[chosen]
-    return net, math.log(len(chosen))
-
-
-@dataclass(frozen=True)
-class AntiSparsityReport:
-    level: float
-    member_of: float
-    passed: bool
-
-
 def anti_sparsity_level(u: np.ndarray) -> float:
+    """||u||^2 / ||u||_inf^2: 1 for one nonzero entry, the dimension for a flat u."""
     u = np.asarray(u, dtype=np.float64)
     sup = float(np.max(np.abs(u)))
     if sup == 0.0:
         raise InvalidArgument("u must be nonzero")
     return float(np.dot(u, u)) / sup**2
-
-
-def anti_sparsity(u: np.ndarray, k0: float) -> AntiSparsityReport:
-    """level = ||u||^2 / ||u||_inf^2 and whether it reaches k0."""
-    level = anti_sparsity_level(u)
-    return AntiSparsityReport(level=level, member_of=float(k0), passed=level >= k0)
-
-
-def dct_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix (rows indexed by frequency)."""
-    j = np.arange(n)
-    k = np.arange(n)[:, None]
-    mat = np.cos(math.pi * (2 * j + 1) * k / (2 * n))
-    mat[0, :] *= math.sqrt(1.0 / n)
-    mat[1:, :] *= math.sqrt(2.0 / n)
-    return mat
-
-
-def rotate_antisparsify(u: np.ndarray):
-    """Apply the orthonormal DCT-II rotation; norms preserved, typically
-    raising the anti-sparsity level of sparse inputs.
-
-    Returns (rotated vector, level before, level after).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    before = anti_sparsity_level(u)
-    v = dct_basis(u.size) @ u
-    after = anti_sparsity_level(v)
-    return v, before, after
 
 
 MINIMAL_M_KINDS = ("embed-general", "embed-structured", "width-general", "width-structured")

@@ -82,15 +82,29 @@ def _floor_index(t: np.ndarray, delta: float) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def floor_argument(cfg: QuantizerConfig, t):
+    """The value whose floor bin is the code of t: t itself for floor, and
+    t + delta/2 for round (round half-up is floor(t/delta + 1/2)).
+
+    Threshold counts taken on this value count the thresholds the variant
+    actually uses.
+    """
+    return t if cfg.variant == "floor" else t + 0.5 * cfg.delta
+
+
 def quantize_array(cfg: QuantizerConfig, t) -> np.ndarray:
-    """Bin indices for an array of finite inputs (value = delta * index)."""
+    """Bin indices for an array of inputs with |t| < 2^53 delta (value = delta * index).
+
+    Within that range every index and k*delta are exact in float64 and int64.
+    The range check also rejects NaN (min and max propagate it) and
+    infinities, and it allocates nothing: these arrays can be a trial's
+    largest.
+    """
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise InvalidArgument("quantizer input must be finite")
-    if cfg.variant == "floor":
-        return _floor_index(t, cfg.delta)
-    # round half-up: floor(t/delta + 1/2)
-    return _floor_index(t + 0.5 * cfg.delta, cfg.delta)
+    lim = 2.0**53 * cfg.delta
+    if not (-lim < t.min(initial=0.0) and t.max(initial=0.0) < lim):
+        raise InvalidArgument("quantizer input must be finite with |t| < 2^53 delta")
+    return _floor_index(floor_argument(cfg, t), cfg.delta)
 
 
 def quantize(cfg: QuantizerConfig, t: float) -> int:

@@ -65,22 +65,6 @@ def _random_tuples(seed: int, count: int = 100_000):
     return a, b, t, s, deltas
 
 
-def _brute_counts(a, b, t, delta_val: float) -> np.ndarray:
-    lo = math.floor(float(np.min(np.minimum(a, b))) / delta_val) - 33
-    hi = math.ceil(float(np.max(np.maximum(a, b))) / delta_val) + 33
-    out = np.zeros(len(a), dtype=np.int64)
-    ks = np.arange(lo, hi + 1, dtype=np.float64) * delta_val
-    chunk = 4000
-    for start in range(0, len(a), chunk):
-        sl = slice(start, start + chunk)
-        ak = a[sl, None] - ks[None, :]
-        bk = b[sl, None] - ks[None, :]
-        tt = t[sl, None]
-        hit = ((ak > tt) & (bk <= -tt)) | ((ak < -tt) & (bk >= tt))
-        out[sl] = hit.sum(axis=1)
-    return out
-
-
 def criterion_2(seed: int, scale: str = FULL) -> CriterionResult:
     """Closed-form soft counts equal brute-force enumeration on random tuples."""
     count = 100_000 if scale == FULL else 20_000
@@ -89,7 +73,7 @@ def criterion_2(seed: int, scale: str = FULL) -> CriterionResult:
     for d in (0.1, 1.0, 2.0):
         mask = deltas == d
         closed = distances.soft_count_array(a[mask], b[mask], t[mask], d)
-        brute = _brute_counts(a[mask], b[mask], t[mask], d)
+        brute = distances.soft_count_enumerated(a[mask], b[mask], t[mask], d)
         mismatches += int(np.count_nonzero(closed != brute))
     return CriterionResult(2, "soft-count-closed-form", mismatches == 0,
                            {"tuples": count, "mismatches": mismatches})
@@ -102,12 +86,8 @@ def criterion_3(seed: int, scale: str = FULL) -> CriterionResult:
     violations = 0
     for d in (0.1, 1.0, 2.0):
         mask = deltas == d
-        dt = d * distances.soft_count_array(a[mask], b[mask], t[mask], d)
-        ds = d * distances.soft_count_array(a[mask], b[mask], s[mask], d)
-        lhs_ts = np.abs(dt - ds)
-        bound_ts = 4.0 * (d + np.abs(t[mask] - s[mask]))
-        lhs_abs = np.abs(dt - np.abs(a[mask] - b[mask]))
-        bound_abs = 4.0 * (d + np.abs(t[mask]))
+        lhs_ts, bound_ts, lhs_abs, bound_abs = distances.lemma1_check(
+            a[mask], b[mask], t[mask], s[mask], d)
         violations += int(np.count_nonzero(lhs_ts > bound_ts))
         violations += int(np.count_nonzero(lhs_abs > bound_abs))
     return CriterionResult(3, "soft-vs-soft-and-abs-bounds", violations == 0,

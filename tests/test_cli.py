@@ -47,6 +47,13 @@ def test_distance_command(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert float(lines[0].split()[0]) == 0.0  # identical pair
     assert float(lines[1].split()[0]) > 0.0
+    # the round variant counts its own thresholds: D^0 equals D off the boundaries
+    code, out, _ = run_cli(["distance", "--m", "32", "--in", str(vecs), "--seed", "0",
+                            "--variant", "round", "--t", "0", "0.1"], capsys)
+    assert code == 0
+    for line in out.strip().splitlines():
+        d, d0, d_soft = map(float, line.split())
+        assert d == d0 and d_soft <= d
 
 
 def test_width_command(capsys):
@@ -124,6 +131,15 @@ SWEEP = ["--delta", "0.5", "--m-grid", "16,32,64", "--pairs", "8", "--trials", "
          "--seed", "4"]
 SPARSE = ["--set", "sparse:N=32,K=4,d=1"]
 
+# input files of the exit-code table, written under TMP/ (the test's tmp_path)
+INPUTS = {
+    "bad-token.txt": "1 0\n0 x\n",
+    "ragged.txt": "1 0\n1 0 0\n",
+    "huge.txt": "1e300 0\n",
+    "pair.txt": "0.3 0.1\n-0.2 0.5\n",
+    "bad-scale.cfg": "[experiment]\nscale = huge\n",
+}
+
 
 @pytest.mark.parametrize("argv, expected", [
     (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=-10,10"], 0),
@@ -136,8 +152,23 @@ SPARSE = ["--set", "sparse:N=32,K=4,d=1"]
     (["consistency-width", *SWEEP, *SPARSE, "--slope-band=-1"], 2),
     (["quasi-isometry", "--ensemble", "rademacher", "--set", "lowrank:N1=8,N2=8,r=2",
       "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3", "--k0", "16"], 2),
+    (["embed", "--m", "4", "--in", "TMP/bad-token.txt"], 2),
+    (["embed", "--m", "4", "--delta", "1e-10", "--in", "TMP/huge.txt"], 2),
+    (["distance", "--m", "4", "--in", "TMP/ragged.txt"], 2),
+    (["distance", "--m", "64", "--variant", "round", "--in", "TMP/pair.txt", "--t", "0.1"], 0),
+    (["width", "--set", "finite:file=TMP/bad-token.txt"], 2),
+    (["min-m", "--set", "sparse:N=64,K=4", "--kind", "embed-structured", "--eps", "1.5"], 2),
+    (["counterexamples", "--which", "no-dither", "--s", "0.6"], 2),
+    (["lemmas", "--kappa", "bogus"], 2),
+    (["combinatorics", "--stirling-max", "0"], 2),
+    (["selftest", "--config", "TMP/bad-scale.cfg"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys):
+    """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
+    error for every other subcommand."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("TMP/", f"{tmp_path}/") for arg in argv]
     code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
     assert code == expected
     assert err.startswith("error: ") == (expected == 2)

@@ -24,21 +24,21 @@ def _off_boundary(a, b, t, delta):
 
 
 def test_soft_count_examples():
-    assert D.soft_count_1d(0.2, 2.7, 0.0, 1.0) == 2  # thresholds 1 and 2
-    assert D.soft_count_1d(0.9, 1.1, 0.3, 1.0) == 0
-    assert D.soft_count_1d(0.9, 1.1, 0.0, 1.0) == 1
-    assert D.soft_count_1d(0.9, 1.1, -0.3, 1.0) == 1
+    assert D.soft_count_array(0.2, 2.7, 0.0, 1.0) == 2  # thresholds 1 and 2
+    assert D.soft_count_array(0.9, 1.1, 0.3, 1.0) == 0
+    assert D.soft_count_array(0.9, 1.1, 0.0, 1.0) == 1
+    assert D.soft_count_array(0.9, 1.1, -0.3, 1.0) == 1
 
 
 def test_soft_count_equal_inputs_nonneg_t():
     for t in (0.0, 0.1, 2.0):
         for a in (-3.3, 0.0, 7.1):
-            assert D.soft_count_1d(a, a, t, 0.5) == 0
+            assert D.soft_count_array(a, a, t, 0.5) == 0
 
 
 def test_soft_count_rejects_nonfinite():
     with pytest.raises(E.InvalidArgument):
-        D.soft_count_1d(float("inf"), 0.0, 0.0, 1.0)
+        D.soft_count_array(float("inf"), 0.0, 0.0, 1.0)
     with pytest.raises(E.InvalidArgument):
         D.soft_count_array([0.0], [0.0], 0.0, -1.0)
 
@@ -51,7 +51,7 @@ soft_ts = st.floats(-3, 3, allow_nan=False)
 @settings(max_examples=500, deadline=None)
 def test_soft_count_matches_enumeration(a, b, t, delta):
     assume(_off_boundary(a, b, t, delta))
-    assert D.soft_count_1d(a, b, t, delta) == D.soft_count_enumerated(a, b, t, delta)
+    assert D.soft_count_enumerated([a], [b], [t], delta) == D.soft_count_array(a, b, t, delta)
 
 
 @given(finite_reals, finite_reals, soft_ts, soft_ts, st.sampled_from([0.1, 1.0, 2.0]))
@@ -69,8 +69,8 @@ def test_lemma1_examples():
     assert bound_abs == 4.0
 
 
-def _gaussian_map(m=16, n=4, delta=0.5, seed=0):
-    return Q.make_map(E.make_ensemble("gaussian"), m, n, delta, seed)
+def _gaussian_map(m=16, n=4, delta=0.5, seed=0, variant="floor"):
+    return Q.make_map(E.make_ensemble("gaussian"), m, n, delta, seed, variant=variant)
 
 
 def test_pseudo_distance_self_zero():
@@ -100,11 +100,13 @@ def test_pseudo_distance_matches_codes():
 
 
 def test_soft_distance_t0_equals_pseudo():
-    qmap = _gaussian_map(seed=5)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        x, y = rng.standard_normal((2, 4))
-        assert D.soft_pseudo_distance(qmap, x, y, 0.0) == D.pseudo_distance(qmap, x, y)
+    # both variants: D^t counts the thresholds the map's variant uses
+    for variant in Q.VARIANTS:
+        qmap = _gaussian_map(seed=5, variant=variant)
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            x, y = rng.standard_normal((2, 4))
+            assert D.soft_pseudo_distance(qmap, x, y, 0.0) == D.pseudo_distance(qmap, x, y)
 
 
 def test_soft_distance_vanishes_for_large_t():
@@ -128,32 +130,6 @@ def test_soft_distance_monotone_and_sandwich():
         for t in (0.1, 0.25, 0.4):
             assert D.soft_pseudo_distance(qmap, x, y, t) <= d0 + 1e-12
             assert d0 <= D.soft_pseudo_distance(qmap, x, y, -t) + 1e-12
-
-
-def test_soft_report_slacks_nonpositive():
-    qmap = _gaussian_map(seed=9)
-    rng = np.random.default_rng(5)
-    x, y = rng.standard_normal((2, 4))
-    rep = D.soft_report(qmap, x, y, 0.3)
-    assert rep.dt_plus <= rep.d0 <= rep.dt_minus
-    assert np.all(rep.slack_pair <= 0)
-    assert np.all(rep.slack_abs <= 0)
-
-
-def test_hyperplane_count_consistent_pair_zero():
-    qmap = _gaussian_map(seed=11)
-    x = np.array([0.01, 0.0, 0.0, 0.0])
-    counts = D.hyperplane_count(qmap, x, x)
-    assert np.all(counts == 0)
-
-
-def test_hyperplane_count_matches_soft_count():
-    qmap = _gaussian_map(seed=12)
-    rng = np.random.default_rng(6)
-    x, y = rng.standard_normal((2, 4))
-    za, zb = qmap.project(x), qmap.project(y)
-    assert np.array_equal(D.hyperplane_count(qmap, x, y),
-                          D.soft_count_array(za, zb, 0.0, qmap.delta))
 
 
 def test_lemma3_zero_perturbation_reduces_to_monotonicity():

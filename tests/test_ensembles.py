@@ -178,14 +178,3 @@ def test_estimated_kappa_below_generic_bound():
         lhs = abs(est - SQ2PI * np.linalg.norm(u))
         assert lhs <= r.kappa_sg * np.max(np.abs(u)) + 3 * se
 
-
-def test_tail_bound_fit():
-    for kind in E.KINDS:
-        ens = E.make_ensemble(kind)
-        big_c, c = E.fit_tail_bound(ens, 200_000, 13)
-        assert c > 0
-        # bound holds by construction of the fit; spot check one grid point
-        draws = np.abs(E.sample_iid(ens, 200_000, 13))
-        for eps in (0.5, 1.5, 2.5):
-            tail = np.mean(draws > eps)
-            assert tail <= big_c * math.exp(-c * eps**2 / ens.alpha**2) + 1e-12

@@ -282,17 +282,6 @@ def test_section2_floor_exact_and_contrast():
     assert abs(rep.gaussian_mean - SQ2PI) <= 4 * rep.gaussian_stderr
 
 
-def test_linear_baseline():
-    gauss = E.make_ensemble("gaussian")
-    spec = G.FiniteSet(points=np.random.default_rng(3).standard_normal((32, 64)))
-    rep = X.linear_baseline(gauss, spec, 4096, 40, 0.25, 9)
-    assert rep.eps_hat < 0.2
-    assert rep.quantized_relation_holds
-    # second seed: relation is algebraic in the re-measured eps
-    rep2 = X.linear_baseline(gauss, spec, 4096, 40, 0.25, 10)
-    assert rep2.quantized_relation_holds
-
-
 def test_bernoulli_mean_envelope_on_filtered_pairs():
     # filtered differences: mean of D stays within the kappa/sqrt(k0)
     # allowance of the gaussian first moment

@@ -15,11 +15,16 @@ def test_quantize_examples():
     r = Q.QuantizerConfig(1.0, "round")
     assert Q.quantize(r, 0.49) == 0
     assert Q.quantize(r, 0.5) == 1  # half rounds up
+    # the top of the exact range, |t| < 2^53 delta
+    assert Q.quantize(Q.QuantizerConfig(1.0), 2.0**53 - 1) == 2**53 - 1
+    assert Q.quantize(Q.QuantizerConfig(1.0), -(2.0**53 - 1)) == -(2**53 - 1)
 
 
 def test_quantize_rejects_bad_input():
-    with pytest.raises(E.InvalidArgument):
-        Q.quantize(Q.QuantizerConfig(1.0), float("nan"))
+    for delta, t in ((1.0, float("nan")), (1.0, float("inf")), (1.0, 2.0**53),
+                     (1.0, -(2.0**53)), (0.5, 2.0**53 * 0.5), (1e-10, 1e300)):
+        with pytest.raises(E.InvalidArgument):
+            Q.quantize(Q.QuantizerConfig(delta), t)
     with pytest.raises(E.InvalidArgument):
         Q.QuantizerConfig(0.0)
     with pytest.raises(E.InvalidArgument):
