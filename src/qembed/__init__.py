@@ -22,7 +22,6 @@ from .quantizer import (
     dithered_floor_exact,
     dithered_floor_mean,
     make_map,
-    quantize,
 )
 from .distances import (
     PreconditionFailed,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: embed, distance, width, min-m, quasi-isometry,
-consistency-width, counterexamples, lemmas, combinatorics, selftest.
+consistency-width, and the check subcommands counterexamples, lemmas,
+combinatorics and selftest, which run acceptance criteria of `selftest`.
 
 Exit codes: 0 pass, 1 verdict fail, 2 usage or config error. All randomness
 flows from --seed (or the QEMBED_SEED environment variable, default 0).
@@ -156,41 +157,51 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+# the acceptance criteria each check subcommand runs; None runs them all
+COUNTEREXAMPLES = {"no-dither": (8,), "section2-floor": (7,)}
+CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--jobs", type=int, default=None)
     common.add_argument("--config", type=str, default=None)
-    common.add_argument("--ensemble", type=str, default=None, choices=list(ensembles.KINDS))
-    common.add_argument("--kappa", type=str, default=None)
-    common.add_argument("--delta", type=float, default=None)
-    common.add_argument("--variant", type=str, default=None, choices=["floor", "round"])
-    common.add_argument("--no-dither", action="store_true", default=None)
-    common.add_argument("--set", type=str, default=None, dest="set_spec")
+    # the flags that describe a map and a set, for the subcommands that draw one
+    mapping = argparse.ArgumentParser(add_help=False, parents=[common])
+    mapping.add_argument("--ensemble", type=str, default=None, choices=list(ensembles.KINDS))
+    mapping.add_argument("--kappa", type=str, default=None)
+    mapping.add_argument("--delta", type=float, default=None)
+    mapping.add_argument("--variant", type=str, default=None, choices=["floor", "round"])
+    mapping.add_argument("--no-dither", action="store_true", default=None)
+    mapping.add_argument("--set", type=str, default=None, dest="set_spec")
+    # the check subcommands run acceptance criteria, which fix their own maps
+    check = argparse.ArgumentParser(add_help=False, parents=[common])
+    check.add_argument("--scale", type=str, default=None, choices=[selftest.FULL, selftest.QUICK])
 
     p = argparse.ArgumentParser(prog="qembed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("embed", parents=[common], help="print codes for input vectors")
+    pe = sub.add_parser("embed", parents=[mapping], help="print codes for input vectors")
     pe.add_argument("--m", type=int, required=True)
     pe.add_argument("--in", dest="infile", type=str, required=True)
 
-    pd = sub.add_parser("distance", parents=[common], help="pseudo-distances for vector pairs")
+    pd = sub.add_parser("distance", parents=[mapping], help="pseudo-distances for vector pairs")
     pd.add_argument("--m", type=int, required=True)
     pd.add_argument("--in", dest="infile", type=str, required=True)
     pd.add_argument("--t", type=float, nargs="*", default=[])
 
-    pw = sub.add_parser("width", parents=[common], help="Gaussian mean width of a set")
+    pw = sub.add_parser("width", parents=[mapping], help="Gaussian mean width of a set")
     pw.add_argument("--draws", type=int, default=8192)
 
-    pm = sub.add_parser("min-m", parents=[common], help="minimal measurement count")
+    pm = sub.add_parser("min-m", parents=[mapping], help="minimal measurement count")
     pm.add_argument("--kind", type=str, required=True, choices=list(geometry.MINIMAL_M_KINDS))
     pm.add_argument("--eps", type=float, required=True)
     pm.add_argument("--c", type=float, default=1.0)
 
-    pq = sub.add_parser("quasi-isometry", parents=[common], help="distortion decay sweep")
-    pc = sub.add_parser("consistency-width", parents=[common], help="consistency width sweep")
+    pq = sub.add_parser("quasi-isometry", parents=[mapping], help="distortion decay sweep")
+    pc = sub.add_parser("consistency-width", parents=[mapping], help="consistency width sweep")
     for sp in (pq, pc):
         sp.add_argument("--m-grid", type=str, default=None)
         sp.add_argument("--pairs", type=int, default=None)
@@ -199,22 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--slope-band", type=str, default=None,
                         help="lo,hi acceptance band for the fitted slope")
 
-    px = sub.add_parser("counterexamples", parents=[common])
-    px.add_argument("--which", type=str, required=True, choices=["no-dither", "section2-floor"])
-    px.add_argument("--k0", type=int, default=64)
-    px.add_argument("--s", type=float, default=0.4)
-    px.add_argument("--m", type=int, default=512)
-    px.add_argument("--trials", type=int, default=1000)
-
-    pl = sub.add_parser("lemmas", parents=[common], help="lemma-level Monte Carlo checks")
-    pl.add_argument("--trials", type=int, default=1000)
-
-    pk = sub.add_parser("combinatorics", parents=[common])
-    pk.add_argument("--stirling-max", type=int, default=10_000)
-    pk.add_argument("--mad-max", type=int, default=40)
-
-    ps = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    ps.add_argument("--scale", type=str, default=None, choices=["full", "quick"])
+    px = sub.add_parser("counterexamples", parents=[check],
+                        help="criterion 8 (no-dither) or 7 (section2-floor)")
+    px.add_argument("--which", type=str, required=True, choices=list(COUNTEREXAMPLES))
+    sub.add_parser("lemmas", parents=[check], help="criteria 12, 15 and 16")
+    sub.add_parser("combinatorics", parents=[check], help="criterion 9")
+    sub.add_parser("selftest", parents=[check], help="run the acceptance suite")
     return p
 
 
@@ -228,7 +229,7 @@ def _merge_config(args) -> None:
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
     st = cfg.get("set", {})
-    if st and args.set_spec is None:
+    if st and vars(args).get("set_spec", 0) is None:
         kind = st.get("kind")
         if kind is None:
             raise ConfigError("[set] section needs a kind")
@@ -342,88 +343,17 @@ def _sweep_common(args, which: str) -> int:
     return EXIT_PASS if res.verdict else EXIT_FAIL
 
 
-def cmd_counterexamples(args) -> int:
-    out = _out_dir(args)
-    if args.which == "no-dither":
-        rep = experiments.no_dither_counterexample(args.k0, args.s, args.m, args.trials,
-                                                   np.random.SeedSequence(args.seed))
-        ok = rep.pass_rate == 1.0
-        print(f"no-dither: pass rate {rep.pass_rate} width {rep.width:.6g}")
-        _write(out / "counterexample-summary.csv",
-               experiments.summary_to_csv([("no-dither", None, None, ok)]))
-        return EXIT_PASS if ok else EXIT_FAIL
-    rep = experiments.section2_bernoulli_floor(args.m, args.trials,
-                                               np.random.SeedSequence(args.seed), contrast=True)
-    ok = rep.all_exact and rep.implied_floor > 0.202
-    print(f"section2-floor: exact {rep.all_exact} implied floor {rep.implied_floor:.6g} "
-          f"gaussian contrast mean {rep.gaussian_mean:.4f}")
-    _write(out / "counterexample-summary.csv",
-           experiments.summary_to_csv([("section2-floor", None, None, ok)]))
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
-def cmd_lemmas(args) -> int:
-    seed = np.random.SeedSequence(args.seed)
-    rng = np.random.default_rng(seed)
-    ens = _ensemble(args)
-    ok = True
-    # local continuity sweep
-    bad = 0
-    for _ in range(args.trials // 10 or 1):
-        n, m = 8, 32
-        qmap = _qmap(args, m, n, rng.integers(2**63))
-        x0 = rng.standard_normal(n)
-        y0 = rng.standard_normal(n)
-        xp = 0.01 * rng.standard_normal(n)
-        yp = 0.01 * rng.standard_normal(n)
-        phi = qmap.matrix.entries
-        eta = max(np.linalg.norm(phi @ xp), np.linalg.norm(phi @ yp)) / math.sqrt(m)
-        eta = max(eta, 1e-9)
-        if not distances.lemma3_check(qmap, x0, y0, xp, yp, t=0.0, eta=eta, p_cap=4.0):
-            bad += 1
-    ok &= bad == 0
-    print(f"continuity sweep: {bad} violations")
-    spec = geometry.SparseBall(n=32, k=3, radius=1.0)
-    rep4 = experiments.lemma4_diameter_check(spec, eta=0.5, ensemble=ens, m=128,
-                                             trials=args.trials, seed=seed.spawn(1)[0],
-                                             margin=0.5)
-    ok &= rep4.failures == 0
-    print(f"projection stability: pass rate {rep4.pass_rate}")
-    u = rng.standard_normal(16)
-    v = u - 0.5 * rng.standard_normal(16) / math.sqrt(16)
-    rep5 = experiments.lemma5_chernoff_check(u, v, k0=1.0, t=0.0, ensemble=ens,
-                                             delta=args.delta, m=64, r=4,
-                                             trials=min(args.trials, 500),
-                                             seed=seed.spawn(2)[1], p_samples=20_000)
-    ok &= rep5.bound_holds
-    print(f"tail bound: empirical {rep5.empirical:.4f} <= {rep5.chernoff_bound:.4f} "
-          f"+ 3se ({'pass' if rep5.bound_holds else 'fail'})")
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
-def cmd_combinatorics(args) -> int:
-    stirling = experiments.stirling_gosper_check(args.stirling_max)
-    st_ok = bool(np.all(stirling))
-    mad_ok = True
-    dm_worst = 0.0
-    for n in range(2, args.mad_max + 1, 2):
-        rep = experiments.bernoulli_floor_distortion(n)
-        mad_ok &= rep.gap_ok and rep.distortion_ok
-        dm_worst = max(dm_worst, experiments.de_moivre_agreement(n))
-    ok = st_ok and mad_ok and dm_worst <= 1e-12
-    print(f"stirling sandwich n<={args.stirling_max}: {'pass' if st_ok else 'fail'}")
-    print(f"binomial MAD gap even n<={args.mad_max}: {'pass' if mad_ok else 'fail'} "
-          f"(de moivre worst {dm_worst:.2e})")
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
-def cmd_selftest(args) -> int:
-    results, summary = selftest.run_selftest(seed=args.seed, jobs=args.jobs, scale=args.scale)
-    out = _out_dir(args)
-    _write(out / "selftest-summary.csv", summary)
-    ok = all(r.passed for r in results)
-    print(f"selftest: {sum(r.passed for r in results)}/{len(results)} criteria pass")
-    return EXIT_PASS if ok else EXIT_FAIL
+def cmd_checks(args) -> int:
+    if args.command == "counterexamples":
+        cids = COUNTEREXAMPLES[args.which]
+    else:
+        cids = CHECKS[args.command]
+    results, summary = selftest.run_selftest(seed=args.seed, jobs=args.jobs, scale=args.scale,
+                                             cids=cids)
+    _write(_out_dir(args) / f"{args.command}-summary.csv", summary)
+    passed = sum(r.passed for r in results)
+    print(f"{args.command}: {passed}/{len(results)} criteria pass")
+    return EXIT_PASS if passed == len(results) else EXIT_FAIL
 
 
 COMMANDS = {
@@ -433,10 +363,10 @@ COMMANDS = {
     "min-m": cmd_min_m,
     "quasi-isometry": lambda a: _sweep_common(a, "quasi-isometry"),
     "consistency-width": lambda a: _sweep_common(a, "consistency-width"),
-    "counterexamples": cmd_counterexamples,
-    "lemmas": cmd_lemmas,
-    "combinatorics": cmd_combinatorics,
-    "selftest": cmd_selftest,
+    "counterexamples": cmd_checks,
+    "lemmas": cmd_checks,
+    "combinatorics": cmd_checks,
+    "selftest": cmd_checks,
 }
 
 

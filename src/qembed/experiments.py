@@ -406,6 +406,8 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
         raise InvalidArgument("eta must be positive")
     if not (0 < margin <= 1):
         raise InvalidArgument("margin must lie in (0, 1]")
+    if trials < 1:
+        raise InvalidArgument("trials must be >= 1")
     n = ambient_dim(spec)
     root = as_seedseq(seed)
     alpha = ensemble.alpha
@@ -454,6 +456,8 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     v = np.asarray(v, dtype=np.float64)
     if t < 0:
         raise InvalidArgument("t must be nonnegative")
+    if trials < 1 or p_samples < 1:
+        raise InvalidArgument("trials and p_samples must be >= 1")
     w = u - v
     if not np.any(w):
         raise InvalidArgument("u and v must differ")
@@ -528,6 +532,8 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> No
         raise InvalidArgument("k0 must be >= 1")
     if not (0.0 < s < 0.5):
         raise InvalidArgument("s must lie in (0, 1/2)")
+    if trials < 1:
+        raise InvalidArgument("trials must be >= 1")
     u = np.ones(k0)
     v = (1.0 + s / k0) * u
     cfg = QuantizerConfig(delta=1.0, variant="round")
@@ -618,37 +624,24 @@ class FloorContrastReport:
     trials: int
     m: int
     implied_floor: float  # 1 - sqrt(2/pi)
-    gaussian_mean: Optional[float] = None
-    gaussian_stderr: Optional[float] = None
 
 
-def section2_bernoulli_floor(m: int, trials: int, seed, contrast: bool = False) -> FloorContrastReport:
-    """D(e1, 0) = 1 exactly for Bernoulli rows at delta = 1, dithered floor.
-
-    Optionally also reports the Gaussian contrast where D concentrates near
-    sqrt(2/pi) instead.
-    """
+def section2_bernoulli_floor(m: int, trials: int, seed) -> FloorContrastReport:
+    """D(e1, 0) = 1 exactly for Bernoulli rows at delta = 1, dithered floor,
+    where Gaussian rows make D concentrate near sqrt(2/pi) instead."""
     if m < 1:
         raise InvalidArgument("m must be >= 1")
+    if trials < 1:
+        raise InvalidArgument("trials must be >= 1")
     from .ensembles import make_ensemble
 
     bern = make_ensemble("rademacher")
-    root = as_seedseq(seed)
     n = 2
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
-    subs = root.spawn(trials + (trials if contrast else 0))
     all_exact = all(pair_distances(make_map(bern, m, n, 1.0, sub), pair)[0] == 1.0
-                    for sub in subs[:trials])
-    g_mean = g_se = None
-    if contrast:
-        gauss = make_ensemble("gaussian")
-        vals = np.array([pair_distances(make_map(gauss, m, n, 1.0, sub), pair)[0]
-                         for sub in subs[trials:]])
-        g_mean = float(vals.mean())
-        g_se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                    for sub in as_seedseq(seed).spawn(trials))
     return FloorContrastReport(all_exact=all_exact, trials=trials, m=m,
-                               implied_floor=1.0 - SQRT_2_OVER_PI,
-                               gaussian_mean=g_mean, gaussian_stderr=g_se)
+                               implied_floor=1.0 - SQRT_2_OVER_PI)
 
 
 # --- CSV emission (RFC 4180, header row mandatory) ---

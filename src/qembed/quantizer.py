@@ -93,23 +93,22 @@ def floor_argument(cfg: QuantizerConfig, t):
 
 
 def quantize_array(cfg: QuantizerConfig, t) -> np.ndarray:
-    """Bin indices for an array of inputs with |t| < 2^53 delta (value = delta * index).
+    """Bin indices floor(t/delta), or floor(t/delta + 1/2) for round, for an
+    array of inputs with |t| < 2^53 delta, or 2^52 delta for round
+    (value = delta * index).
 
-    Within that range every index and k*delta are exact in float64 and int64.
+    Within that range every index and k*delta are exact in float64 and int64;
+    from 2^52 delta on, the round variant's shift t + delta/2 rounds to even.
     The range check also rejects NaN (min and max propagate it) and
     infinities, and it allocates nothing: these arrays can be a trial's
     largest.
     """
     t = np.asarray(t, dtype=np.float64)
-    lim = 2.0**53 * cfg.delta
+    bits = 53 if cfg.variant == "floor" else 52
+    lim = 2.0**bits * cfg.delta
     if not (-lim < t.min(initial=0.0) and t.max(initial=0.0) < lim):
-        raise InvalidArgument("quantizer input must be finite with |t| < 2^53 delta")
+        raise InvalidArgument(f"quantizer input must be finite with |t| < 2^{bits} delta")
     return _floor_index(floor_argument(cfg, t), cfg.delta)
-
-
-def quantize(cfg: QuantizerConfig, t: float) -> int:
-    """Scalar bin index: floor(t/delta) or floor(t/delta + 1/2) for round."""
-    return int(quantize_array(cfg, np.asarray([t]))[0])
 
 
 def boundary_flags(t, delta: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -232,13 +231,3 @@ def serialize_codes(codes) -> str:
         vals = code.values if isinstance(code, QuantizedCode) else np.asarray(code)
         lines.append(" ".join(str(int(v)) for v in vals))
     return "\n".join(lines) + "\n"
-
-
-def parse_codes(text: str) -> list[np.ndarray]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        out.append(np.array([int(tok) for tok in line.split()], dtype=np.int64))
-    return out

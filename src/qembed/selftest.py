@@ -187,15 +187,16 @@ def criterion_8(seed: int, scale: str = FULL) -> CriterionResult:
 
 
 def criterion_9(seed: int, scale: str = FULL) -> CriterionResult:
-    """Factorial sandwich, binomial MAD gap, and De Moivre agreement."""
+    """Factorial sandwich, binomial MAD gap and its distortion floor, and
+    De Moivre agreement."""
     n_max = 10_000 if scale == FULL else 2000
     stirling_ok = bool(np.all(experiments.stirling_gosper_check(n_max)))
-    gap_ok = True
+    mad_ok = True
     for n in range(2, 41, 2):
         rep = experiments.bernoulli_floor_distortion(n)
-        gap_ok &= rep.gap_ok
+        mad_ok &= rep.gap_ok and rep.distortion_ok
     dm_worst = max(experiments.de_moivre_agreement(n) for n in range(2, 61, 2))
-    ok = stirling_ok and gap_ok and dm_worst <= 1e-12
+    ok = stirling_ok and mad_ok and dm_worst <= 1e-12
     return CriterionResult(9, "stirling-and-binomial-mad", ok,
                            {"stirling_n_max": n_max, "de_moivre_worst": dm_worst})
 
@@ -334,20 +335,55 @@ def criterion_14(seed: int, scale: str = FULL) -> CriterionResult:
     return CriterionResult(14, "determinism-across-jobs", ok, {})
 
 
+def criterion_15(seed: int, scale: str = FULL) -> CriterionResult:
+    """Continuity of D^t under small perturbations (Lemma 3) on random maps."""
+    maps = 100 if scale == FULL else 20
+    rng = np.random.default_rng(_seed(seed, 15))
+    gauss = ensembles.make_ensemble("gaussian")
+    n, m = 8, 32
+    violations = 0
+    for _ in range(maps):
+        qmap = quantizer.make_map(gauss, m, n, 1.0, rng.integers(2**63))
+        x0 = rng.standard_normal(n)
+        y0 = rng.standard_normal(n)
+        xp = 0.01 * rng.standard_normal(n)
+        yp = 0.01 * rng.standard_normal(n)
+        phi = qmap.matrix.entries
+        # the smallest eta the lemma's precondition admits for these perturbations
+        eta = max(np.linalg.norm(phi @ xp), np.linalg.norm(phi @ yp)) / math.sqrt(m)
+        eta = max(eta, 1e-9)
+        if not distances.lemma3_check(qmap, x0, y0, xp, yp, t=0.0, eta=eta, p_cap=4.0):
+            violations += 1
+    return CriterionResult(15, "soft-distance-continuity", violations == 0,
+                           {"maps": maps, "violations": violations})
+
+
+def criterion_16(seed: int, scale: str = FULL) -> CriterionResult:
+    """Projection stability of the local set (K - K) inter eta B (Lemma 4)."""
+    trials = 1000 if scale == FULL else 200
+    rep = experiments.lemma4_diameter_check(
+        geometry.SparseBall(n=32, k=3, radius=1.0), eta=0.5,
+        ensemble=ensembles.make_ensemble("gaussian"), m=128, trials=trials,
+        seed=_seed(seed, 16), margin=0.5)
+    return CriterionResult(16, "projection-stability", rep.failures == 0,
+                           {"trials": trials, "failures": rep.failures})
+
+
 CRITERIA = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
     9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13, 14: criterion_14,
+    13: criterion_13, 14: criterion_14, 15: criterion_15, 16: criterion_16,
 }
 
 
-def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print):
-    """Run every criterion; returns (results, summary CSV text)."""
+def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print, cids=None):
+    """Run the criteria numbered in cids (default: all) in order; returns
+    (results, summary CSV text)."""
     if scale not in (FULL, QUICK):
         raise InvalidArgument(f"scale must be {FULL!r} or {QUICK!r}, got {scale!r}")
     results = []
-    for cid in sorted(CRITERIA):
+    for cid in sorted(CRITERIA) if cids is None else cids:
         fn = CRITERIA[cid]
         if cid in (10, 11):
             res = fn(seed, scale, jobs=jobs)

@@ -103,3 +103,11 @@ def test_criterion_14_selftest_determinism(tmp_path):
     print(f"criterion 14 [{'PASS' if identical else 'FAIL'}] determinism-across-jobs")
     assert identical
     _report(selftest.criterion_14(SEED))
+
+
+def test_criterion_15_soft_distance_continuity():
+    _report(selftest.criterion_15(SEED))
+
+
+def test_criterion_16_projection_stability():
+    _report(selftest.criterion_16(SEED))

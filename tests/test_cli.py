@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from qembed import cli
-from qembed import quantizer as Q
 
 
 def run_cli(args, capsys):
@@ -21,8 +21,8 @@ def test_embed_prints_codes(tmp_path, capsys):
                             "gaussian", "--delta", "0.5", "--m", "8",
                             "--in", str(vecs), "--seed", "3"], capsys)
     assert code == 0
-    parsed = Q.parse_codes(out)
-    assert len(parsed) == 2 and len(parsed[0]) == 8
+    parsed = np.loadtxt(io.StringIO(out), dtype=np.int64, ndmin=2)
+    assert parsed.shape == (2, 8)
     assert np.all(parsed[1] == 0)  # zero vector quantizes to zero under dither
 
 
@@ -74,6 +74,11 @@ def test_min_m_command(capsys):
 def test_unknown_flag_exits_2(capsys):
     code = cli.main(["embed", "--bogus-flag", "1"])
     assert code == 2
+    # the check subcommands fix their own maps and take no map, set or trial flags
+    for argv in (["lemmas", "--ensemble", "rademacher"], ["selftest", "--delta", "2"],
+                 ["combinatorics", "--set", "ball:N=2"],
+                 ["counterexamples", "--which", "no-dither", "--trials", "0"]):
+        assert cli.main(argv) == 2
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -158,9 +163,9 @@ INPUTS = {
     (["distance", "--m", "64", "--variant", "round", "--in", "TMP/pair.txt", "--t", "0.1"], 0),
     (["width", "--set", "finite:file=TMP/bad-token.txt"], 2),
     (["min-m", "--set", "sparse:N=64,K=4", "--kind", "embed-structured", "--eps", "1.5"], 2),
-    (["counterexamples", "--which", "no-dither", "--s", "0.6"], 2),
-    (["lemmas", "--kappa", "bogus"], 2),
-    (["combinatorics", "--stirling-max", "0"], 2),
+    (["counterexamples", "--which", "no-dither", "--config", "TMP/bad-scale.cfg"], 2),
+    (["lemmas", "--config", "TMP/bad-scale.cfg"], 2),
+    (["combinatorics", "--config", "TMP/bad-scale.cfg"], 2),
     (["selftest", "--config", "TMP/bad-scale.cfg"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys):
@@ -174,31 +179,48 @@ def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys):
     assert err.startswith("error: ") == (expected == 2)
 
 
-def test_counterexample_no_dither(capsys, tmp_path):
-    code, out, _ = run_cli(["counterexamples", "--which", "no-dither", "--k0", "64",
-                            "--s", "0.4", "--m", "128", "--trials", "50",
-                            "--out", str(tmp_path), "--seed", "0"], capsys)
-    assert code == 0
-    assert "pass rate 1.0" in out
-    assert (tmp_path / "counterexample-summary.csv").exists()
+def check_summary(path, rows):
+    """The summary CSV of a passing check subcommand: one row per criterion."""
+    lines = ["experiment,slope,stderr,verdict", *(f"{row},,,pass" for row in rows)]
+    assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
-def test_counterexample_rejects_bad_s(capsys):
-    code, _, err = run_cli(["counterexamples", "--which", "no-dither", "--s", "0.6"],
+def run_check(argv, tmp_path, capsys):
+    code, out, _ = run_cli([*argv, "--scale", "quick", "--seed", "0", "--out", str(tmp_path)],
                            capsys)
-    assert code == 2
-
-
-def test_combinatorics_command(capsys):
-    code, out, _ = run_cli(["combinatorics", "--stirling-max", "500",
-                            "--mad-max", "20"], capsys)
     assert code == 0
-    assert "pass" in out
+    return out
 
 
-def test_lemmas_command(capsys):
-    code, out, _ = run_cli(["lemmas", "--trials", "100", "--seed", "2"], capsys)
-    assert code == 0
+def test_counterexample_no_dither(capsys, tmp_path):
+    out = run_check(["counterexamples", "--which", "no-dither"], tmp_path, capsys)
+    assert out.splitlines() == ["criterion  8 [PASS] no-dither-counterexample",
+                                "counterexamples: 1/1 criteria pass"]
+    check_summary(tmp_path / "counterexamples-summary.csv",
+                  ["criterion-08-no-dither-counterexample"])
+    out = run_check(["counterexamples", "--which", "section2-floor"], tmp_path, capsys)
+    assert out.splitlines()[0] == "criterion  7 [PASS] bernoulli-floor-exact"
+    check_summary(tmp_path / "counterexamples-summary.csv",
+                  ["criterion-07-bernoulli-floor-exact"])
+
+
+def test_combinatorics_command(capsys, tmp_path):
+    out = run_check(["combinatorics"], tmp_path, capsys)
+    assert out.splitlines() == ["criterion  9 [PASS] stirling-and-binomial-mad",
+                                "combinatorics: 1/1 criteria pass"]
+    check_summary(tmp_path / "combinatorics-summary.csv",
+                  ["criterion-09-stirling-and-binomial-mad"])
+
+
+def test_lemmas_command(capsys, tmp_path):
+    out = run_check(["lemmas"], tmp_path, capsys)
+    assert out.splitlines() == ["criterion 12 [PASS] chernoff-tail-bound",
+                                "criterion 15 [PASS] soft-distance-continuity",
+                                "criterion 16 [PASS] projection-stability",
+                                "lemmas: 3/3 criteria pass"]
+    check_summary(tmp_path / "lemmas-summary.csv",
+                  ["criterion-12-chernoff-tail-bound", "criterion-15-soft-distance-continuity",
+                   "criterion-16-projection-stability"])
 
 
 def test_sweep_writes_byte_identical_csvs_across_jobs(tmp_path, capsys):
@@ -227,8 +249,11 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert out_env == out_flag
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "qembed.cli", "combinatorics",
-                           "--stirling-max", "50", "--mad-max", "10"],
+                           "--scale", "quick", "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "criterion  9 [PASS] stirling-and-binomial-mad"
+    check_summary(tmp_path / "combinatorics-summary.csv",
+                  ["criterion-09-stirling-and-binomial-mad"])

@@ -32,6 +32,8 @@ def test_make_ensemble_kappa_sources():
     with pytest.raises(E.InvalidArgument):
         E.make_ensemble("rademacher", "exact-zero")
     with pytest.raises(E.InvalidArgument):
+        E.make_ensemble("rademacher", "bogus")
+    with pytest.raises(E.InvalidArgument):
         E.make_ensemble("cauchy")
 
 

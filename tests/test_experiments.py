@@ -228,6 +228,10 @@ def test_lemma5_validation():
         X.lemma5_chernoff_check(u, u, 1.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
     with pytest.raises(E.InvalidArgument):
         X.lemma5_chernoff_check(u, 0.5 * u, 16.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
+    for trials, p_samples in ((0, 10), (10, 0)):
+        with pytest.raises(E.InvalidArgument):
+            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, gauss, 1.0, 8, 0, trials, 0,
+                                    p_samples=p_samples)
 
 
 def test_no_dither_counterexample():
@@ -238,6 +242,8 @@ def test_no_dither_counterexample():
         X.no_dither_counterexample(64, 0.6, 128, 10, 0)
     with pytest.raises(E.InvalidArgument):
         X.no_dither_counterexample(0, 0.4, 128, 10, 0)
+    with pytest.raises(E.InvalidArgument):
+        X.no_dither_counterexample(64, 0.4, 128, 0, 0)
 
 
 def test_bernoulli_floor_distortion_values():
@@ -268,6 +274,8 @@ def test_de_moivre_matches_enumeration():
 def test_stirling_small_and_medium():
     ok = X.stirling_gosper_check(200)
     assert ok.all()
+    with pytest.raises(E.InvalidArgument):
+        X.stirling_gosper_check(0)
     # n = 1 by hand: -1 + log(2 pi 7/6)/2 <= 0 <= -1 + log(2 pi 6/5)/2
     lower = -1 + 0.5 * math.log(2 * math.pi * 7 / 6)
     upper = -1 + 0.5 * math.log(2 * math.pi * 6 / 5)
@@ -275,11 +283,27 @@ def test_stirling_small_and_medium():
 
 
 def test_section2_floor_exact_and_contrast():
-    rep = X.section2_bernoulli_floor(64, 60, 4, contrast=True)
+    rep = X.section2_bernoulli_floor(64, 60, 4)
     assert rep.all_exact
     assert rep.implied_floor == pytest.approx(1 - SQ2PI)
     assert rep.implied_floor > 0.202
-    assert abs(rep.gaussian_mean - SQ2PI) <= 4 * rep.gaussian_stderr
+    # Gaussian rows: D(e1, 0) concentrates near sqrt(2/pi), not at 1
+    from qembed import distances as D
+    from qembed import quantizer as Q
+
+    gauss = E.make_ensemble("gaussian")
+    pair = np.array([[1.0, 0.0], [0.0, 0.0]])
+    vals = np.array([D.pair_distances(Q.make_map(gauss, 64, 2, 1.0, seed), pair)[0]
+                     for seed in range(60)])
+    assert abs(vals.mean() - SQ2PI) <= 4 * vals.std(ddof=1) / np.sqrt(len(vals))
+
+
+def test_trial_counts_must_be_positive():
+    gauss = E.make_ensemble("gaussian")
+    with pytest.raises(E.InvalidArgument):
+        X.lemma4_diameter_check(G.EuclideanBall(n=4, radius=1.0), 0.5, gauss, 32, 0, 0)
+    with pytest.raises(E.InvalidArgument):
+        X.section2_bernoulli_floor(16, 0, 1)
 
 
 def test_bernoulli_mean_envelope_on_filtered_pairs():
