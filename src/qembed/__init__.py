@@ -15,10 +15,8 @@ from .ensembles import (
 )
 from .quantizer import (
     Dither,
-    QuantizedCode,
     QuantizedMap,
     QuantizerConfig,
-    apply,
     dithered_floor_exact,
     dithered_floor_mean,
     make_map,

@@ -4,6 +4,9 @@ Subcommands: embed, distance, width, min-m, quasi-isometry,
 consistency-width, and the check subcommands counterexamples, lemmas,
 combinatorics and selftest, which run acceptance criteria of `selftest`.
 
+Each subcommand takes exactly the flags its computation reads, and the
+config keys that stand in for those flags; any other flag or key exits 2.
+
 Exit codes: 0 pass, 1 verdict fail, 2 usage or config error. All randomness
 flows from --seed (or the QEMBED_SEED environment variable, default 0).
 """
@@ -154,91 +157,105 @@ def read_vectors(path: str) -> list[np.ndarray]:
 
 def _default_seed() -> int:
     env = os.environ.get("QEMBED_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ConfigError(f"QEMBED_SEED must be an integer, got {env!r}") from exc
 
 
 # the acceptance criteria each check subcommand runs; None runs them all
 COUNTEREXAMPLES = {"no-dither": (8,), "section2-floor": (7,)}
 CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
 
+# add_argument keywords of every flag; a flag that a config key can set has
+# no default here, so that _merge_config can tell it was not given
+FLAGS = {
+    "--config": dict(),
+    "--seed": dict(type=int),
+    "--out": dict(),
+    "--jobs": dict(type=int),
+    "--scale": dict(choices=[selftest.FULL, selftest.QUICK]),
+    "--ensemble": dict(choices=list(ensembles.KINDS)),
+    "--kappa": dict(),
+    "--delta": dict(type=float),
+    "--variant": dict(choices=list(quantizer.VARIANTS)),
+    "--no-dither": dict(action="store_true", default=None),
+    "--set": dict(dest="set_spec"),
+    "--m": dict(type=int, required=True),
+    "--in": dict(dest="infile", required=True),
+    "--t": dict(type=float, nargs="*", default=[]),
+    "--draws": dict(type=int, default=8192),
+    "--kind": dict(required=True, choices=list(geometry.MINIMAL_M_KINDS)),
+    "--eps": dict(type=float, required=True),
+    "--c": dict(type=float, default=1.0),
+    "--m-grid": dict(),
+    "--pairs": dict(type=int),
+    "--trials": dict(type=int),
+    "--k0": dict(type=float),
+    "--slope-band": dict(help="lo,hi acceptance band for the fitted slope"),
+    "--which": dict(required=True, choices=list(COUNTEREXAMPLES)),
+}
+
+MAP = ("--seed", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither")
+SWEEP = ("--seed", "--out", "--jobs", "--ensemble", "--kappa", "--delta", "--set",
+         "--m-grid", "--pairs", "--trials", "--k0", "--slope-band")
+
+# each subcommand's help line and the flags its computation reads; every
+# subcommand also takes --config
+SUBCOMMANDS = {
+    "embed": ("print codes for input vectors", (*MAP, "--m", "--in")),
+    "distance": ("pseudo-distances for vector pairs", (*MAP, "--m", "--in", "--t")),
+    "width": ("Gaussian mean width of a set", ("--seed", "--set", "--draws")),
+    "min-m": ("minimal measurement count",
+              ("--seed", "--set", "--delta", "--kind", "--eps", "--c")),
+    "quasi-isometry": ("distortion decay sweep", SWEEP),
+    "consistency-width": ("consistency width sweep", SWEEP),
+    "counterexamples": ("criterion 8 (no-dither) or 7 (section2-floor)",
+                        ("--seed", "--out", "--scale", "--which")),
+    "lemmas": ("criteria 12, 15 and 16", ("--seed", "--out", "--scale")),
+    "combinatorics": ("criterion 9", ("--out", "--scale")),
+    "selftest": ("run the acceptance suite", ("--seed", "--out", "--jobs", "--scale")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--jobs", type=int, default=None)
-    common.add_argument("--config", type=str, default=None)
-    # the flags that describe a map and a set, for the subcommands that draw one
-    mapping = argparse.ArgumentParser(add_help=False, parents=[common])
-    mapping.add_argument("--ensemble", type=str, default=None, choices=list(ensembles.KINDS))
-    mapping.add_argument("--kappa", type=str, default=None)
-    mapping.add_argument("--delta", type=float, default=None)
-    mapping.add_argument("--variant", type=str, default=None, choices=["floor", "round"])
-    mapping.add_argument("--no-dither", action="store_true", default=None)
-    mapping.add_argument("--set", type=str, default=None, dest="set_spec")
-    # the check subcommands run acceptance criteria, which fix their own maps
-    check = argparse.ArgumentParser(add_help=False, parents=[common])
-    check.add_argument("--scale", type=str, default=None, choices=[selftest.FULL, selftest.QUICK])
-
     p = argparse.ArgumentParser(prog="qembed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("embed", parents=[mapping], help="print codes for input vectors")
-    pe.add_argument("--m", type=int, required=True)
-    pe.add_argument("--in", dest="infile", type=str, required=True)
-
-    pd = sub.add_parser("distance", parents=[mapping], help="pseudo-distances for vector pairs")
-    pd.add_argument("--m", type=int, required=True)
-    pd.add_argument("--in", dest="infile", type=str, required=True)
-    pd.add_argument("--t", type=float, nargs="*", default=[])
-
-    pw = sub.add_parser("width", parents=[mapping], help="Gaussian mean width of a set")
-    pw.add_argument("--draws", type=int, default=8192)
-
-    pm = sub.add_parser("min-m", parents=[mapping], help="minimal measurement count")
-    pm.add_argument("--kind", type=str, required=True, choices=list(geometry.MINIMAL_M_KINDS))
-    pm.add_argument("--eps", type=float, required=True)
-    pm.add_argument("--c", type=float, default=1.0)
-
-    pq = sub.add_parser("quasi-isometry", parents=[mapping], help="distortion decay sweep")
-    pc = sub.add_parser("consistency-width", parents=[mapping], help="consistency width sweep")
-    for sp in (pq, pc):
-        sp.add_argument("--m-grid", type=str, default=None)
-        sp.add_argument("--pairs", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--k0", type=float, default=None)
-        sp.add_argument("--slope-band", type=str, default=None,
-                        help="lo,hi acceptance band for the fitted slope")
-
-    px = sub.add_parser("counterexamples", parents=[check],
-                        help="criterion 8 (no-dither) or 7 (section2-floor)")
-    px.add_argument("--which", type=str, required=True, choices=list(COUNTEREXAMPLES))
-    sub.add_parser("lemmas", parents=[check], help="criteria 12, 15 and 16")
-    sub.add_parser("combinatorics", parents=[check], help="criterion 9")
-    sub.add_parser("selftest", parents=[check], help="run the acceptance suite")
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in ("--config", *flags):
+            sp.add_argument(flag, **FLAGS[flag])
     return p
 
 
 def _merge_config(args) -> None:
-    """Resolve the flags: an explicit flag, else the config file, else the default."""
+    """Resolve the flags: an explicit flag, else the config file, else the default.
+
+    A config key stands in for its flag, so a key whose flag the subcommand
+    does not take is an error.
+    """
     cfg = parse_config(args.config) if args.config else {}
-    for (section, key), (attr, conv) in CONFIG_FLAGS.items():
-        if key in cfg.get(section, {}) and vars(args).get(attr, 0) is None:
-            try:
-                setattr(args, attr, conv(cfg[section][key]))
-            except ValueError as exc:
-                raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
+    for section, keys in cfg.items():
+        for key, val in keys.items():
+            attr, conv = ("set_spec", None) if section == "set" else CONFIG_FLAGS[section, key]
+            if attr not in vars(args):
+                raise ConfigError(f"{args.config}: {args.command} takes no [{section}] {key}")
+            if conv is not None and getattr(args, attr) is None:
+                try:
+                    setattr(args, attr, conv(val))
+                except ValueError as exc:
+                    raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
     st = cfg.get("set", {})
-    if st and vars(args).get("set_spec", 0) is None:
+    if st and args.set_spec is None:
         kind = st.get("kind")
         if kind is None:
             raise ConfigError("[set] section needs a kind")
         parts = ",".join(f"{k}={v}" for k, v in st.items() if k != "kind")
         args.set_spec = f"{kind}:{parts}" if parts else kind
     for attr, default in FLAG_DEFAULTS.items():
-        if vars(args).get(attr, 0) is None:
+        if getattr(args, attr, default) is None:
             setattr(args, attr, default)
-    if args.seed is None:
+    if getattr(args, "seed", 0) is None:
         args.seed = _default_seed()
 
 
@@ -274,8 +291,8 @@ def cmd_embed(args) -> int:
         raise ConfigError("no input vectors")
     n = len(vecs[0])
     qmap = _qmap(args, args.m, n, np.random.SeedSequence(args.seed))
-    codes = [quantizer.apply(qmap, v) for v in vecs]
-    sys.stdout.write(quantizer.serialize_codes(codes))
+    codes = quantizer.apply_many(qmap, np.column_stack(vecs))
+    sys.stdout.write(quantizer.serialize_codes(codes.T))
     return EXIT_PASS
 
 
@@ -348,8 +365,11 @@ def cmd_checks(args) -> int:
         cids = COUNTEREXAMPLES[args.which]
     else:
         cids = CHECKS[args.command]
-    results, summary = selftest.run_selftest(seed=args.seed, jobs=args.jobs, scale=args.scale,
-                                             cids=cids)
+    # combinatorics takes no --seed (criterion 9 draws nothing), and only
+    # selftest runs the sweeps that --jobs fans out
+    results, summary = selftest.run_selftest(seed=getattr(args, "seed", 0),
+                                             jobs=getattr(args, "jobs", 1),
+                                             scale=args.scale, cids=cids)
     _write(_out_dir(args) / f"{args.command}-summary.csv", summary)
     passed = sum(r.passed for r in results)
     print(f"{args.command}: {passed}/{len(results)} criteria pass")
@@ -379,7 +399,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return COMMANDS[args.command](args)
-    except (ConfigError, InvalidArgument, FileNotFoundError, experiments.SetFilterError) as exc:
+    except (ConfigError, InvalidArgument, OSError, experiments.SetFilterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -52,7 +52,6 @@ class SensingMatrix:
 
     entries: np.ndarray
     ensemble: Ensemble
-    seed: int
 
     @property
     def rows(self) -> int:
@@ -138,7 +137,7 @@ def sample_matrix(ensemble: Ensemble, m: int, n: int, seed: int) -> SensingMatri
         raise InvalidArgument("matrix dimensions must be >= 1")
     entries = sample_iid(ensemble, (m, n), seed)
     entries.setflags(write=False)
-    return SensingMatrix(entries=entries, ensemble=ensemble, seed=seed)
+    return SensingMatrix(entries=entries, ensemble=ensemble)
 
 
 def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:

@@ -61,7 +61,6 @@ class TrialPlan:
     trials_per_m: int
     k0: float
     master_seed: int
-    n_override: Optional[int] = None  # ambient dim if the set does not fix it
 
     def __post_init__(self):
         grid = list(self.m_grid)
@@ -89,8 +88,6 @@ class TrialRow:
 class PerMStats:
     m: int
     worst: float
-    q90: float
-    q99: float
     n_values: int
     n_censored: int
 
@@ -122,7 +119,9 @@ def seed_fingerprint(ss: np.random.SeedSequence) -> int:
 
 def _run_tasks(task_args, fn, jobs: int):
     """Run fn over task_args; output order fixed by input order, not workers."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(*args) for args in task_args]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda args: fn(*args), task_args))
@@ -156,10 +155,6 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng, max_tries: int = 200):
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
 
-def _quantile(vals: np.ndarray, q: float) -> float:
-    return float(np.quantile(vals, q)) if len(vals) else math.nan
-
-
 def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
            detail=None) -> ExperimentResult:
     """Fan the (m, trial) tasks out and aggregate them into rows, per-m
@@ -177,8 +172,7 @@ def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
         trial_rows = [r for r in rows if r.m == m]
         vals = np.array([r.statistic for r in trial_rows if not r.censored], dtype=np.float64)
         worst = float(np.max(vals)) if len(vals) else math.nan
-        per_m.append(PerMStats(m=m, worst=worst, q90=_quantile(vals, 0.9),
-                               q99=_quantile(vals, 0.99), n_values=len(vals),
+        per_m.append(PerMStats(m=m, worst=worst, n_values=len(vals),
                                n_censored=len(trial_rows) - len(vals)))
         if len(vals) and worst > 0:
             fit_points.append((m, worst))
@@ -206,7 +200,7 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     e(x, y) / (||x - y|| + delta) and take the max; the ensemble's
     kappa / sqrt(k0) allowance is subtracted from the per-m statistic.
     """
-    n = plan.n_override or ambient_dim(plan.set_spec)
+    n = ambient_dim(plan.set_spec)
     allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
 
     def one(m_index: int, m: int, trial: int):
@@ -315,7 +309,7 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
     d = diameter(plan.set_spec)
     if d > 1.0 + 1e-9:
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
-    n = plan.n_override or ambient_dim(plan.set_spec)
+    n = ambient_dim(plan.set_spec)
     finite = isinstance(plan.set_spec, FiniteSet)
 
     def one(m_index: int, m: int, trial: int):
@@ -361,8 +355,6 @@ class Lemma4Report:
     trials: int
     failures: int
     m: int
-    m_recommended: int
-    fitted_c: Optional[float]
     pattern: tuple  # per-trial pass flags
 
 
@@ -410,10 +402,6 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
         raise InvalidArgument("trials must be >= 1")
     n = ambient_dim(spec)
     root = as_seedseq(seed)
-    alpha = ensemble.alpha
-    # width of the local set is at most min(sqrt(n), 2 w(K)/eta) * eta; the
-    # dimension bound keeps the recommendation cheap and conservative
-    m_rec = int(math.ceil(alpha**4 * n))
     pattern = []
     for sub in root.spawn(trials):
         rng = np.random.default_rng(sub)
@@ -421,13 +409,8 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
         mat = sample_iid(ensemble, (m, n), rng)
         pattern.append(bool(np.linalg.norm(mat @ v) <= math.sqrt(m) * eta * (1 + 1e-12)))
     failures = pattern.count(False)
-    rate = failures / trials
-    fitted_c = None
-    if failures > 0:
-        fitted_c = -math.log(rate) * alpha**4 / m
-    return Lemma4Report(pass_rate=1.0 - rate, trials=trials, failures=failures,
-                        m=m, m_recommended=m_rec, fitted_c=fitted_c,
-                        pattern=tuple(pattern))
+    return Lemma4Report(pass_rate=1.0 - failures / trials, trials=trials, failures=failures,
+                        m=m, pattern=tuple(pattern))
 
 
 @dataclass(frozen=True)

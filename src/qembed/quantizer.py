@@ -40,7 +40,6 @@ class Dither:
     """Per-coordinate additive shifts; the uniform sampler keeps them in [0, delta)."""
 
     values: np.ndarray
-    seed: Optional[int] = None
 
     @classmethod
     def uniform(cls, delta: float, m: int, seed) -> "Dither":
@@ -51,8 +50,7 @@ class Dither:
         rng = np.random.default_rng(seed)
         vals = rng.random(m) * delta
         vals.setflags(write=False)
-        base = seed if isinstance(seed, int) else None
-        return cls(values=vals, seed=base)
+        return cls(values=vals)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -119,20 +117,6 @@ def boundary_flags(t, delta: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuantizedCode:
-    values: np.ndarray  # int64 bin indices, A(x)/delta
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if not np.issubdtype(v.dtype, np.integer):
-            raise InvalidArgument("codes must be integers")
-        object.__setattr__(self, "values", v.astype(np.int64))
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class QuantizedMap:
     """A frozen instance of the dithered quantized mapping x -> Q(Phi x + xi)."""
 
@@ -156,18 +140,9 @@ class QuantizedMap:
     def delta(self) -> float:
         return self.quantizer.delta
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Phi x + xi (xi = 0 for undithered maps)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise InvalidArgument(f"expected a vector of dimension {self.n}, got shape {x.shape}")
-        z = self.matrix.entries @ x
-        if self.dither is not None:
-            z = z + self.dither.values
-        return z
-
     def project_many(self, xs: np.ndarray) -> np.ndarray:
-        """Column-stacked projections for a batch of vectors (n, count) -> (m, count)."""
+        """Phi x + xi (xi = 0 for undithered maps) for a batch of column
+        vectors, (n, count) -> (m, count)."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
@@ -188,13 +163,8 @@ def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
     return QuantizedMap(matrix=matrix, dither=dither, quantizer=cfg)
 
 
-def apply(qmap: QuantizedMap, x: np.ndarray) -> QuantizedCode:
-    """A(x)/delta as integer codes."""
-    return QuantizedCode(values=quantize_array(qmap.quantizer, qmap.project(x)))
-
-
 def apply_many(qmap: QuantizedMap, xs: np.ndarray) -> np.ndarray:
-    """Codes for a batch of column vectors, shape (m, count)."""
+    """A(x)/delta as integer codes for a batch of column vectors, shape (m, count)."""
     return quantize_array(qmap.quantizer, qmap.project_many(xs))
 
 
@@ -225,9 +195,6 @@ def dithered_floor_exact(x: float, y: float) -> float:
 
 
 def serialize_codes(codes) -> str:
-    """One code per line, space-separated signed integers."""
-    lines = []
-    for code in codes:
-        vals = code.values if isinstance(code, QuantizedCode) else np.asarray(code)
-        lines.append(" ".join(str(int(v)) for v in vals))
-    return "\n".join(lines) + "\n"
+    """One code per line (a row of codes, shape (count, m)), space-separated
+    signed integers."""
+    return "".join(" ".join(str(int(v)) for v in code) + "\n" for code in codes)

@@ -227,27 +227,12 @@ def criterion_10(seed: int, scale: str = FULL, jobs: int = 1) -> CriterionResult
 
 
 def criterion_11(seed: int, scale: str = FULL, jobs: int = 1) -> CriterionResult:
-    """Consistency width decay on the same structured set; target slope -1.
-
-    A general-set run on a mesh of the 3-ball is reported informationally.
-    """
+    """Consistency width decay on the same structured set; target slope -1."""
     band = (-1.25, -0.75) if scale == FULL else (-1.45, -0.55)
-    plan = _embed_plan(seed, scale)
-    res = experiments.consistency_width_sweep(plan, slope_band=band, jobs=jobs)
-    gauss = plan.ensemble
-    mesh = geometry.ball_mesh(3, 0.15)
-    if scale == FULL:
-        mesh_grid, mesh_pairs, mesh_trials = (4, 8, 16, 32), 1, 10
-    else:
-        mesh_grid, mesh_pairs, mesh_trials = (4, 8, 16), 1, 4
-    mesh_plan = experiments.TrialPlan(set_spec=mesh, ensemble=gauss, delta=0.5,
-                                      m_grid=mesh_grid, pairs_per_m=mesh_pairs,
-                                      trials_per_m=mesh_trials, k0=1.0, master_seed=seed + 1)
-    mesh_res = experiments.consistency_width_sweep(mesh_plan, slope_band=None, jobs=jobs)
+    res = experiments.consistency_width_sweep(_embed_plan(seed, scale), slope_band=band,
+                                              jobs=jobs)
     return CriterionResult(11, "consistency-width-decay", bool(res.verdict),
-                           {"band": band, "scale": scale,
-                            "general_set_slope_target": -0.25,
-                            "general_set_slope": mesh_res.slope},
+                           {"band": band, "scale": scale},
                            slope=res.slope, slope_stderr=res.slope_stderr)
 
 
@@ -382,6 +367,8 @@ def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print, cid
     (results, summary CSV text)."""
     if scale not in (FULL, QUICK):
         raise InvalidArgument(f"scale must be {FULL!r} or {QUICK!r}, got {scale!r}")
+    if jobs < 1:
+        raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
     results = []
     for cid in sorted(CRITERIA) if cids is None else cids:
         fn = CRITERIA[cid]

@@ -17,8 +17,7 @@ def run_cli(args, capsys):
 def test_embed_prints_codes(tmp_path, capsys):
     vecs = tmp_path / "x.txt"
     vecs.write_text("1 0 0 0\n0 0 0 0\n")
-    code, out, _ = run_cli(["embed", "--set", "sparse:N=4,K=1,d=1", "--ensemble",
-                            "gaussian", "--delta", "0.5", "--m", "8",
+    code, out, _ = run_cli(["embed", "--ensemble", "gaussian", "--delta", "0.5", "--m", "8",
                             "--in", str(vecs), "--seed", "3"], capsys)
     assert code == 0
     parsed = np.loadtxt(io.StringIO(out), dtype=np.int64, ndmin=2)
@@ -31,8 +30,8 @@ def test_embed_deterministic_given_seed(tmp_path, capsys):
     vecs.write_text("0.5 -0.25\n")
     outs = []
     for _ in range(2):
-        code, out, _ = run_cli(["embed", "--set", "ball:N=2,d=1", "--m", "16",
-                                "--in", str(vecs), "--seed", "11"], capsys)
+        code, out, _ = run_cli(["embed", "--m", "16", "--in", str(vecs), "--seed", "11"],
+                               capsys)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -79,6 +78,61 @@ def test_unknown_flag_exits_2(capsys):
                  ["combinatorics", "--set", "ball:N=2"],
                  ["counterexamples", "--which", "no-dither", "--trials", "0"]):
         assert cli.main(argv) == 2
+
+
+# a valid argv for each subcommand, less the subcommand itself, and a value
+# for each flag that some subcommand takes and another does not
+BASE_ARGV = {
+    "embed": ["--m", "4", "--in", "x.txt"],
+    "distance": ["--m", "4", "--in", "x.txt"],
+    "width": ["--set", "ball:N=2"],
+    "min-m": ["--set", "ball:N=2", "--kind", "embed-structured", "--eps", "0.5"],
+    "quasi-isometry": ["--set", "ball:N=2"],
+    "consistency-width": ["--set", "ball:N=2"],
+    "counterexamples": ["--which", "no-dither"],
+    "lemmas": [],
+    "combinatorics": [],
+}
+FLAG_VALUES = {"--out": ["x"], "--jobs": ["1"], "--set": ["ball:N=2"], "--seed": ["1"],
+               "--ensemble": ["gaussian"], "--kappa": ["default"], "--delta": ["1"],
+               "--variant": ["floor"], "--no-dither": []}
+UNREAD_FLAGS = {
+    "embed": ["--out", "--jobs", "--set"],
+    "distance": ["--out", "--jobs", "--set"],
+    "width": ["--out", "--jobs", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither"],
+    "min-m": ["--out", "--jobs", "--ensemble", "--kappa", "--variant", "--no-dither"],
+    "quasi-isometry": ["--variant", "--no-dither"],
+    "consistency-width": ["--variant", "--no-dither"],
+    "counterexamples": ["--jobs"],
+    "lemmas": ["--jobs"],
+    "combinatorics": ["--jobs", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                           for f in flags])
+def test_flag_the_computation_does_not_read_exits_2(command, flag, capsys):
+    """A subcommand takes no flag that its computation would ignore."""
+    cli.build_parser().parse_args([command, *BASE_ARGV[command]])
+    code, _, err = run_cli([command, *BASE_ARGV[command], flag, *FLAG_VALUES[flag]], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("quasi-isometry", "quantizer", "variant = round"),
+    ("width", "experiment", "out = elsewhere"),
+    ("embed", "set", "kind = ball"),
+])
+def test_config_key_without_its_flag_exits_2(command, section, key, tmp_path, capsys,
+                                             monkeypatch):
+    """A config key stands in for a flag, so it is an error where the flag is."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.txt").write_text("1 0\n")
+    (tmp_path / "run.cfg").write_text(f"[{section}]\n{key}\n")
+    code, _, err = run_cli([command, *BASE_ARGV[command], "--config", "run.cfg"], capsys)
+    assert code == 2
+    assert f"[{section}] {key.split()[0]}" in err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -143,6 +197,7 @@ INPUTS = {
     "huge.txt": "1e300 0\n",
     "pair.txt": "0.3 0.1\n-0.2 0.5\n",
     "bad-scale.cfg": "[experiment]\nscale = huge\n",
+    "zero-jobs.cfg": "[experiment]\njobs = 0\n",
 }
 
 
@@ -167,14 +222,24 @@ INPUTS = {
     (["lemmas", "--config", "TMP/bad-scale.cfg"], 2),
     (["combinatorics", "--config", "TMP/bad-scale.cfg"], 2),
     (["selftest", "--config", "TMP/bad-scale.cfg"], 2),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--jobs", "0"], 2),
+    (["consistency-width", *SWEEP, *SPARSE, "--config", "TMP/zero-jobs.cfg"], 2),
+    (["selftest", "--jobs", "-3"], 2),
+    (["embed", "--m", "4", "--in", "TMP/."], 2),
+    (["QEMBED_SEED=abc", "embed", "--m", "4", "--in", "TMP/pair.txt"], 2),
 ])
-def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys):
+def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
-    error for every other subcommand."""
+    error for every other subcommand. Leading NAME=value items set the
+    environment, as in a shell."""
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     argv = [arg.replace("TMP/", f"{tmp_path}/") for arg in argv]
-    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    if "--out" in cli.SUBCOMMANDS[argv[0]][1]:
+        argv += ["--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
     assert code == expected
     assert err.startswith("error: ") == (expected == 2)
 
@@ -186,8 +251,8 @@ def check_summary(path, rows):
 
 
 def run_check(argv, tmp_path, capsys):
-    code, out, _ = run_cli([*argv, "--scale", "quick", "--seed", "0", "--out", str(tmp_path)],
-                           capsys)
+    seed = ["--seed", "0"] if "--seed" in cli.SUBCOMMANDS[argv[0]][1] else []
+    code, out, _ = run_cli([*argv, "--scale", "quick", *seed, "--out", str(tmp_path)], capsys)
     assert code == 0
     return out
 
@@ -241,11 +306,11 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     vecs = tmp_path / "x.txt"
     vecs.write_text("0.5 -0.25\n")
     monkeypatch.setenv("QEMBED_SEED", "11")
-    _, out_env, _ = run_cli(["embed", "--set", "ball:N=2,d=1", "--m", "8",
-                             "--in", str(vecs)], capsys)
+    code_env, out_env, _ = run_cli(["embed", "--m", "8", "--in", str(vecs)], capsys)
     monkeypatch.delenv("QEMBED_SEED")
-    _, out_flag, _ = run_cli(["embed", "--set", "ball:N=2,d=1", "--m", "8",
-                              "--in", str(vecs), "--seed", "11"], capsys)
+    code_flag, out_flag, _ = run_cli(["embed", "--m", "8", "--in", str(vecs), "--seed", "11"],
+                                     capsys)
+    assert code_env == code_flag == 0
     assert out_env == out_flag
 
 

@@ -93,8 +93,8 @@ def test_pseudo_distance_matches_codes():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, y = rng.standard_normal((2, 4))
-        ca = Q.apply(qmap, x).values
-        cb = Q.apply(qmap, y).values
+        ca = Q.apply_many(qmap, x[:, None])
+        cb = Q.apply_many(qmap, y[:, None])
         expected = qmap.delta * np.sum(np.abs(ca - cb)) / qmap.m
         assert D.pseudo_distance(qmap, x, y) == expected
 
@@ -113,7 +113,7 @@ def test_soft_distance_vanishes_for_large_t():
     qmap = _gaussian_map(seed=6)
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((2, 4))
-    za, zb = qmap.project(x), qmap.project(y)
+    za, zb = qmap.project_many(np.column_stack([x, y])).T
     t_big = float(np.max(np.abs(za - zb))) + qmap.delta
     assert D.soft_pseudo_distance(qmap, x, y, t_big) == 0.0
 

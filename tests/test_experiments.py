@@ -89,6 +89,13 @@ def test_sweep_determinism_across_jobs():
     assert X.rows_to_csv(wa.rows) == X.rows_to_csv(wb.rows)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweeps_reject_fewer_than_one_job(jobs):
+    for sweep in (X.quasi_isometry_sweep, X.consistency_width_sweep):
+        with pytest.raises(E.InvalidArgument, match="jobs"):
+            sweep(_plan(), jobs=jobs)
+
+
 def test_consistency_width_sweep_small():
     res = X.consistency_width_sweep(_plan(), slope_band=(-1.6, -0.4))
     assert res.verdict is True
