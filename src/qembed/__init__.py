@@ -4,7 +4,6 @@ set geometry, and the Monte Carlo verification harness."""
 from .ensembles import (
     Ensemble,
     InvalidArgument,
-    SensingMatrix,
     berry_esseen_gap,
     binomial_mad,
     make_ensemble,
@@ -14,9 +13,7 @@ from .ensembles import (
     sample_matrix,
 )
 from .quantizer import (
-    Dither,
     QuantizedMap,
-    QuantizerConfig,
     dithered_floor_exact,
     dithered_floor_mean,
     make_map,

@@ -304,10 +304,8 @@ def cmd_distance(args) -> int:
     qmap = _qmap(args, args.m, n, np.random.SeedSequence(args.seed))
     for x, y in zip(vecs[0::2], vecs[1::2]):
         d = distances.pseudo_distance(qmap, x, y)
-        cols = [f"{d:.12g}"]
-        for t in args.t:
-            cols.append(f"{distances.soft_pseudo_distance(qmap, x, y, t):.12g}")
-        print(" ".join(cols))
+        soft = distances.soft_pseudo_distance(qmap, x, y, args.t)
+        print(" ".join(f"{v:.12g}" for v in (d, *soft)))
     return EXIT_PASS
 
 

@@ -18,7 +18,6 @@ from .quantizer import (
     QuantizedMap,
     apply_many,
     boundary_flags,
-    floor_argument,
     quantize_array,
 )
 
@@ -102,9 +101,9 @@ def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
     coordinate not flagged as sitting on a bin boundary.
     """
     z = _projected_pair(qmap, x, y)
-    codes = quantize_array(qmap.quantizer, z)
+    codes = quantize_array(z, qmap.delta)
     diff = np.abs(codes[:, 0] - codes[:, 1])
-    za, zb = floor_argument(qmap.quantizer, z).T
+    za, zb = z.T
     counts0 = soft_count_array(za, zb, 0.0, qmap.delta)
     ok = boundary_flags(za, qmap.delta) | boundary_flags(zb, qmap.delta)
     if np.any((counts0 != diff) & ~ok):
@@ -112,11 +111,17 @@ def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
     return qmap.delta * float(np.sum(diff)) / qmap.m
 
 
-def soft_pseudo_distance(qmap: QuantizedMap, x, y, t: float) -> float:
-    """D^t(x, y) = (delta/M) * sum of per-coordinate soft counts."""
-    za, zb = floor_argument(qmap.quantizer, _projected_pair(qmap, x, y)).T
-    counts = soft_count_array(za, zb, float(t), qmap.delta)
-    return qmap.delta * float(np.sum(counts)) / qmap.m
+def soft_pseudo_distance(qmap: QuantizedMap, x, y, t):
+    """D^t(x, y) = (delta/M) * sum of per-coordinate soft counts.
+
+    t is a scalar, giving a float, or an array, giving D^t for each of its
+    values from one projection of the pair.
+    """
+    za, zb = _projected_pair(qmap, x, y).T
+    t = np.asarray(t, dtype=np.float64)
+    counts = soft_count_array(za, zb, t[..., None], qmap.delta)
+    dists = qmap.delta * counts.sum(axis=-1) / qmap.m
+    return float(dists) if t.ndim == 0 else dists
 
 
 def lemma1_check(a, b, t, s, delta: float):
@@ -147,7 +152,7 @@ def lemma3_check(qmap: QuantizedMap, x0, y0, xp, yp, t: float, eta: float, p_cap
         raise InvalidArgument("p_cap must be >= 1")
     if eta <= 0:
         raise InvalidArgument("eta must be positive")
-    phi = qmap.matrix.entries
+    phi = qmap.phi
     m = qmap.m
     lim = eta * math.sqrt(m) * (1.0 + 1e-12)
     if np.linalg.norm(phi @ np.asarray(xp, float)) > lim or np.linalg.norm(phi @ np.asarray(yp, float)) > lim:
@@ -156,6 +161,5 @@ def lemma3_check(qmap: QuantizedMap, x0, y0, xp, yp, t: float, eta: float, p_cap
     slack = 4.0 * (qmap.delta / p_cap + eta / math.sqrt(p_cap))
     mid = soft_pseudo_distance(qmap, np.asarray(x0, float) + np.asarray(xp, float),
                                np.asarray(y0, float) + np.asarray(yp, float), t)
-    upper = soft_pseudo_distance(qmap, x0, y0, t - shift) + slack
-    lower = soft_pseudo_distance(qmap, x0, y0, t + shift) - slack
+    upper, lower = soft_pseudo_distance(qmap, x0, y0, [t - shift, t + shift]) + [slack, -slack]
     return bool(lower <= mid <= upper)

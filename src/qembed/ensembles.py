@@ -46,22 +46,6 @@ class Ensemble:
             raise InvalidArgument("kappa_sg must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SensingMatrix:
-    """An M x N matrix of i.i.d. draws, reproducible from (ensemble, m, n, seed)."""
-
-    entries: np.ndarray
-    ensemble: Ensemble
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
 def _abs_moment(kind: str, p: int) -> float:
     """E|X|^p in closed form for the built-in kinds."""
     if kind == "gaussian":
@@ -131,13 +115,14 @@ def sample_iid(ensemble: Ensemble, shape, seed) -> np.ndarray:
     raise InvalidArgument(f"unknown ensemble kind: {ensemble.kind!r}")
 
 
-def sample_matrix(ensemble: Ensemble, m: int, n: int, seed: int) -> SensingMatrix:
-    """M x N sensing matrix of i.i.d. ensemble draws."""
+def sample_matrix(ensemble: Ensemble, m: int, n: int, seed: int) -> np.ndarray:
+    """Read-only M x N sensing matrix of i.i.d. ensemble draws, reproducible
+    from (ensemble, m, n, seed)."""
     if m < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be >= 1")
-    entries = sample_iid(ensemble, (m, n), seed)
-    entries.setflags(write=False)
-    return SensingMatrix(entries=entries, ensemble=ensemble)
+    phi = sample_iid(ensemble, (m, n), seed)
+    phi.setflags(write=False)
+    return phi
 
 
 def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from .geometry import (
     diameter,
     sample_point,
 )
-from .quantizer import QuantizedMap, QuantizerConfig, apply_many, make_map, quantize_array
+from .quantizer import QuantizedMap, apply_many, make_map, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 
@@ -198,7 +198,9 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
 
     Per (m, map trial): sample filtered pairs, record
     e(x, y) / (||x - y|| + delta) and take the max; the ensemble's
-    kappa / sqrt(k0) allowance is subtracted from the per-m statistic.
+    kappa / sqrt(k0) allowance is subtracted from the per-m statistic. A
+    positive allowance that censors every trial makes the plan vacuous, and
+    raises InvalidArgument.
     """
     n = ambient_dim(plan.set_spec)
     allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
@@ -219,7 +221,12 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
         stat = float(np.max(errs / (dists + plan.delta))) - allowance
         return stat, stat <= 0, seed_fingerprint(ss)
 
-    return _sweep("quasi-isometry", plan, one, slope_band, jobs, {"allowance": allowance})
+    res = _sweep("quasi-isometry", plan, one, slope_band, jobs, {"allowance": allowance})
+    if allowance > 0 and res.censored_total == len(res.rows):
+        raise InvalidArgument(
+            f"vacuous plan: the allowance kappa/sqrt(k0) = {allowance:.4g} censors every "
+            "trial; lower kappa (--kappa estimated) or raise k0 (--k0)")
+    return res
 
 
 def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng, max_tries: int = 100):
@@ -260,10 +267,10 @@ def _radial_cap(x: np.ndarray, u: np.ndarray, radius: float) -> float:
     return -xu + math.sqrt(disc)
 
 
-def _consistent_radii(cfg: QuantizerConfig, z: np.ndarray, dz: np.ndarray,
-                      caps: np.ndarray) -> np.ndarray:
+def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
+                      delta: float) -> np.ndarray:
     """Per ray j, the supremum of r in [0, caps[j]] with
-    Q(z[:, j] + r dz[:, j]) == Q(z[:, j]) for the floor quantizer.
+    Q(z[:, j] + r dz[:, j]) == Q(z[:, j]) for bin width delta.
 
     A code's cell is the intersection of the slabs k delta <= z < (k+1) delta
     that quantize_array brackets exactly, so it is convex: along a ray the
@@ -271,9 +278,9 @@ def _consistent_radii(cfg: QuantizerConfig, z: np.ndarray, dz: np.ndarray,
     rises and k delta where it falls.
     """
     # in place: these (m, rays) arrays are a trial's largest after the matrix
-    k = quantize_array(cfg, z)
+    k = quantize_array(z, delta)
     k += dz > 0  # index of the wall ahead
-    gap = k * cfg.delta
+    gap = k * delta
     del k
     gap -= z
     moving = dz != 0
@@ -336,8 +343,8 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
-            widths = _consistent_radii(qmap.quantizer, qmap.project_many(anchors),
-                                       qmap.matrix.entries @ dirs, caps)
+            widths = _consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps,
+                                       qmap.delta)
         best = float(np.max(widths))
         if best > 0:
             return best, False, seed_fingerprint(ss)
@@ -519,15 +526,14 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> No
         raise InvalidArgument("trials must be >= 1")
     u = np.ones(k0)
     v = (1.0 + s / k0) * u
-    cfg = QuantizerConfig(delta=1.0, variant="round")
     root = as_seedseq(seed)
     passes = 0
     from .ensembles import make_ensemble
 
     bern = make_ensemble("rademacher")
     for sub in root.spawn(trials):
-        mat = sample_matrix(bern, m, k0, sub)
-        qmap = QuantizedMap(matrix=mat, dither=None, quantizer=cfg)
+        # the undithered rounding map: a constant half-bin dither
+        qmap = QuantizedMap(sample_matrix(bern, m, k0, sub), np.full(m, 0.5), 1.0)
         codes = apply_many(qmap, np.column_stack([u, v]))
         if np.array_equal(codes[:, 0], codes[:, 1]):
             passes += 1

@@ -1,4 +1,8 @@
-"""Uniform scalar quantizer, uniform dithering, and the frozen quantized map.
+"""The uniform floor quantizer and the frozen quantized map x -> Q(Phi x + xi).
+
+There is one lattice: Q(t) = delta * floor(t/delta). Rounding is the same
+quantizer behind a constant half-bin shift, round(t) = floor(t + delta/2),
+so a rounding map is a map whose dither carries an extra delta/2.
 
 Codes are kept as integer bin indices; the bin width delta is reapplied only
 when distances are computed, so code comparisons stay exact.
@@ -8,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .ensembles import Ensemble, InvalidArgument, SensingMatrix, sample_matrix
+from .ensembles import Ensemble, InvalidArgument, sample_matrix
 
 VARIANTS = ("floor", "round")
 
@@ -21,42 +24,6 @@ BOUNDARY_TOL = 1e-12
 
 class InternalConsistencyError(RuntimeError):
     """Two internal evaluation paths disagreed away from a bin boundary."""
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    delta: float
-    variant: str = "floor"
-
-    def __post_init__(self):
-        if not (self.delta > 0):
-            raise InvalidArgument("delta must be positive")
-        if self.variant not in VARIANTS:
-            raise InvalidArgument(f"unknown quantizer variant: {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class Dither:
-    """Per-coordinate additive shifts; the uniform sampler keeps them in [0, delta)."""
-
-    values: np.ndarray
-
-    @classmethod
-    def uniform(cls, delta: float, m: int, seed) -> "Dither":
-        if not (delta > 0):
-            raise InvalidArgument("delta must be positive")
-        if m < 1:
-            raise InvalidArgument("m must be >= 1")
-        rng = np.random.default_rng(seed)
-        vals = rng.random(m) * delta
-        vals.setflags(write=False)
-        return cls(values=vals)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgument("dither values must be finite")
-        object.__setattr__(self, "values", v)
 
 
 def _floor_index(t: np.ndarray, delta: float) -> np.ndarray:
@@ -80,33 +47,24 @@ def _floor_index(t: np.ndarray, delta: float) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def floor_argument(cfg: QuantizerConfig, t):
-    """The value whose floor bin is the code of t: t itself for floor, and
-    t + delta/2 for round (round half-up is floor(t/delta + 1/2)).
-
-    Threshold counts taken on this value count the thresholds the variant
-    actually uses.
-    """
-    return t if cfg.variant == "floor" else t + 0.5 * cfg.delta
-
-
-def quantize_array(cfg: QuantizerConfig, t) -> np.ndarray:
-    """Bin indices floor(t/delta), or floor(t/delta + 1/2) for round, for an
-    array of inputs with |t| < 2^53 delta, or 2^52 delta for round
+def quantize_array(t, delta: float) -> np.ndarray:
+    """Bin indices floor(t/delta) for an array of inputs with |t| < 2^52 delta
     (value = delta * index).
 
-    Within that range every index and k*delta are exact in float64 and int64;
-    from 2^52 delta on, the round variant's shift t + delta/2 rounds to even.
+    From 2^52 delta on, neighbouring floats of t = Phi x + xi lie half a bin
+    or more apart (a whole bin at delta = 1), so the dither does not survive
+    the sum; below it every index and k*delta are exact in float64 and int64.
     The range check also rejects NaN (min and max propagate it) and
     infinities, and it allocates nothing: these arrays can be a trial's
     largest.
     """
+    if not (delta > 0):
+        raise InvalidArgument("delta must be positive")
     t = np.asarray(t, dtype=np.float64)
-    bits = 53 if cfg.variant == "floor" else 52
-    lim = 2.0**bits * cfg.delta
+    lim = 2.0**52 * delta
     if not (-lim < t.min(initial=0.0) and t.max(initial=0.0) < lim):
-        raise InvalidArgument(f"quantizer input must be finite with |t| < 2^{bits} delta")
-    return _floor_index(floor_argument(cfg, t), cfg.delta)
+        raise InvalidArgument("quantizer input must be finite with |t| < 2^52 delta")
+    return _floor_index(t, delta)
 
 
 def boundary_flags(t, delta: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -118,54 +76,60 @@ def boundary_flags(t, delta: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedMap:
-    """A frozen instance of the dithered quantized mapping x -> Q(Phi x + xi)."""
+    """A frozen instance of the quantized map x -> Q(Phi x + xi) with bin width delta."""
 
-    matrix: SensingMatrix
-    dither: Optional[Dither]
-    quantizer: QuantizerConfig
+    phi: np.ndarray
+    xi: np.ndarray
+    delta: float
 
     def __post_init__(self):
-        if self.dither is not None and len(self.dither.values) != self.matrix.rows:
+        if not (self.delta > 0):
+            raise InvalidArgument("delta must be positive")
+        xi = np.asarray(self.xi, dtype=np.float64)
+        if not np.all(np.isfinite(xi)):
+            raise InvalidArgument("dither values must be finite")
+        if xi.shape != (self.m,):
             raise InvalidArgument("dither length must equal the matrix row count")
+        object.__setattr__(self, "xi", xi)
 
     @property
     def m(self) -> int:
-        return self.matrix.rows
+        return self.phi.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def delta(self) -> float:
-        return self.quantizer.delta
+        return self.phi.shape[1]
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
-        """Phi x + xi (xi = 0 for undithered maps) for a batch of column
-        vectors, (n, count) -> (m, count)."""
+        """Phi x + xi for a batch of column vectors, (n, count) -> (m, count)."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
-        z = self.matrix.entries @ xs
-        if self.dither is not None:
-            z = z + self.dither.values[:, None]
-        return z
+        return self.phi @ xs + self.xi[:, None]
 
 
 def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
              dithered: bool = True, variant: str = "floor") -> QuantizedMap:
-    """Draw a frozen map: matrix and dither from seeds derived from one root."""
+    """Draw a frozen map: matrix and dither from seeds derived from one root.
+
+    xi is uniform on [0, delta), or zero for the undithered map; the round
+    variant adds delta/2 to it, since round(t) = floor(t + delta/2).
+    """
+    if variant not in VARIANTS:
+        raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     mat_seed, dither_seed = root.spawn(2)
-    matrix = sample_matrix(ensemble, m, n, mat_seed)
-    cfg = QuantizerConfig(delta=delta, variant=variant)
-    dither = Dither.uniform(delta, m, dither_seed) if dithered else None
-    return QuantizedMap(matrix=matrix, dither=dither, quantizer=cfg)
+    phi = sample_matrix(ensemble, m, n, mat_seed)
+    xi = np.random.default_rng(dither_seed).random(m) * delta if dithered else np.zeros(m)
+    if variant == "round":
+        xi += 0.5 * delta
+    xi.setflags(write=False)
+    return QuantizedMap(phi, xi, delta)
 
 
 def apply_many(qmap: QuantizedMap, xs: np.ndarray) -> np.ndarray:
     """A(x)/delta as integer codes for a batch of column vectors, shape (m, count)."""
-    return quantize_array(qmap.quantizer, qmap.project_many(xs))
+    return quantize_array(qmap.project_many(xs), qmap.delta)
 
 
 def dithered_floor_mean(x: float, y: float, samples: int, seed) -> tuple[float, float]:

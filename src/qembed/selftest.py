@@ -111,7 +111,7 @@ def criterion_4(seed: int, scale: str = FULL) -> CriterionResult:
         y = rng.standard_normal(n)
         d0 = distances.pseudo_distance(qmap, x, y)
         grid = np.linspace(-2 * delta, 2 * delta, 13)
-        vals = [distances.soft_pseudo_distance(qmap, x, y, float(tt)) for tt in grid]
+        vals = distances.soft_pseudo_distance(qmap, x, y, grid)
         for tt, v in zip(grid, vals):
             if tt >= 0 and v > d0 + 1e-12:
                 violations += 1
@@ -136,8 +136,8 @@ def criterion_5(seed: int, scale: str = FULL) -> CriterionResult:
         target = SQRT_2_OVER_PI * np.linalg.norm(x - y)
         phi = rng.standard_normal((trials * m, n))
         xi = rng.random(trials * m) * delta
-        ca = quantizer.quantize_array(quantizer.QuantizerConfig(delta), phi @ x + xi)
-        cb = quantizer.quantize_array(quantizer.QuantizerConfig(delta), phi @ y + xi)
+        ca = quantizer.quantize_array(phi @ x + xi, delta)
+        cb = quantizer.quantize_array(phi @ y + xi, delta)
         d_vals = delta * np.abs(ca - cb).reshape(trials, m).sum(axis=1) / m
         mean = float(d_vals.mean())
         se = float(d_vals.std(ddof=1) / math.sqrt(trials))
@@ -333,7 +333,7 @@ def criterion_15(seed: int, scale: str = FULL) -> CriterionResult:
         y0 = rng.standard_normal(n)
         xp = 0.01 * rng.standard_normal(n)
         yp = 0.01 * rng.standard_normal(n)
-        phi = qmap.matrix.entries
+        phi = qmap.phi
         # the smallest eta the lemma's precondition admits for these perturbations
         eta = max(np.linalg.norm(phi @ xp), np.linalg.norm(phi @ yp)) / math.sqrt(m)
         eta = max(eta, 1e-9)

@@ -189,6 +189,9 @@ def test_explicit_flag_beats_config_even_at_its_default(tmp_path):
 SWEEP = ["--delta", "0.5", "--m-grid", "16,32,64", "--pairs", "8", "--trials", "2",
          "--seed", "4"]
 SPARSE = ["--set", "sparse:N=32,K=4,d=1"]
+# a Rademacher plan whose allowance kappa/sqrt(k0) censors every trial
+VACUOUS = ["quasi-isometry", "--ensemble", "rademacher", "--set", "sparse:N=64,K=4,d=1",
+           "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3"]
 
 # input files of the exit-code table, written under TMP/ (the test's tmp_path)
 INPUTS = {
@@ -227,6 +230,8 @@ INPUTS = {
     (["selftest", "--jobs", "-3"], 2),
     (["embed", "--m", "4", "--in", "TMP/."], 2),
     (["QEMBED_SEED=abc", "embed", "--m", "4", "--in", "TMP/pair.txt"], 2),
+    (VACUOUS, 2),
+    ([*VACUOUS, "--kappa", "estimated"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -242,6 +247,9 @@ def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch)
     code, _, err = run_cli(argv, capsys)
     assert code == expected
     assert err.startswith("error: ") == (expected == 2)
+    if argv[:len(VACUOUS)] == VACUOUS:
+        # both ways out of a vacuous plan are named
+        assert "--kappa estimated" in err and "--k0" in err
 
 
 def check_summary(path, rows):

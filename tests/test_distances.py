@@ -126,6 +126,8 @@ def test_soft_distance_monotone_and_sandwich():
         d0 = D.pseudo_distance(qmap, x, y)
         grid = np.linspace(-0.4, 0.4, 9)
         vals = [D.soft_pseudo_distance(qmap, x, y, float(t)) for t in grid]
+        # the array form projects once and gives the same values
+        assert D.soft_pseudo_distance(qmap, x, y, grid).tolist() == vals
         assert all(u >= v - 1e-12 for u, v in zip(vals, vals[1:]))
         for t in (0.1, 0.25, 0.4):
             assert D.soft_pseudo_distance(qmap, x, y, t) <= d0 + 1e-12
@@ -147,7 +149,7 @@ def test_lemma3_random_instances():
         qmap = _gaussian_map(m=24, n=5, delta=0.4, seed=1000 + seed)
         x0, y0 = rng.standard_normal((2, 5))
         xp, yp = 0.05 * rng.standard_normal((2, 5))
-        phi = qmap.matrix.entries
+        phi = qmap.phi
         eta = max(np.linalg.norm(phi @ xp), np.linalg.norm(phi @ yp)) / math.sqrt(qmap.m)
         eta = max(eta, 1e-12)
         if not D.lemma3_check(qmap, x0, y0, xp, yp, t=0.0, eta=eta, p_cap=4.0):
@@ -171,9 +173,8 @@ def test_expectation_identity_monte_carlo():
     trials, m = 4000, 4
     phi = rng.standard_normal((trials * m, 6))
     xi = rng.random(trials * m)
-    cfg = Q.QuantizerConfig(1.0)
-    ca = Q.quantize_array(cfg, phi @ x + xi)
-    cb = Q.quantize_array(cfg, phi @ y + xi)
+    ca = Q.quantize_array(phi @ x + xi, 1.0)
+    cb = Q.quantize_array(phi @ y + xi, 1.0)
     d_vals = np.abs(ca - cb).reshape(trials, m).sum(axis=1) / m
     se = d_vals.std(ddof=1) / math.sqrt(trials)
     assert abs(d_vals.mean() - target) <= 3 * se
@@ -187,8 +188,7 @@ def test_expectation_identity_rademacher_matches_mu_sg():
     trials, m = 4000, 4
     phi = E.sample_iid(ens, (trials * m, 3), rng)
     xi = rng.random(trials * m)
-    cfg = Q.QuantizerConfig(1.0)
-    d_vals = np.abs(Q.quantize_array(cfg, phi @ x + xi) - Q.quantize_array(cfg, phi @ y + xi))
+    d_vals = np.abs(Q.quantize_array(phi @ x + xi, 1.0) - Q.quantize_array(phi @ y + xi, 1.0))
     d_vals = d_vals.reshape(trials, m).sum(axis=1) / m
     se = d_vals.std(ddof=1) / math.sqrt(trials)
     assert abs(d_vals.mean() - E.mu_sg_exact_binomial(2)) <= 3 * se

@@ -40,9 +40,10 @@ def test_make_ensemble_kappa_sources():
 def test_sample_matrix_support_and_reproducibility():
     r = E.make_ensemble("rademacher")
     m1 = E.sample_matrix(r, 2, 2, 5)
-    assert set(np.unique(m1.entries)) <= {-1.0, 1.0}
+    assert set(np.unique(m1)) <= {-1.0, 1.0}
     m2 = E.sample_matrix(r, 2, 2, 5)
-    assert np.array_equal(m1.entries, m2.entries)
+    assert np.array_equal(m1, m2)
+    assert not m1.flags.writeable
     with pytest.raises(E.InvalidArgument):
         E.sample_matrix(r, 0, 3, 1)
 
@@ -50,7 +51,7 @@ def test_sample_matrix_support_and_reproducibility():
 def test_gaussian_isotropy_row_norms():
     g = E.make_ensemble("gaussian")
     mat = E.sample_matrix(g, 1000, 1000, 17)
-    stat = np.mean(np.sum(mat.entries**2, axis=1) / 1000.0)
+    stat = np.mean(np.sum(mat**2, axis=1) / 1000.0)
     stderr = math.sqrt(2.0 / (1000 * 1000))
     assert abs(stat - 1.0) <= 3 * stderr
 

@@ -144,8 +144,8 @@ def test_consistent_radius_is_tight(kind, m):
         # every other ray gets a short cap, which binds at small m
         caps.append(X._radial_cap(x, u, 1.0) if j % 2 else 1e-3)
     anchors, dirs = np.array(anchors).T, np.array(dirs).T
-    radii = X._consistent_radii(qmap.quantizer, qmap.project_many(anchors),
-                                qmap.matrix.entries @ dirs, np.array(caps))
+    radii = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, np.array(caps),
+                                qmap.delta)
     codes = Q.apply_many(qmap, anchors)
     for j, r in enumerate(radii):
         assert 0.0 < r <= caps[j]
@@ -159,11 +159,9 @@ def test_consistent_radius_is_tight(kind, m):
 def test_consistent_radius_on_a_wall_and_without_motion():
     # column 0 starts on the wall 0.5 and falls: no room; column 1 does not
     # move: the cap; column 2 rises from 0.7 to the wall at 1.0
-    from qembed import quantizer as Q
-
     z = np.array([[0.5, 0.5, 0.5], [0.7, 0.7, 0.7]])
     dz = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    radii = X._consistent_radii(Q.QuantizerConfig(delta=0.5), z, dz, np.full(3, 2.0))
+    radii = X._consistent_radii(z, dz, np.full(3, 2.0), 0.5)
     assert radii[0] == 0.0
     assert radii[1] == 2.0
     assert radii[2] == pytest.approx(0.3, abs=1e-15)
@@ -331,8 +329,7 @@ def test_bernoulli_mean_envelope_on_filtered_pairs():
         trials, m = 3000, 4
         phi = E.sample_iid(rade, (trials * m, 24), rng)
         xi = rng.random(trials * m)
-        cfg = Q.QuantizerConfig(1.0)
-        d = np.abs(Q.quantize_array(cfg, phi @ x + xi) - Q.quantize_array(cfg, phi @ y + xi))
+        d = np.abs(Q.quantize_array(phi @ x + xi, 1.0) - Q.quantize_array(phi @ y + xi, 1.0))
         d = d.reshape(trials, m).sum(axis=1) / m
         se = d.std(ddof=1) / math.sqrt(trials)
         dist = np.linalg.norm(x - y)

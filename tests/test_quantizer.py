@@ -4,60 +4,77 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from qembed import ensembles as E
 from qembed import quantizer as Q
 
 
-def quantize(cfg, t):
-    return Q.quantize_array(cfg, [t]).tolist()[0]
+def quantize(t, delta):
+    return Q.quantize_array([t], delta).tolist()[0]
+
+
+def rounded(t):
+    """The code of t under the undithered round map with delta = 1 and Phi = 1:
+    floor behind the half-bin dither 1/2."""
+    qmap = Q.QuantizedMap(np.eye(1), np.full(1, 0.5), 1.0)
+    return Q.apply_many(qmap, [[t]]).tolist()[0][0]
 
 
 def test_quantize_examples():
-    assert quantize(Q.QuantizerConfig(1.0), 2.3) == 2
-    assert quantize(Q.QuantizerConfig(0.5), -0.1) == -1
-    r = Q.QuantizerConfig(1.0, "round")
-    assert quantize(r, 0.49) == 0
-    assert quantize(r, 0.5) == 1  # half rounds up
-    # the top of the exact range, |t| < 2^53 delta, and 2^52 delta for round
-    assert quantize(Q.QuantizerConfig(1.0), 2.0**53 - 1) == 2**53 - 1
-    assert quantize(Q.QuantizerConfig(1.0), -(2.0**53 - 1)) == -(2**53 - 1)
-    assert quantize(r, 2.0**52 - 1) == 2**52 - 1
-    assert quantize(r, -(2.0**52 - 1)) == -(2**52 - 1)
+    assert quantize(2.3, 1.0) == 2
+    assert quantize(-0.1, 0.5) == -1
+    assert rounded(0.49) == 0
+    assert rounded(0.5) == 1  # half rounds up
+    # the top of the exact range, |t| < 2^52 delta, also behind the half-bin shift
+    assert quantize(2.0**52 - 1, 1.0) == 2**52 - 1
+    assert quantize(-(2.0**52 - 1), 1.0) == -(2**52 - 1)
+    assert rounded(2.0**52 - 1) == 2**52 - 1
+    assert rounded(-(2.0**52 - 1)) == -(2**52 - 1)
 
 
 def test_quantize_rejects_bad_input():
-    for delta, t in ((1.0, float("nan")), (1.0, float("inf")), (1.0, 2.0**53),
-                     (1.0, -(2.0**53)), (0.5, 2.0**53 * 0.5), (1e-10, 1e300)):
+    for delta, t in ((1.0, float("nan")), (1.0, float("inf")), (1.0, -float("inf")),
+                     (1.0, 2.0**52), (1.0, -(2.0**52)), (1.0, 2.0**53), (1.0, -(2.0**53)),
+                     (0.5, 2.0**53 * 0.5), (1e-10, 1e300)):
         with pytest.raises(E.InvalidArgument):
-            quantize(Q.QuantizerConfig(delta), t)
+            quantize(t, delta)
+    # t + 1/2 rounds to even up there: 2^52 + 2 and -2^52, both outside the range
     for t in (2.0**52 + 1, -(2.0**52 + 1)):
         with pytest.raises(E.InvalidArgument):
-            quantize(Q.QuantizerConfig(1.0, "round"), t)
+            rounded(t)
+    for delta in (0.0, -1.0):
+        with pytest.raises(E.InvalidArgument):
+            quantize(0.5, delta)
     with pytest.raises(E.InvalidArgument):
-        Q.QuantizerConfig(0.0)
-    with pytest.raises(E.InvalidArgument):
-        Q.QuantizerConfig(1.0, "stochastic")
+        Q.make_map(E.make_ensemble("gaussian"), 4, 2, 1.0, 0, variant="stochastic")
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 2.0])
 def test_lattice_exactness(delta):
     ks = np.arange(-1_000_000, 1_000_001, dtype=np.int64)
     t = ks * delta
-    got = Q.quantize_array(Q.QuantizerConfig(delta), t)
+    got = Q.quantize_array(t, delta)
     assert np.array_equal(got, ks)
 
 
 @given(st.floats(-1e6, 1e6), st.sampled_from([0.1, 0.25, 1.0, 3.0]))
 @settings(max_examples=300, deadline=None)
 def test_floor_bracket_property(t, delta):
-    k = quantize(Q.QuantizerConfig(delta), t)
+    k = quantize(t, delta)
     assert k * delta <= t < (k + 1) * delta
 
 
-def test_dither_sampler_range():
-    d = Q.Dither.uniform(0.5, 1000, 3)
-    assert np.all(d.values >= 0.0) and np.all(d.values < 0.5)
+def test_dither_law():
+    # xi / delta ~ U[0, 1): the KS bound 0.02 at 20000 draws has a false-alarm
+    # rate of 2 exp(-2 * 20000 * 0.02^2) = 2e-7; a half-range dither has KS 1/2
+    delta = 0.5
+    xi = Q.make_map(E.make_ensemble("gaussian"), 20_000, 2, delta, 11).xi
+    assert np.all(xi >= 0.0) and np.all(xi < delta)
+    assert kstest(xi / delta, "uniform").statistic <= 0.02
+    undithered = Q.make_map(E.make_ensemble("gaussian"), 20_000, 2, delta, 11,
+                            dithered=False, variant="round")
+    assert np.all(undithered.xi == delta / 2)
 
 
 def test_apply_zero_vector_gives_zero_codes():
@@ -82,7 +99,7 @@ def test_apply_matches_scalar_recomputation():
     x = np.array([0.4, -1.2])
     code = Q.apply_many(qmap, x[:, None])[:, 0]
     for i in range(3):
-        z = float(qmap.matrix.entries[i] @ x + qmap.dither.values[i])
+        z = float(qmap.phi[i] @ x + qmap.xi[i])
         assert code[i] == math.floor(z / 0.3) or code[i] * 0.3 <= z < (code[i] + 1) * 0.3
 
 
@@ -97,20 +114,20 @@ def test_dither_length_validation():
     ens = E.make_ensemble("gaussian")
     mat = E.sample_matrix(ens, 4, 2, 0)
     with pytest.raises(E.InvalidArgument):
-        Q.QuantizedMap(matrix=mat, dither=Q.Dither.uniform(1.0, 3, 0),
-                       quantizer=Q.QuantizerConfig(1.0))
+        Q.QuantizedMap(mat, np.random.default_rng(0).random(3), 1.0)
+    with pytest.raises(E.InvalidArgument):
+        Q.QuantizedMap(mat, np.array([0.1, np.nan, 0.2, 0.3]), 1.0)
 
 
 def test_shift_covariance():
     # floor(t + k) = floor(t) + k: shifting the dither by k*delta shifts codes by k
     ens = E.make_ensemble("gaussian")
     mat = E.sample_matrix(ens, 8, 3, 4)
-    cfg = Q.QuantizerConfig(0.5)
-    base = Q.Dither.uniform(0.5, 8, 1)
-    shifted = Q.Dither(values=base.values + 3 * 0.5)
+    base = np.random.default_rng(1).random(8) * 0.5
+    shifted = base + 3 * 0.5
     x = np.array([0.3, -0.7, 1.1])
-    c0 = Q.apply_many(Q.QuantizedMap(mat, base, cfg), x[:, None])
-    c1 = Q.apply_many(Q.QuantizedMap(mat, shifted, cfg), x[:, None])
+    c0 = Q.apply_many(Q.QuantizedMap(mat, base, 0.5), x[:, None])
+    c1 = Q.apply_many(Q.QuantizedMap(mat, shifted, 0.5), x[:, None])
     assert np.array_equal(c1, c0 + 3)
 
 
@@ -143,5 +160,5 @@ def test_undithered_map_uses_zero_shift():
     ens = E.make_ensemble("gaussian")
     qmap = Q.make_map(ens, 6, 2, 1.0, 5, dithered=False)
     x = np.array([0.4, 0.2])
-    z = qmap.matrix.entries @ x
+    z = qmap.phi @ x
     assert np.array_equal(Q.apply_many(qmap, x[:, None])[:, 0], np.floor(z).astype(np.int64))
