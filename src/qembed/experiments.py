@@ -277,7 +277,7 @@ def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
     code holds until the first wall ahead, (k+1) delta where a coordinate
     rises and k delta where it falls.
     """
-    # in place: these (m, rays) arrays are a trial's largest after the matrix
+    # in place: fewer temporaries of the (rows, rays) arrays
     k = quantize_array(z, delta)
     k += dz > 0  # index of the wall ahead
     gap = k * delta
@@ -287,6 +287,18 @@ def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
     np.divide(gap, dz, out=gap, where=moving)
     gap[~moving] = np.inf
     return np.minimum(caps, gap.min(axis=0))
+
+
+def _ray_radii(qmap: QuantizedMap, anchors: np.ndarray, dirs: np.ndarray,
+               caps: np.ndarray) -> np.ndarray:
+    """_consistent_radii of the rays anchors[:, j] + r dirs[:, j] under the
+    whole map, one row block at a time: the cell is an intersection of
+    per-row slabs, so each block's radii cap the next block's."""
+    radii = caps
+    for block in qmap.row_blocks(anchors.shape[1]):
+        radii = _consistent_radii(block.project_many(anchors), block.phi @ dirs, radii,
+                                  qmap.delta)
+    return radii
 
 
 def _max_filtered_distance(points: np.ndarray, k0: float, block: int = 256) -> float:
@@ -343,8 +355,7 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
-            widths = _consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps,
-                                       qmap.delta)
+            widths = _ray_radii(qmap, anchors, dirs, caps)
         best = float(np.max(widths))
         if best > 0:
             return best, False, seed_fingerprint(ss)

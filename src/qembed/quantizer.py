@@ -21,6 +21,8 @@ VARIANTS = ("floor", "round")
 
 BOUNDARY_TOL = 1e-12
 
+BLOCK_ENTRIES = 2**16  # float64 entries (512 KB) of one row block's (rows, count) arrays
+
 
 class InternalConsistencyError(RuntimeError):
     """Two internal evaluation paths disagreed away from a bin boundary."""
@@ -106,6 +108,17 @@ class QuantizedMap:
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
         return self.phi @ xs + self.xi[:, None]
+
+    def row_blocks(self, count: int):
+        """Sub-maps over consecutive rows of Phi and xi (views, not copies),
+        BLOCK_ENTRIES // count rows each, so that a block's (rows, count)
+        projection and codes stay in cache. Each row is quantized on its own,
+        so per-row statistics of a batch of count vectors can be reduced
+        block by block."""
+        rows = max(1, BLOCK_ENTRIES // max(count, 1))
+        for start in range(0, self.m, rows):
+            sl = slice(start, start + rows)
+            yield QuantizedMap(self.phi[sl], self.xi[sl], self.delta)
 
 
 def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,

@@ -156,6 +156,26 @@ def test_consistent_radius_is_tight(kind, m):
             assert not np.array_equal(outside[:, 0], codes[:, j])
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+def test_ray_radii_blocked_equals_whole(kind):
+    # 1024 rays: blocks of BLOCK_ENTRIES // 1024 rows, and M = 3 blocks + 5
+    # rows leaves a partial last block, which holds the nearest wall of
+    # about 1 ray in 40
+    from qembed import quantizer as Q
+
+    rays = 1024
+    spec = G.SparseBall(n=64, k=4, radius=1.0)
+    qmap = Q.make_map(E.make_ensemble(kind), 3 * (Q.BLOCK_ENTRIES // rays) + 5, 64, 0.5, 7)
+    rng = np.random.default_rng(7)
+    anchors, dirs, caps = np.empty((64, rays)), np.empty((64, rays)), np.empty(rays)
+    for j in range(rays):
+        anchors[:, j] = G.sample_point(spec, rng)
+        dirs[:, j] = X._direction_for(spec, anchors[:, j], 1.0, rng)
+        caps[j] = X._radial_cap(anchors[:, j], dirs[:, j], 1.0)
+    whole = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
+    assert np.array_equal(X._ray_radii(qmap, anchors, dirs, caps), whole)
+
+
 def test_consistent_radius_on_a_wall_and_without_motion():
     # column 0 starts on the wall 0.5 and falls: no room; column 1 does not
     # move: the cap; column 2 rises from 0.7 to the wall at 1.0

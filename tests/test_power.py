@@ -1,0 +1,64 @@
+"""Planted defects: each row plants one named defect in the package and
+asserts that the test named next to it then fails.
+
+A defect is the package's own source with one anchor string replaced,
+recompiled and monkeypatched in, so a row breaks exactly one thing. A row
+whose anchor is no longer in the source fails, rather than planting nothing.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+import test_distances
+import test_experiments
+import test_quantizer
+from qembed import experiments as X
+from qembed import quantizer as Q
+
+# name: (owner, function, anchor, replacement)
+DEFECTS = {
+    "floor-without-upward-fixup":
+        (Q, "_floor_index", "up = (k + 1.0) * delta <= t", "up = np.zeros(k.shape, bool)"),
+    "floor-without-downward-fixup":
+        (Q, "_floor_index", "down = k * delta > t", "down = np.zeros(k.shape, bool)"),
+    "radius-to-the-wall-behind":
+        (X, "_consistent_radii", "k += dz > 0", "k += dz < 0"),
+    "row-blocks-drop-the-partial-block":
+        (Q.QuantizedMap, "row_blocks", "range(0, self.m, rows)",
+         "range(0, self.m - self.m % rows, rows)"),
+}
+
+# (defect, test that must fail, its arguments)
+ROWS = [
+    ("floor-without-upward-fixup", test_quantizer.test_lattice_exactness, (0.1,)),
+    ("floor-without-downward-fixup", test_quantizer.test_floor_bracket_at_lattice_neighbours,
+     (0.1,)),
+    ("radius-to-the-wall-behind", test_experiments.test_consistent_radius_is_tight,
+     ("gaussian", 256)),
+    ("row-blocks-drop-the-partial-block", test_distances.test_pair_distances_blocked_equals_whole,
+     ("gaussian",)),
+    ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,
+     ("gaussian",)),
+]
+
+
+def _planted(owner, name: str, anchor: str, replacement: str):
+    """owner.name recompiled from its source with anchor replaced."""
+    func = inspect.getattr_static(owner, name)
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(anchor) == 1, f"{anchor!r} is not in the source of {name} exactly once"
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(src.replace(anchor, replacement), inspect.getsourcefile(func), "exec"),
+         namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("defect, test, args", ROWS,
+                         ids=[f"{d}-{t.__name__}" for d, t, _ in ROWS])
+def test_planted_defect_is_caught(defect, test, args, monkeypatch):
+    owner, name, anchor, replacement = DEFECTS[defect]
+    monkeypatch.setattr(owner, name, _planted(owner, name, anchor, replacement))
+    with pytest.raises(AssertionError):
+        test(*args)

@@ -65,6 +65,17 @@ def test_floor_bracket_property(t, delta):
     assert k * delta <= t < (k + 1) * delta
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.7])
+def test_floor_bracket_at_lattice_neighbours(delta):
+    # the float neighbours of k*delta on both sides; for many of them
+    # t/delta rounds across an integer, and the fix-up loops must undo it
+    lattice = np.arange(-200_000, 200_001) * delta
+    for t in (np.nextafter(lattice, np.inf), np.nextafter(lattice, -np.inf)):
+        k = Q.quantize_array(t, delta).astype(np.float64)
+        assert np.all(k * delta <= t)
+        assert np.all(t < (k + 1.0) * delta)
+
+
 def test_dither_law():
     # xi / delta ~ U[0, 1): the KS bound 0.02 at 20000 draws has a false-alarm
     # rate of 2 exp(-2 * 20000 * 0.02^2) = 2e-7; a half-range dither has KS 1/2
