@@ -4,7 +4,6 @@ set geometry, and the Monte Carlo verification harness."""
 from .ensembles import (
     Ensemble,
     InvalidArgument,
-    berry_esseen_gap,
     binomial_mad,
     make_ensemble,
     mu_sg,

@@ -257,6 +257,8 @@ def _merge_config(args) -> None:
             setattr(args, attr, default)
     if getattr(args, "seed", 0) is None:
         args.seed = _default_seed()
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
 
 def _parse_list(text: str, conv, flag: str) -> tuple:
@@ -339,8 +341,8 @@ def _sweep_common(args, which: str) -> int:
     band = None
     if args.slope_band:
         band = _parse_list(args.slope_band, float, "--slope-band")
-        if len(band) != 2:
-            raise ConfigError(f"bad --slope-band {args.slope_band!r}: expected lo,hi")
+        if len(band) != 2 or not -math.inf < band[0] < band[1] < math.inf:
+            raise ConfigError(f"bad --slope-band {args.slope_band!r}: expected finite lo < hi")
     fn = experiments.quasi_isometry_sweep if which == "quasi-isometry" else experiments.consistency_width_sweep
     res = fn(plan, slope_band=band, jobs=args.jobs)
     out = _out_dir(args)

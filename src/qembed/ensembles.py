@@ -59,17 +59,14 @@ def _abs_moment(kind: str, p: int) -> float:
     raise InvalidArgument(f"unknown ensemble kind: {kind!r}")
 
 
-def psi2_norm(kind_or_ensemble, p_max: int = 64) -> float:
-    """sup over integer p in {1..p_max} of p^(-1/2) (E|X|^p)^(1/p).
+def psi2_norm(kind: str) -> float:
+    """sup over integer p in {1..64} of p^(-1/2) (E|X|^p)^(1/p).
 
     Closed-form moments are used for every built-in kind; the sup is attained
     at small p for all of them, so the integer grid is exact in practice.
     """
-    kind = kind_or_ensemble.kind if isinstance(kind_or_ensemble, Ensemble) else kind_or_ensemble
-    if p_max < 1:
-        raise InvalidArgument("p_max must be >= 1")
     best = 0.0
-    for p in range(1, p_max + 1):
+    for p in range(1, 65):
         val = _abs_moment(kind, p) ** (1.0 / p) / math.sqrt(p)
         best = max(best, val)
     return best
@@ -80,7 +77,7 @@ def make_ensemble(kind: str, kappa_source: str = "default") -> Ensemble:
 
     kappa_source "default" resolves to exact-zero for gaussian and the
     generic bound otherwise; "estimated" refines the generic bound by
-    numeric tail-gap integration on flat sparse unit vectors.
+    exact tail-gap integration on flat sparse unit vectors.
     """
     alpha = psi2_norm(kind)
     if kappa_source == "default":
@@ -98,13 +95,9 @@ def make_ensemble(kind: str, kappa_source: str = "default") -> Ensemble:
     return Ensemble(kind=kind, alpha=alpha, kappa_sg=kappa, kappa_source=kappa_source)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def sample_iid(ensemble: Ensemble, shape, seed) -> np.ndarray:
     """i.i.d. draws from the ensemble, deterministic given seed."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if ensemble.kind == "gaussian":
         return rng.standard_normal(shape)
     if ensemble.kind == "rademacher":
@@ -249,109 +242,61 @@ def exact_tail_gap_discrete(magnitudes: np.ndarray, probs: np.ndarray) -> float:
     return float(total)
 
 
-def berry_esseen_gap(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:
-    """Estimate integral_0^inf |P(|<phi,u>| >= t) - P(|<g,u>| >= t)| dt.
+def _uniform_sum_tail(t: float, k: int) -> float:
+    """P(|S| >= t) for S a sum of k uniforms on [-sqrt(3), sqrt(3)] over sqrt(k).
 
-    Requires ||u|| = 1. The gaussian kind returns (0, 0) exactly. Otherwise a
-    two-stage moment-form estimator is used: half the draws fix the sign
-    pattern s(t) of the tail difference, the other half give an unbiased
-    estimate of integral (P_X - P_g) s dt = E S(|X|) - integral P_g s dt with
-    S(x) = integral_0^x s. The estimate never exceeds the true gap in
-    expectation and converges to it as the sign pattern is learned.
+    S is a scaled Irwin-Hall law on [-s, s], s = sqrt(3k):
+    P(|S| >= t) = 2 F_k(y) with y = k (1 - t/s) / 2 and the Irwin-Hall cdf
+    F_k(y) = (1/k!) sum_{j <= y} (-1)^j C(k, j) (y - j)^k.
     """
-    u = np.asarray(u, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidArgument("u must be a unit vector (within 1e-9)")
-    if samples < 4:
-        raise InvalidArgument("samples must be >= 4")
-    if ensemble.kind == "gaussian":
-        return 0.0, 0.0
-
-    phi = sample_iid(ensemble, (samples, u.size), seed)
-    vals = np.abs(phi @ u)
-    n_a = samples // 2
-    half_a = np.sort(vals[:n_a])
-    half_b = vals[n_a:]
-
-    # empirical tail of half A: level (n_a - j)/n_a on (v_(j), v_(j+1)]
-    breaks = np.concatenate([half_a, [np.inf]])
-    levels = 1.0 - np.arange(0, n_a + 1) / n_a  # levels[j] on (v_(j-1), v_(j)]
-    # build sign segments over [0, max|A|]
-    finite_breaks = half_a
-    seg_levels = levels[:n_a]  # tail value on (prev, v_(j)]
-    segs = _segments_from_tail(finite_breaks, seg_levels)
-    # beyond max|A| the empirical tail is 0 < gaussian tail, so sign = -1
-    t_last = float(finite_breaks[-1]) if n_a else 0.0
-
-    # S(x) = integral_0^x sign, piecewise linear; gaussian part integrated exactly
-    starts = np.array([s[0] for s in segs])
-    ends = np.array([s[1] for s in segs])
-    signs = np.array([s[2] for s in segs])
-    cum = np.concatenate([[0.0], np.cumsum(signs * (ends - starts))])
-
-    def s_of(x):
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(ends, x, side="left")
-        idx = np.minimum(idx, len(segs) - 1)
-        base = cum[idx] + signs[idx] * (np.minimum(x, ends[idx]) - starts[idx])
-        beyond = x > t_last
-        return np.where(beyond, cum[-1] - (x - t_last), base)
-
-    gauss_part = 0.0
-    for (lo, hi, sign) in segs:
-        gauss_part += sign * (_gauss_abs_tail_integral(hi) - _gauss_abs_tail_integral(lo))
-    gauss_part += -1.0 * (SQRT_2_OVER_PI - _gauss_abs_tail_integral(t_last))
-
-    y = s_of(half_b)
-    n_b = len(half_b)
-    gap = float(y.mean() - gauss_part)
-    stderr = float(y.std(ddof=1) / math.sqrt(n_b)) if n_b > 1 else float("inf")
-    return gap, stderr
+    s = math.sqrt(3.0 * k)
+    if t >= s:
+        return 0.0
+    y = k * (1.0 - t / s) / 2.0
+    total = 0.0
+    for j in range(int(y) + 1):
+        total += (-1) ** j * math.comb(k, j) * (y - j) ** k
+    return 2.0 / math.factorial(k) * total
 
 
-def estimate_kappa(kind: str, k_grid=range(1, 13), mc_samples: int = 200_000, seed: int = 0) -> float:
-    """Refined kappa: max over flat K-sparse unit vectors of sqrt(K) * tail gap.
+def _uniform_tail_gap(k: int) -> float:
+    """Integral of |P(|S| >= t) - P(|g| >= t)| dt for the exact law of the
+    flat bounded-uniform sum S of _uniform_sum_tail: one quadrature per
+    polynomial piece between the knots t = s (1 - 2j/k), and the Gaussian
+    tail beyond s."""
+    from scipy.integrate import quad
 
-    Rademacher sums on ones(K)/sqrt(K) have exact binomial atoms, so the gap
-    integral is computed exactly; other kinds fall back to the Monte Carlo
-    estimator (upper-confidence value).
+    s = math.sqrt(3.0 * k)
+    knots = sorted({0.0, *(s * (1.0 - 2.0 * j / k) for j in range(k // 2 + 1))})
+
+    def f(t):
+        return abs(_uniform_sum_tail(t, k) - _gauss_abs_tail(t))
+
+    val = sum(quad(f, lo, hi, limit=200)[0] for lo, hi in zip(knots, knots[1:]))
+    tail, _ = quad(_gauss_abs_tail, s, 12.0, limit=200)
+    return float(val + tail)
+
+
+def estimate_kappa(kind: str) -> float:
+    """Refined kappa: max over flat K-sparse unit vectors, K = 1..12, of
+    sqrt(K) * tail gap.
+
+    Both non-Gaussian kinds have exact laws on ones(K)/sqrt(K): binomial
+    atoms for Rademacher sums and a scaled Irwin-Hall density for
+    bounded-uniform ones, so kappa is deterministic.
     """
     if kind == "gaussian":
         return 0.0
     best = 0.0
-    ens = None
-    for k in k_grid:
+    for k in range(1, 13):
         if kind == "rademacher":
             j = np.arange(k + 1)
             mags = np.abs(2.0 * j - k) / math.sqrt(k)
             probs = np.array([math.comb(k, int(jj)) for jj in j], dtype=np.float64) / 2.0**k
             gap = exact_tail_gap_discrete(mags, probs)
-        elif kind == "bounded-uniform" and k == 1:
-            # |X| uniform on [0, sqrt(3)]: piecewise-exact via the atomic helper
-            # on a fine discretization is avoided; integrate directly
-            gap = _uniform1_tail_gap()
+        elif kind == "bounded-uniform":
+            gap = _uniform_tail_gap(k)
         else:
-            if ens is None:
-                ens = Ensemble(kind=kind, alpha=psi2_norm(kind), kappa_sg=0.0, kappa_source="generic-bound")
-            u = np.ones(k) / math.sqrt(k)
-            g, se = berry_esseen_gap(ens, u, mc_samples, np.random.SeedSequence((seed, k)))
-            gap = g + 3.0 * se
+            raise InvalidArgument(f"unknown ensemble kind: {kind!r}")
         best = max(best, gap * math.sqrt(k))
     return best
-
-
-def _uniform1_tail_gap() -> float:
-    """Exact gap for a single bounded-uniform coordinate: |X| ~ U[0, sqrt(3)]."""
-    from scipy.integrate import quad
-
-    s3 = math.sqrt(3.0)
-
-    def f(t):
-        emp = max(0.0, 1.0 - t / s3) if t <= s3 else 0.0
-        return abs(emp - _gauss_abs_tail(t))
-
-    val, _ = quad(f, 0.0, s3, limit=200)
-    tail, _ = quad(_gauss_abs_tail, s3, 12.0, limit=200)
-    return float(val + tail)
-

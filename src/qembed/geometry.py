@@ -24,6 +24,8 @@ class FiniteSet:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvalidArgument("finite set needs a nonempty (count, dim) array")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidArgument("finite set points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -37,8 +39,8 @@ class SparseBall:
     def __post_init__(self):
         if self.k < 1 or self.k > self.n:
             raise InvalidArgument("need 1 <= k <= n")
-        if not (self.radius > 0):
-            raise InvalidArgument("radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise InvalidArgument("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class LowRankBall:
     def __post_init__(self):
         if self.r < 1 or self.r > min(self.n1, self.n2):
             raise InvalidArgument("need 1 <= r <= min(n1, n2)")
-        if not (self.radius > 0):
-            raise InvalidArgument("radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise InvalidArgument("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,8 @@ class EuclideanBall:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidArgument("n must be >= 1")
-        if not (self.radius > 0):
-            raise InvalidArgument("radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise InvalidArgument("radius must be positive and finite")
 
 
 SetSpec = Union[FiniteSet, SparseBall, LowRankBall, EuclideanBall]
@@ -179,17 +181,15 @@ def width_estimate(spec: SetSpec, draws: int, seed) -> WidthEstimate:
                          draws=draws)
 
 
-def structured_wbar_sq(spec: SetSpec, c_const: float = 1.0) -> float:
+def structured_wbar_sq(spec: SetSpec) -> float:
     """Diameter-free squared width bound for structured kinds.
 
-    SparseBall: K log(2N/K); LowRankBall: r (N1 + N2); both times c_const.
+    SparseBall: K log(2N/K); LowRankBall: r (N1 + N2).
     """
-    if c_const <= 0:
-        raise InvalidArgument("c_const must be positive")
     if isinstance(spec, SparseBall):
-        return c_const * spec.k * math.log(2.0 * spec.n / spec.k)
+        return spec.k * math.log(2.0 * spec.n / spec.k)
     if isinstance(spec, LowRankBall):
-        return c_const * spec.r * (spec.n1 + spec.n2)
+        return spec.r * (spec.n1 + spec.n2)
     raise InvalidArgument("structured width bound needs a sparse or low-rank set")
 
 
@@ -216,23 +216,29 @@ def minimal_m(spec: SetSpec, kind: str, eps: float, delta: float, c_const: float
         raise InvalidArgument(f"unknown minimal-m kind: {kind!r}")
     if not (0.0 < eps < 1.0):
         raise InvalidArgument("eps must lie in (0, 1)")
-    if not (delta > 0):
-        raise InvalidArgument("delta must be positive")
-    if not (c_const > 0):
-        raise InvalidArgument("c_const must be positive")
+    if not (0 < delta < math.inf):
+        raise InvalidArgument("delta must be positive and finite")
+    if not (0 < c_const < math.inf):
+        raise InvalidArgument("c_const must be positive and finite")
     d = diameter(spec)
-    if kind == "embed-general":
-        w = width_estimate(spec, draws, seed).mean
-        val = w**2 / (delta**2 * eps**5)
-    elif kind == "embed-structured":
-        wb = structured_wbar_sq(spec)
-        val = wb / eps**2 * math.log(1.0 + d / (delta * math.sqrt(eps**3)))
-    elif kind == "width-general":
-        w = width_estimate(spec, draws, seed).mean
-        val = (2.0 + delta) ** 4 * w**2 / (delta**2 * eps**4)
-    else:
-        wb = structured_wbar_sq(spec)
-        val = (2.0 + delta) / eps * wb * math.log(1.0 + (2.0 + delta) ** 1.5 * d / (delta * eps**1.5))
+    try:
+        if kind == "embed-general":
+            w = width_estimate(spec, draws, seed).mean
+            val = w**2 / (delta**2 * eps**5)
+        elif kind == "embed-structured":
+            wb = structured_wbar_sq(spec)
+            val = wb / eps**2 * math.log(1.0 + d / (delta * math.sqrt(eps**3)))
+        elif kind == "width-general":
+            w = width_estimate(spec, draws, seed).mean
+            val = (2.0 + delta) ** 4 * w**2 / (delta**2 * eps**4)
+        else:
+            wb = structured_wbar_sq(spec)
+            val = (2.0 + delta) / eps * wb * math.log(
+                1.0 + (2.0 + delta) ** 1.5 * d / (delta * eps**1.5))
+    except ArithmeticError:  # a power underflows to a zero divisor, or overflows
+        val = math.inf
+    if not math.isfinite(c_const * val):
+        raise InvalidArgument(f"the measurement count overflows at eps={eps}, delta={delta}")
     return int(math.ceil(c_const * val))
 
 

@@ -87,6 +87,8 @@ class QuantizedMap:
     def __post_init__(self):
         if not (self.delta > 0):
             raise InvalidArgument("delta must be positive")
+        if np.ndim(self.phi) != 2:
+            raise InvalidArgument("phi must be a 2-d matrix")
         xi = np.asarray(self.xi, dtype=np.float64)
         if not np.all(np.isfinite(xi)):
             raise InvalidArgument("dither values must be finite")

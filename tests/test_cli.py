@@ -1,9 +1,12 @@
+import argparse
 import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qembed import cli
 
@@ -201,6 +204,7 @@ INPUTS = {
     "pair.txt": "0.3 0.1\n-0.2 0.5\n",
     "bad-scale.cfg": "[experiment]\nscale = huge\n",
     "zero-jobs.cfg": "[experiment]\njobs = 0\n",
+    "nan.txt": "nan 0\n1 0\n",
 }
 
 
@@ -232,6 +236,16 @@ INPUTS = {
     (["QEMBED_SEED=abc", "embed", "--m", "4", "--in", "TMP/pair.txt"], 2),
     (VACUOUS, 2),
     ([*VACUOUS, "--kappa", "estimated"], 2),
+    (["width", "--set", "ball:N=2", "--seed=-1"], 2),
+    (["QEMBED_SEED=-1", "embed", "--m", "4", "--in", "TMP/pair.txt"], 2),
+    (["min-m", "--set", "sparse:N=64,K=4", "--kind", "embed-structured", "--eps", "0.5",
+      "--c", "inf"], 2),
+    (["min-m", "--set", "ball:N=2", "--kind", "width-general", "--eps", "0.5",
+      "--delta", "inf"], 2),
+    (["width", "--set", "ball:N=2,d=inf"], 2),
+    (["width", "--set", "finite:file=TMP/nan.txt"], 2),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=nan,inf"], 2),
+    (["consistency-width", *SWEEP, *SPARSE, "--slope-band=1,-1"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -330,3 +344,92 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.stdout.splitlines()[0] == "criterion  9 [PASS] stirling-and-binomial-mad"
     check_summary(tmp_path / "combinatorics-summary.csv",
                   ["criterion-09-stirling-and-binomial-mad"])
+
+
+def test_import_loads_neither_scipy_integrate_nor_mpmath():
+    # both are slow to import cold and only a few checks need them, so they
+    # are imported inside those functions; every run's start-up pays for the rest
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, qembed; "
+                           "print(sorted({'scipy.integrate', 'mpmath'} & set(sys.modules)))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# value pools of the argv contract test, by flag, then by type; TMP is the
+# example's scratch directory, holding the files of ARGV_FILES
+INT_POOL = ["-1", "0", "1", "2", "16"]
+FLOAT_POOL = ["-1", "0", "0.5", "nan", "inf"]
+ARGV_FILES = {
+    "good.txt": "0.3 0.1\n-0.2 0.5\n",
+    "bad-token.txt": "1 0\n0 x\n",
+    "good.cfg": "[experiment]\nseed = 3\n",
+    "malformed.cfg": "[experiment]\nseed\n",
+}
+FLAG_POOLS = {
+    "--config": ["TMP/good.cfg", "TMP/malformed.cfg", "TMP/missing.cfg", "TMP"],
+    "--out": ["TMP/out", "TMP/good.txt"],
+    "--jobs": ["-1", "0", "1", "2"],
+    "--scale": ["quick"],
+    "--kappa": ["default", "estimated", "generic-bound", "exact-zero", "bogus"],
+    "--set": ["ball:N=2", "ball:N=16,d=0.5", "sparse:N=16,K=2,d=1", "lowrank:N1=4,N2=4,r=1",
+              "mesh:N=2,h=0.5", "finite:file=TMP/good.txt", "ball:N=0", "ball:N=2,d=-1",
+              "ball:N=2,d=inf", "sparse:N=4,K=8", "sparse:N=x,K=1", "lowrank:N1=4,N2=4",
+              "mesh:N=2,h=0", "finite:file=TMP/bad-token.txt", "torus:N=2", "ball", ""],
+    "--in": ["TMP/good.txt", "TMP", "TMP/missing.txt", "TMP/bad-token.txt"],
+    "--m-grid": st.lists(st.sampled_from(INT_POOL), min_size=1, max_size=3).map(",".join),
+    "--slope-band": ["-10,10", "5,6", "nan,inf", "1", "bad"],
+}
+# flags every example passes: sizes stay small, and no output lands in the cwd
+ALWAYS = {"--m-grid", "--pairs", "--trials", "--scale", "--out"}
+
+
+def _value_pool(flag: str, action: argparse.Action):
+    if flag in FLAG_POOLS:
+        pool = FLAG_POOLS[flag]
+    elif action.choices:
+        pool = [*action.choices, "bogus"]
+    elif action.type in (int, float):
+        pool = INT_POOL if action.type is int else FLOAT_POOL
+    else:
+        raise AssertionError(f"no value pool for {flag}")
+    return pool if isinstance(pool, st.SearchStrategy) else st.sampled_from(pool)
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sp for name, sp in action.choices.items() if name != "selftest"}
+
+
+@st.composite
+def argvs(draw):
+    """An argv built from build_parser()'s own subcommands and flags."""
+    subparsers = _subparsers()
+    command = draw(st.sampled_from(sorted(subparsers)))
+    argv = [command]
+    for action in subparsers[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0]
+        if not (action.required or flag in ALWAYS or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.nargs == "*":
+            argv += [flag, *draw(st.lists(_value_pool(flag, action), max_size=2))]
+        else:
+            argv.append(f"{flag}={draw(_value_pool(flag, action))}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(argv=argvs())
+def test_every_argv_exits_0_1_or_2(argv, tmp_path_factory):
+    """The exit-code contract holds for argv built from the parser itself:
+    cli.main returns 0, 1 or 2 and raises nothing."""
+    tmp = tmp_path_factory.mktemp("argv")
+    for name, text in ARGV_FILES.items():
+        (tmp / name).write_text(text)
+    assert cli.main([arg.replace("TMP", str(tmp)) for arg in argv]) in (0, 1, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import kstest, norm, uniform
 
 from qembed import ensembles as E
 
@@ -46,6 +46,19 @@ def test_sample_matrix_support_and_reproducibility():
     assert not m1.flags.writeable
     with pytest.raises(E.InvalidArgument):
         E.sample_matrix(r, 0, 3, 1)
+
+
+def test_sample_matrix_law():
+    # 20000 entries per kind: the KS bound 0.02 and the +1 share bound 0.02
+    # each have a false-alarm rate of 2 exp(-2 * 20000 * 0.02^2) = 2e-7
+    s3 = math.sqrt(3.0)
+    gauss = E.sample_matrix(E.make_ensemble("gaussian"), 100, 200, 19).ravel()
+    assert kstest(gauss, norm.cdf).statistic <= 0.02
+    unif = E.sample_matrix(E.make_ensemble("bounded-uniform"), 100, 200, 19).ravel()
+    assert kstest(unif, uniform(loc=-s3, scale=2 * s3).cdf).statistic <= 0.02
+    signs = E.sample_matrix(E.make_ensemble("rademacher"), 100, 200, 19).ravel()
+    assert set(np.unique(signs)) <= {-1.0, 1.0}
+    assert abs(np.mean(signs == 1.0) - 0.5) <= 0.02
 
 
 def test_gaussian_isotropy_row_norms():
@@ -124,37 +137,6 @@ def test_binomial_exact_matches_monte_carlo():
         assert abs(est - E.mu_sg_exact_binomial(k0)) <= 3 * se
 
 
-def test_berry_esseen_gaussian_zero():
-    g = E.make_ensemble("gaussian")
-    gap, se = E.berry_esseen_gap(g, np.array([0.6, 0.8]), 100, 0)
-    assert gap == 0.0 and se == 0.0
-
-
-def test_berry_esseen_requires_unit_vector():
-    r = E.make_ensemble("rademacher")
-    with pytest.raises(E.InvalidArgument):
-        E.berry_esseen_gap(r, np.array([1.0, 1.0]), 100, 0)
-
-
-def test_berry_esseen_rademacher_e1_vs_quadrature():
-    # |phi_1| = 1 a.s.: the tail-gap integral has an independent 1-d oracle
-    def integrand(t):
-        emp = 1.0 if t < 1.0 else 0.0
-        return abs(emp - 2.0 * (1.0 - norm.cdf(t)))
-
-    oracle = quad(integrand, 0.0, 1.0)[0] + quad(integrand, 1.0, 12.0)[0]
-    r = E.make_ensemble("rademacher")
-    gap, se = E.berry_esseen_gap(r, np.array([1.0, 0.0, 0.0]), 20_000, 3)
-    assert abs(gap - oracle) <= 3 * se + 1e-6
-
-
-def test_berry_esseen_flat_vector_bound():
-    r = E.make_ensemble("rademacher")
-    u = np.ones(16) / 4.0
-    gap, se = E.berry_esseen_gap(r, u, 40_000, 5)
-    assert gap <= 47.0 / 4.0 + 3 * se
-
-
 def test_exact_tail_gap_discrete_matches_quadrature():
     # two-atom |X| in {0.5, 1.5} with probs {0.5, 0.5}
     mags = np.array([0.5, 1.5])
@@ -181,3 +163,25 @@ def test_estimated_kappa_below_generic_bound():
         lhs = abs(est - SQ2PI * np.linalg.norm(u))
         assert lhs <= r.kappa_sg * np.max(np.abs(u)) + 3 * se
 
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_uniform_sum_tail_matches_empirical_tail(k):
+    # |S| for S a flat sum of k bounded uniforms over sqrt(k): by the DKW
+    # inequality the empirical tail of 200000 draws is within 0.005 of the
+    # true one everywhere, so on the grid too, with probability
+    # 1 - 2 exp(-10) > 1 - 1e-4
+    draws = E.sample_iid(E.make_ensemble("bounded-uniform"), (200_000, k),
+                         np.random.SeedSequence((13, k)))
+    mags = np.sort(np.abs(draws.sum(axis=1) / math.sqrt(k)))
+    ts = np.linspace(0.0, math.sqrt(3.0 * k), 2001)
+    empirical = 1.0 - np.searchsorted(mags, ts, side="left") / mags.size
+    exact = np.array([E._uniform_sum_tail(t, k) for t in ts])
+    assert np.max(np.abs(exact - empirical)) <= 0.005
+
+
+def test_estimated_kappa_is_exact():
+    # the K = 1 bounded-uniform gap is the largest of the twelve and is kappa
+    assert E._uniform_tail_gap(1) == 0.15427951516112146
+    assert E.make_ensemble("bounded-uniform", "estimated").kappa_sg == 0.15427951516112146
+    assert E.make_ensemble("rademacher", "estimated").kappa_sg == 0.5353773215478798
+    assert E.make_ensemble("gaussian", "estimated").kappa_sg == 0.0

@@ -127,6 +127,28 @@ def test_minimal_m_validation():
         G.minimal_m(spec, "embed-sideways", 0.2, 0.5, 1.0)
     with pytest.raises(E.InvalidArgument):
         G.minimal_m(G.EuclideanBall(n=4, radius=1.0), "embed-structured", 0.2, 0.5, 1.0)
+    # a count that is not finite: an infinite constant or bin width, or a
+    # power that underflows to a zero divisor or overflows
+    ball = G.EuclideanBall(n=2, radius=1.0)
+    for args in ((spec, "embed-structured", 0.5, 0.5, math.inf),
+                 (ball, "width-general", 0.5, math.inf, 1.0),
+                 (ball, "embed-general", 1e-70, 0.5, 1.0),
+                 (spec, "width-general", 0.5, 1e200, 1.0)):
+        with pytest.raises(E.InvalidArgument):
+            G.minimal_m(*args, draws=16)
+
+
+def test_sets_must_be_finite():
+    for make in (lambda r: G.SparseBall(n=4, k=2, radius=r),
+                 lambda r: G.LowRankBall(n1=2, n2=2, r=1, radius=r),
+                 lambda r: G.EuclideanBall(n=2, radius=r),
+                 lambda r: G.FiniteSet(points=np.array([[r, 0.0], [1.0, 0.0]]))):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(E.InvalidArgument):
+                make(value)
+    for radius in (0.0, -1.0):
+        with pytest.raises(E.InvalidArgument):
+            G.EuclideanBall(n=2, radius=radius)
 
 
 def test_ball_mesh():

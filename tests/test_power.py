@@ -12,8 +12,10 @@ import textwrap
 import pytest
 
 import test_distances
+import test_ensembles
 import test_experiments
 import test_quantizer
+from qembed import ensembles as E
 from qembed import experiments as X
 from qembed import quantizer as Q
 
@@ -28,6 +30,11 @@ DEFECTS = {
     "row-blocks-drop-the-partial-block":
         (Q.QuantizedMap, "row_blocks", "range(0, self.m, rows)",
          "range(0, self.m - self.m % rows, rows)"),
+    "rademacher-entries-for-gaussian-ones":
+        (E, "sample_iid", "return rng.standard_normal(shape)",
+         "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
+    "irwin-hall-without-its-last-term":
+        (E, "_uniform_sum_tail", "range(int(y) + 1)", "range(int(y))"),
 }
 
 # (defect, test that must fail, its arguments)
@@ -41,6 +48,9 @@ ROWS = [
      ("gaussian",)),
     ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,
      ("gaussian",)),
+    ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
+    ("irwin-hall-without-its-last-term",
+     test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),
 ]
 
 

@@ -128,6 +128,8 @@ def test_dither_length_validation():
         Q.QuantizedMap(mat, np.random.default_rng(0).random(3), 1.0)
     with pytest.raises(E.InvalidArgument):
         Q.QuantizedMap(mat, np.array([0.1, np.nan, 0.2, 0.3]), 1.0)
+    with pytest.raises(E.InvalidArgument):
+        Q.QuantizedMap(np.ones(3), np.zeros(3), 1.0)
 
 
 def test_shift_covariance():
