@@ -79,22 +79,25 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     return out
 
 
-def pair_distances(qmap: QuantizedMap, xs) -> np.ndarray:
+def pair_distances(blocks, xs) -> np.ndarray:
     """D for each pair of columns x0, y0, x1, y1, ... of xs:
     (delta/M) * l1 distance of the integer codes.
 
-    The l1 distance is a sum over rows, so it is summed block by block over
-    the map's rows, holding one block's codes at a time, never all M rows.
+    blocks are the sub-maps of one map over its row blocks (map_blocks); a
+    whole map is passed as the one block [qmap]. The l1 distance is a sum
+    over rows, so it is summed block by block, holding one block's codes at
+    a time.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] % 2:
-        raise InvalidArgument(f"expected pairs of columns, shape ({qmap.n}, 2 * pairs), "
-                              f"got {xs.shape}")
+        raise InvalidArgument(f"expected pairs of columns, shape (n, 2 * pairs), got {xs.shape}")
     total = np.zeros(xs.shape[1] // 2, dtype=np.int64)
-    for block in qmap.row_blocks(xs.shape[1]):
+    m = 0
+    for block in blocks:
         codes = apply_many(block, xs)
         total += np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0)
-    return qmap.delta * total / qmap.m
+        m += block.m
+    return block.delta * total / m
 
 
 def _projected_pair(qmap: QuantizedMap, x, y) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfcinv, gammaln, ndtr
@@ -108,14 +109,28 @@ def sample_iid(ensemble: Ensemble, shape, seed) -> np.ndarray:
     raise InvalidArgument(f"unknown ensemble kind: {ensemble.kind!r}")
 
 
-def sample_matrix(ensemble: Ensemble, m: int, n: int, seed: int) -> np.ndarray:
-    """Read-only M x N sensing matrix of i.i.d. ensemble draws, reproducible
-    from (ensemble, m, n, seed)."""
+def sample_matrix(ensemble: Ensemble, m: int, n: int, seed, rows: Optional[int] = None):
+    """The M x N sensing matrix of i.i.d. ensemble draws, reproducible from
+    (ensemble, m, n, seed), as read-only blocks of `rows` consecutive rows
+    (all M rows in one block by default), each drawn only when it is asked for.
+
+    Every block is drawn from one Generator, which fills arrays in C order, so
+    the blocks stacked are bit for bit the matrix drawn whole, whatever rows
+    is, and a caller that uses each block in turn holds one at a time.
+    """
     if m < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be >= 1")
-    phi = sample_iid(ensemble, (m, n), seed)
-    phi.setflags(write=False)
-    return phi
+    rows = m if rows is None else rows
+    if rows < 1:
+        raise InvalidArgument("rows per block must be >= 1")
+    return _row_blocks(ensemble, m, n, np.random.default_rng(seed), rows)
+
+
+def _row_blocks(ensemble: Ensemble, m: int, n: int, rng: np.random.Generator, rows: int):
+    for start in range(0, m, rows):
+        block = sample_iid(ensemble, (min(rows, m - start), n), rng)
+        block.setflags(write=False)
+        yield block
 
 
 def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:

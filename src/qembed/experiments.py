@@ -38,9 +38,10 @@ from .geometry import (
     diameter,
     sample_point,
 )
-from .quantizer import QuantizedMap, apply_many, make_map, quantize_array
+from .quantizer import QuantizedMap, apply_many, block_rows, make_map, map_blocks, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
+MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
 
 
 class SetFilterError(RuntimeError):
@@ -70,8 +71,9 @@ class TrialPlan:
             raise InvalidArgument("pairs_per_m and trials_per_m must be >= 1")
         if not (self.delta > 0):
             raise InvalidArgument("delta must be positive")
-        if self.k0 < 0:
-            raise InvalidArgument("k0 must be nonnegative (0 disables the filter)")
+        if not (0 <= self.k0 < math.inf):
+            raise InvalidArgument(f"k0 must be finite and nonnegative (0 disables the filter), "
+                                  f"got {self.k0}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ def _run_tasks(task_args, fn, jobs: int):
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """OLS slope and stderr of log(statistic) against log(m)."""
     pts = [(m, s) for m, s in points if s > 0]
-    if len(pts) < 3:
-        raise InsufficientData(f"need >= 3 positive points, got {len(pts)}")
+    if len(pts) < MIN_FIT_POINTS:
+        raise InsufficientData(f"need >= {MIN_FIT_POINTS} positive points, got {len(pts)}")
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     n = len(x)
@@ -161,8 +163,12 @@ def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
     statistics and the log-log fit.
 
     one(m_index, m, trial) returns (statistic, censored, fingerprint);
-    censored statistics stay out of the per-m values and the fit.
+    censored statistics stay out of the per-m values and the fit. A slope
+    band on a grid too short to fit is a usage error, not a failed check.
     """
+    if slope_band is not None and len(plan.m_grid) < MIN_FIT_POINTS:
+        raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
+                              f"got {len(plan.m_grid)}")
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
     rows = [TrialRow(experiment, m, t, *res)
             for (_, m, t), res in zip(tasks, _run_tasks(tasks, one, jobs))]
@@ -208,7 +214,6 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     def one(m_index: int, m: int, trial: int):
         ss = task_seed(plan.master_seed, m_index, trial)
         map_seed, pair_seed = ss.spawn(2)
-        qmap = make_map(plan.ensemble, m, n, plan.delta, map_seed)
         rng = np.random.default_rng(pair_seed)
         xs = np.empty((n, 2 * plan.pairs_per_m))
         dists = np.empty(plan.pairs_per_m)
@@ -217,7 +222,9 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
             xs[:, 2 * j] = x
             xs[:, 2 * j + 1] = y
             dists[j] = np.linalg.norm(x - y)
-        errs = np.abs(pair_distances(qmap, xs) - SQRT_2_OVER_PI * dists)
+        blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed,
+                            block_rows(n, xs.shape[1]))
+        errs = np.abs(pair_distances(blocks, xs) - SQRT_2_OVER_PI * dists)
         stat = float(np.max(errs / (dists + plan.delta))) - allowance
         return stat, stat <= 0, seed_fingerprint(ss)
 
@@ -289,15 +296,15 @@ def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
     return np.minimum(caps, gap.min(axis=0))
 
 
-def _ray_radii(qmap: QuantizedMap, anchors: np.ndarray, dirs: np.ndarray,
-               caps: np.ndarray) -> np.ndarray:
+def _ray_radii(blocks, anchors: np.ndarray, dirs: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """_consistent_radii of the rays anchors[:, j] + r dirs[:, j] under the
-    whole map, one row block at a time: the cell is an intersection of
-    per-row slabs, so each block's radii cap the next block's."""
+    map whose row-block sub-maps are blocks (a whole map is [qmap]), one
+    block at a time: the cell is an intersection of per-row slabs, so each
+    block's radii cap the next block's."""
     radii = caps
-    for block in qmap.row_blocks(anchors.shape[1]):
+    for block in blocks:
         radii = _consistent_radii(block.project_many(anchors), block.phi @ dirs, radii,
-                                  qmap.delta)
+                                  block.delta)
     return radii
 
 
@@ -334,13 +341,12 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
     def one(m_index: int, m: int, trial: int):
         ss = task_seed(plan.master_seed, m_index, trial)
         map_seed, sample_seed = ss.spawn(2)
-        qmap = make_map(plan.ensemble, m, n, plan.delta, map_seed)
         rng = np.random.default_rng(sample_seed)
         if finite:
             # exact width: group all points by code vector, take the largest
             # filtered intra-group distance
             pts = plan.set_spec.points
-            codes = apply_many(qmap, pts.T)
+            codes = apply_many(make_map(plan.ensemble, m, n, plan.delta, map_seed), pts.T)
             _, inverse = np.unique(codes.T, axis=0, return_inverse=True)
             widths = [_max_filtered_distance(pts[inverse == gid], plan.k0)
                       for gid in range(int(inverse.max()) + 1)]
@@ -355,7 +361,8 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
-            widths = _ray_radii(qmap, anchors, dirs, caps)
+            blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, p))
+            widths = _ray_radii(blocks, anchors, dirs, caps)
         best = float(np.max(widths))
         if best > 0:
             return best, False, seed_fingerprint(ss)
@@ -544,7 +551,8 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> No
     bern = make_ensemble("rademacher")
     for sub in root.spawn(trials):
         # the undithered rounding map: a constant half-bin dither
-        qmap = QuantizedMap(sample_matrix(bern, m, k0, sub), np.full(m, 0.5), 1.0)
+        [phi] = sample_matrix(bern, m, k0, sub)
+        qmap = QuantizedMap(phi, np.full(m, 0.5), 1.0)
         codes = apply_many(qmap, np.column_stack([u, v]))
         if np.array_equal(codes[:, 0], codes[:, 1]):
             passes += 1
@@ -638,7 +646,7 @@ def section2_bernoulli_floor(m: int, trials: int, seed) -> FloorContrastReport:
     bern = make_ensemble("rademacher")
     n = 2
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
-    all_exact = all(pair_distances(make_map(bern, m, n, 1.0, sub), pair)[0] == 1.0
+    all_exact = all(pair_distances([make_map(bern, m, n, 1.0, sub)], pair)[0] == 1.0
                     for sub in as_seedseq(seed).spawn(trials))
     return FloorContrastReport(all_exact=all_exact, trials=trials, m=m,
                                implied_floor=1.0 - SQRT_2_OVER_PI)

@@ -21,7 +21,7 @@ VARIANTS = ("floor", "round")
 
 BOUNDARY_TOL = 1e-12
 
-BLOCK_ENTRIES = 2**16  # float64 entries (512 KB) of one row block's (rows, count) arrays
+BLOCK_ENTRIES = 2**17  # float64 entries (1 MB) of each of one row block's arrays
 
 
 class InternalConsistencyError(RuntimeError):
@@ -111,35 +111,47 @@ class QuantizedMap:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
         return self.phi @ xs + self.xi[:, None]
 
-    def row_blocks(self, count: int):
-        """Sub-maps over consecutive rows of Phi and xi (views, not copies),
-        BLOCK_ENTRIES // count rows each, so that a block's (rows, count)
-        projection and codes stay in cache. Each row is quantized on its own,
-        so per-row statistics of a batch of count vectors can be reduced
-        block by block."""
-        rows = max(1, BLOCK_ENTRIES // max(count, 1))
-        for start in range(0, self.m, rows):
-            sl = slice(start, start + rows)
-            yield QuantizedMap(self.phi[sl], self.xi[sl], self.delta)
+
+def block_rows(n: int, count: int) -> int:
+    """Rows of a row block such that its part of Phi, (rows, n), and its
+    projection of count vectors, (rows, count), each hold at most
+    BLOCK_ENTRIES entries, whatever M is."""
+    return max(1, BLOCK_ENTRIES // max(n, count))
 
 
-def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
-             dithered: bool = True, variant: str = "floor") -> QuantizedMap:
-    """Draw a frozen map: matrix and dither from seeds derived from one root.
+def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int,
+               dithered: bool = True, variant: str = "floor"):
+    """The map make_map(ensemble, m, n, delta, seed, dithered, variant) as
+    sub-maps over consecutive blocks of `rows` rows of Phi and xi.
 
-    xi is uniform on [0, delta), or zero for the undithered map; the round
-    variant adds delta/2 to it, since round(t) = floor(t + delta/2).
+    Each block of Phi is drawn only when the next sub-map is asked for, so a
+    caller that reduces over rows (every row is quantized on its own) holds
+    one block of Phi, never all M rows. The dither is drawn whole from its
+    own seed: M floats. xi is uniform on [0, delta), or zero for the
+    undithered map; the round variant adds delta/2 to it, since
+    round(t) = floor(t + delta/2).
     """
     if variant not in VARIANTS:
         raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     mat_seed, dither_seed = root.spawn(2)
-    phi = sample_matrix(ensemble, m, n, mat_seed)
+    phis = sample_matrix(ensemble, m, n, mat_seed, rows)
     xi = np.random.default_rng(dither_seed).random(m) * delta if dithered else np.zeros(m)
     if variant == "round":
         xi += 0.5 * delta
     xi.setflags(write=False)
-    return QuantizedMap(phi, xi, delta)
+    start = 0
+    for phi in phis:
+        yield QuantizedMap(phi, xi[start:start + len(phi)], delta)
+        start += len(phi)
+
+
+def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
+             dithered: bool = True, variant: str = "floor") -> QuantizedMap:
+    """Draw a frozen map: matrix and dither from seeds derived from one root
+    (map_blocks with all M rows in one block)."""
+    [qmap] = map_blocks(ensemble, m, n, delta, seed, m, dithered, variant)
+    return qmap
 
 
 def apply_many(qmap: QuantizedMap, xs: np.ndarray) -> np.ndarray:

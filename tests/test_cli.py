@@ -246,6 +246,14 @@ INPUTS = {
     (["width", "--set", "finite:file=TMP/nan.txt"], 2),
     (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=nan,inf"], 2),
     (["consistency-width", *SWEEP, *SPARSE, "--slope-band=1,-1"], 2),
+    (["quasi-isometry", "--set", "ball:N=2", "--m-grid", "16,32", "--pairs", "4", "--trials",
+      "2", "--k0", "nan"], 2),
+    (["quasi-isometry", "--set", "ball:N=2", "--m-grid", "16,32", "--pairs", "4", "--trials",
+      "2", "--k0", "inf"], 2),
+    (["quasi-isometry", "--set", "ball:N=2", "--m-grid", "16", "--pairs", "4", "--trials", "2",
+      "--slope-band=-1,1"], 2),
+    (["consistency-width", "--set", "ball:N=2", "--m-grid", "16,32", "--pairs", "4", "--trials",
+      "2", "--slope-band=-1,1"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage

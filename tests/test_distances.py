@@ -103,23 +103,28 @@ def test_pair_distances_rejects_odd_column_count():
     qmap = Q.make_map(E.make_ensemble("gaussian"), 64, 2, 0.5, 1)
     for xs in ([[0, 1, 5], [0, 0, 0]], [0, 1]):
         with pytest.raises(E.InvalidArgument):
-            D.pair_distances(qmap, xs)
+            D.pair_distances([qmap], xs)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 def test_pair_distances_blocked_equals_whole(kind):
-    # 40 pairs: blocks of BLOCK_ENTRIES // 80 rows, and M = 3 blocks + 5 rows
-    # leaves a partial last block
-    count = 80
-    rows = Q.BLOCK_ENTRIES // count
-    qmap = Q.make_map(E.make_ensemble(kind), 3 * rows + 5, 16, 0.5, 3)
-    blocks = list(qmap.row_blocks(count))
+    # 40 pairs in dimension 16: blocks of BLOCK_ENTRIES // 80 rows, and
+    # M = 3 blocks + 5 rows leaves a partial last block
+    count, n = 80, 16
+    rows = Q.block_rows(n, count)
+    assert rows == Q.BLOCK_ENTRIES // count
+    m = 3 * rows + 5
+    ens = E.make_ensemble(kind)
+    qmap = Q.make_map(ens, m, n, 0.5, 3)
+    blocks = list(Q.map_blocks(ens, m, n, 0.5, 3, rows))
     assert [b.m for b in blocks] == [rows, rows, rows, 5]
-    assert all(np.shares_memory(b.phi, qmap.phi) for b in blocks)
-    xs = np.random.default_rng(4).standard_normal((16, count))
+    assert np.array_equal(np.vstack([b.phi for b in blocks]), qmap.phi)
+    assert np.array_equal(np.concatenate([b.xi for b in blocks]), qmap.xi)
+    xs = np.random.default_rng(4).standard_normal((n, count))
     codes = Q.apply_many(qmap, xs)
     whole = qmap.delta * np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0) / qmap.m
-    assert np.array_equal(D.pair_distances(qmap, xs), whole)
+    assert np.array_equal(D.pair_distances([qmap], xs), whole)
+    assert np.array_equal(D.pair_distances(Q.map_blocks(ens, m, n, 0.5, 3, rows), xs), whole)
 
 
 def test_soft_distance_t0_equals_pseudo():

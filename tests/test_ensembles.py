@@ -39,31 +39,44 @@ def test_make_ensemble_kappa_sources():
 
 def test_sample_matrix_support_and_reproducibility():
     r = E.make_ensemble("rademacher")
-    m1 = E.sample_matrix(r, 2, 2, 5)
+    [m1] = E.sample_matrix(r, 2, 2, 5)
     assert set(np.unique(m1)) <= {-1.0, 1.0}
-    m2 = E.sample_matrix(r, 2, 2, 5)
+    [m2] = E.sample_matrix(r, 2, 2, 5)
     assert np.array_equal(m1, m2)
     assert not m1.flags.writeable
     with pytest.raises(E.InvalidArgument):
         E.sample_matrix(r, 0, 3, 1)
 
 
+@pytest.mark.parametrize("kind", E.KINDS)
+def test_sample_matrix_blocks_stack_to_the_whole(kind):
+    # M = 3 blocks + 5 rows: the partial last block is drawn too
+    ens = E.make_ensemble(kind)
+    [whole] = E.sample_matrix(ens, 3 * 7 + 5, 9, 23)
+    blocks = list(E.sample_matrix(ens, 3 * 7 + 5, 9, 23, rows=7))
+    assert [b.shape for b in blocks] == [(7, 9)] * 3 + [(5, 9)]
+    assert not any(b.flags.writeable for b in blocks)
+    assert np.array_equal(np.vstack(blocks), whole)
+    with pytest.raises(E.InvalidArgument):
+        E.sample_matrix(ens, 4, 3, 1, rows=0)
+
+
 def test_sample_matrix_law():
     # 20000 entries per kind: the KS bound 0.02 and the +1 share bound 0.02
     # each have a false-alarm rate of 2 exp(-2 * 20000 * 0.02^2) = 2e-7
     s3 = math.sqrt(3.0)
-    gauss = E.sample_matrix(E.make_ensemble("gaussian"), 100, 200, 19).ravel()
+    gauss = next(E.sample_matrix(E.make_ensemble("gaussian"), 100, 200, 19)).ravel()
     assert kstest(gauss, norm.cdf).statistic <= 0.02
-    unif = E.sample_matrix(E.make_ensemble("bounded-uniform"), 100, 200, 19).ravel()
+    unif = next(E.sample_matrix(E.make_ensemble("bounded-uniform"), 100, 200, 19)).ravel()
     assert kstest(unif, uniform(loc=-s3, scale=2 * s3).cdf).statistic <= 0.02
-    signs = E.sample_matrix(E.make_ensemble("rademacher"), 100, 200, 19).ravel()
+    signs = next(E.sample_matrix(E.make_ensemble("rademacher"), 100, 200, 19)).ravel()
     assert set(np.unique(signs)) <= {-1.0, 1.0}
     assert abs(np.mean(signs == 1.0) - 0.5) <= 0.02
 
 
 def test_gaussian_isotropy_row_norms():
     g = E.make_ensemble("gaussian")
-    mat = E.sample_matrix(g, 1000, 1000, 17)
+    [mat] = E.sample_matrix(g, 1000, 1000, 17)
     stat = np.mean(np.sum(mat**2, axis=1) / 1000.0)
     stderr = math.sqrt(2.0 / (1000 * 1000))
     assert abs(stat - 1.0) <= 3 * stderr

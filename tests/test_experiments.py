@@ -26,6 +26,17 @@ def test_trial_plan_validation():
         _plan(pairs_per_m=0)
     with pytest.raises(E.InvalidArgument):
         _plan(delta=0.0)
+    for k0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(E.InvalidArgument, match="k0"):
+            _plan(k0=k0)
+
+
+@pytest.mark.parametrize("sweep", [X.quasi_isometry_sweep, X.consistency_width_sweep])
+@pytest.mark.parametrize("grid", [(16,), (16, 32)])
+def test_slope_band_needs_a_grid_that_can_be_fitted(sweep, grid):
+    with pytest.raises(E.InvalidArgument, match="slope band"):
+        sweep(_plan(m_grid=grid), slope_band=(-1.0, 1.0))
+    assert sweep(_plan(m_grid=grid, trials_per_m=1)).verdict is None
 
 
 def test_fit_loglog_exact_power_laws():
@@ -160,20 +171,43 @@ def test_consistent_radius_is_tight(kind, m):
 def test_ray_radii_blocked_equals_whole(kind):
     # 1024 rays: blocks of BLOCK_ENTRIES // 1024 rows, and M = 3 blocks + 5
     # rows leaves a partial last block, which holds the nearest wall of
-    # about 1 ray in 40
+    # about 1 ray in 80
     from qembed import quantizer as Q
 
-    rays = 1024
-    spec = G.SparseBall(n=64, k=4, radius=1.0)
-    qmap = Q.make_map(E.make_ensemble(kind), 3 * (Q.BLOCK_ENTRIES // rays) + 5, 64, 0.5, 7)
+    rays, n = 1024, 64
+    rows = Q.block_rows(n, rays)
+    assert rows == Q.BLOCK_ENTRIES // rays
+    m = 3 * rows + 5
+    ens = E.make_ensemble(kind)
+    spec = G.SparseBall(n=n, k=4, radius=1.0)
+    qmap = Q.make_map(ens, m, n, 0.5, 7)
     rng = np.random.default_rng(7)
-    anchors, dirs, caps = np.empty((64, rays)), np.empty((64, rays)), np.empty(rays)
+    anchors, dirs, caps = np.empty((n, rays)), np.empty((n, rays)), np.empty(rays)
     for j in range(rays):
         anchors[:, j] = G.sample_point(spec, rng)
         dirs[:, j] = X._direction_for(spec, anchors[:, j], 1.0, rng)
         caps[j] = X._radial_cap(anchors[:, j], dirs[:, j], 1.0)
     whole = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
-    assert np.array_equal(X._ray_radii(qmap, anchors, dirs, caps), whole)
+    assert np.array_equal(X._ray_radii([qmap], anchors, dirs, caps), whole)
+    streamed = X._ray_radii(Q.map_blocks(ens, m, n, 0.5, 7, rows), anchors, dirs, caps)
+    assert np.array_equal(streamed, whole)
+
+
+@pytest.mark.parametrize("sweep", [X.quasi_isometry_sweep, X.consistency_width_sweep])
+def test_sweep_holds_one_block_of_phi(sweep):
+    # M = 4096, N = 512: Phi is 16 MiB, and a trial that draws it block by
+    # block stays below a quarter of that
+    import tracemalloc
+
+    plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(4096,),
+                 pairs_per_m=20, trials_per_m=1)
+    tracemalloc.start()
+    try:
+        sweep(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 512 * 8 / 4
 
 
 def test_consistent_radius_on_a_wall_and_without_motion():
@@ -318,7 +352,7 @@ def test_section2_floor_exact_and_contrast():
 
     gauss = E.make_ensemble("gaussian")
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])
-    vals = np.array([D.pair_distances(Q.make_map(gauss, 64, 2, 1.0, seed), pair)[0]
+    vals = np.array([D.pair_distances([Q.make_map(gauss, 64, 2, 1.0, seed)], pair)[0]
                      for seed in range(60)])
     assert abs(vals.mean() - SQ2PI) <= 4 * vals.std(ddof=1) / np.sqrt(len(vals))
 

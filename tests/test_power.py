@@ -28,8 +28,11 @@ DEFECTS = {
     "radius-to-the-wall-behind":
         (X, "_consistent_radii", "k += dz > 0", "k += dz < 0"),
     "row-blocks-drop-the-partial-block":
-        (Q.QuantizedMap, "row_blocks", "range(0, self.m, rows)",
-         "range(0, self.m - self.m % rows, rows)"),
+        (E, "_row_blocks", "range(0, m, rows)", "range(0, m - m % rows, rows)"),
+    # the sweeps call map_blocks through experiments' own binding of it
+    "sweeps-draw-the-whole-matrix-as-one-block":
+        (X, "map_blocks", "sample_matrix(ensemble, m, n, mat_seed, rows)",
+         "sample_matrix(ensemble, m, n, mat_seed, m)"),
     "rademacher-entries-for-gaussian-ones":
         (E, "sample_iid", "return rng.standard_normal(shape)",
          "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
@@ -48,6 +51,12 @@ ROWS = [
      ("gaussian",)),
     ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,
      ("gaussian",)),
+    ("row-blocks-drop-the-partial-block",
+     test_ensembles.test_sample_matrix_blocks_stack_to_the_whole, ("gaussian",)),
+    ("sweeps-draw-the-whole-matrix-as-one-block",
+     test_experiments.test_sweep_holds_one_block_of_phi, (X.quasi_isometry_sweep,)),
+    ("sweeps-draw-the-whole-matrix-as-one-block",
+     test_experiments.test_sweep_holds_one_block_of_phi, (X.consistency_width_sweep,)),
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
     ("irwin-hall-without-its-last-term",
      test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),

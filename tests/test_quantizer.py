@@ -123,7 +123,7 @@ def test_apply_dimension_mismatch():
 
 def test_dither_length_validation():
     ens = E.make_ensemble("gaussian")
-    mat = E.sample_matrix(ens, 4, 2, 0)
+    [mat] = E.sample_matrix(ens, 4, 2, 0)
     with pytest.raises(E.InvalidArgument):
         Q.QuantizedMap(mat, np.random.default_rng(0).random(3), 1.0)
     with pytest.raises(E.InvalidArgument):
@@ -135,7 +135,7 @@ def test_dither_length_validation():
 def test_shift_covariance():
     # floor(t + k) = floor(t) + k: shifting the dither by k*delta shifts codes by k
     ens = E.make_ensemble("gaussian")
-    mat = E.sample_matrix(ens, 8, 3, 4)
+    [mat] = E.sample_matrix(ens, 8, 3, 4)
     base = np.random.default_rng(1).random(8) * 0.5
     shifted = base + 3 * 0.5
     x = np.array([0.3, -0.7, 1.1])
