@@ -25,7 +25,6 @@ from .ensembles import (
     binomial_mad_de_moivre,
     mu_sg_exact_binomial,
     sample_iid,
-    sample_matrix,
 )
 from .distances import pair_distances, soft_count_array
 from .geometry import (
@@ -38,7 +37,8 @@ from .geometry import (
     diameter,
     sample_point,
 )
-from .quantizer import QuantizedMap, apply_many, block_rows, make_map, map_blocks, quantize_array
+from .quantizer import (BLOCK_ENTRIES, apply_many, block_rows, make_map, map_blocks,
+                        quantize_array)
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
@@ -102,7 +102,6 @@ class ExperimentResult:
     slope: Optional[float]
     slope_stderr: Optional[float]
     verdict: Optional[bool]
-    master_seed: int
     censored_total: int = 0
     detail: dict = field(default_factory=dict)
 
@@ -157,18 +156,33 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng, max_tries: int = 200):
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
 
-def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
+def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int,
            detail=None) -> ExperimentResult:
-    """Fan the (m, trial) tasks out and aggregate them into rows, per-m
-    statistics and the log-log fit.
+    """Run one trial per (m, trial) task and aggregate the trials into rows,
+    per-m statistics and the log-log fit.
 
-    one(m_index, m, trial) returns (statistic, censored, fingerprint);
-    censored statistics stay out of the per-m values and the fit. A slope
-    band on a grid too short to fit is a usage error, not a failed check.
+    A trial splits its task seed into a map seed and a sample seed and calls
+    measure(rng, blocks) with a Generator on the sample seed; blocks(count)
+    yields the trial's map as row-block sub-maps sized for projecting count
+    vectors. A statistic <= 0 is censored: it stays out of the per-m values
+    and the fit. A slope band on a grid too short to fit is a usage error,
+    not a failed check.
     """
     if slope_band is not None and len(plan.m_grid) < MIN_FIT_POINTS:
         raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
                               f"got {len(plan.m_grid)}")
+    n = ambient_dim(plan.set_spec)
+
+    def one(m_index: int, m: int, trial: int):
+        ss = task_seed(plan.master_seed, m_index, trial)
+        map_seed, sample_seed = ss.spawn(2)
+
+        def blocks(count: int):
+            return map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, count))
+
+        stat = measure(np.random.default_rng(sample_seed), blocks)
+        return stat, stat <= 0, seed_fingerprint(ss)
+
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
     rows = [TrialRow(experiment, m, t, *res)
             for (_, m, t), res in zip(tasks, _run_tasks(tasks, one, jobs))]
@@ -193,7 +207,6 @@ def _sweep(experiment: str, plan: TrialPlan, one, slope_band, jobs: int,
             verdict = False
     return ExperimentResult(experiment=experiment, rows=rows, per_m=per_m, slope=slope,
                             slope_stderr=stderr, verdict=verdict,
-                            master_seed=plan.master_seed,
                             censored_total=sum(s.n_censored for s in per_m),
                             detail=dict(detail or {}))
 
@@ -211,24 +224,19 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     n = ambient_dim(plan.set_spec)
     allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
 
-    def one(m_index: int, m: int, trial: int):
-        ss = task_seed(plan.master_seed, m_index, trial)
-        map_seed, pair_seed = ss.spawn(2)
-        rng = np.random.default_rng(pair_seed)
-        xs = np.empty((n, 2 * plan.pairs_per_m))
-        dists = np.empty(plan.pairs_per_m)
-        for j in range(plan.pairs_per_m):
+    def measure(rng, blocks) -> float:
+        p = plan.pairs_per_m
+        xs = np.empty((n, 2 * p))
+        dists = np.empty(p)
+        for j in range(p):
             x, y = _sample_filtered_pair(plan.set_spec, plan.k0, rng)
             xs[:, 2 * j] = x
             xs[:, 2 * j + 1] = y
             dists[j] = np.linalg.norm(x - y)
-        blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed,
-                            block_rows(n, xs.shape[1]))
-        errs = np.abs(pair_distances(blocks, xs) - SQRT_2_OVER_PI * dists)
-        stat = float(np.max(errs / (dists + plan.delta))) - allowance
-        return stat, stat <= 0, seed_fingerprint(ss)
+        errs = np.abs(pair_distances(blocks(2 * p), xs) - SQRT_2_OVER_PI * dists)
+        return float(np.max(errs / (dists + plan.delta))) - allowance
 
-    res = _sweep("quasi-isometry", plan, one, slope_band, jobs, {"allowance": allowance})
+    res = _sweep("quasi-isometry", plan, measure, slope_band, jobs, {"allowance": allowance})
     if allowance > 0 and res.censored_total == len(res.rows):
         raise InvalidArgument(
             f"vacuous plan: the allowance kappa/sqrt(k0) = {allowance:.4g} censors every "
@@ -237,11 +245,8 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
 
 
 def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng, max_tries: int = 100):
-    """Unit direction u with x + r*u staying in the set for small r > 0 and
-    u passing the anti-sparsity filter. Returns None when the kind has no
-    continuum directions (finite sets)."""
-    if isinstance(spec, FiniteSet):
-        return None
+    """Unit direction u of a continuum set with x + r*u staying in the set
+    for small r > 0 and u passing the anti-sparsity filter."""
     for _ in range(max_tries):
         if isinstance(spec, SparseBall):
             support = np.flatnonzero(np.abs(x) > 1e-12)
@@ -308,11 +313,14 @@ def _ray_radii(blocks, anchors: np.ndarray, dirs: np.ndarray, caps: np.ndarray) 
     return radii
 
 
-def _max_filtered_distance(points: np.ndarray, k0: float, block: int = 256) -> float:
-    """Largest pairwise distance whose difference passes the k0 filter."""
+def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
+    """Largest pairwise distance whose difference passes the k0 filter,
+    comparing a chunk of points with all of them at a time: each chunk's
+    (chunk, points, n) differences hold at most BLOCK_ENTRIES entries."""
     best = 0.0
-    for start in range(0, len(points), block):
-        rows = points[start:start + block]
+    chunk = max(1, BLOCK_ENTRIES // points.size)
+    for start in range(0, len(points), chunk):
+        rows = points[start:start + chunk]
         diff = rows[:, None, :] - points[None, :, :]
         norms = np.linalg.norm(diff, axis=2)
         if k0 > 1.0:
@@ -321,6 +329,25 @@ def _max_filtered_distance(points: np.ndarray, k0: float, block: int = 256) -> f
             norms = np.where(level >= k0, norms, 0.0)
         best = max(best, float(norms.max()))
     return best
+
+
+def _shared_code_widths(blocks, points: np.ndarray, k0: float) -> np.ndarray:
+    """Per group of points with one code under the map whose row-block
+    sub-maps are blocks, the largest k0-filtered distance within the group.
+
+    Each block refines an integer label per point: two points keep one label
+    while their codes agree on every row so far. Once every point has a label
+    of its own no later row can merge two groups, so the blocks left are not
+    drawn and every width is 0.
+    """
+    label = np.zeros(len(points), dtype=np.int64)
+    for block in blocks:
+        _, label = np.unique(np.vstack([label, apply_many(block, points.T)]), axis=1,
+                             return_inverse=True)
+        if label.max() + 1 == len(points):
+            return np.zeros(1)
+    return np.array([_max_filtered_distance(points[label == g], k0)
+                     for g in range(label.max() + 1)])
 
 
 def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
@@ -336,20 +363,11 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
     if d > 1.0 + 1e-9:
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
     n = ambient_dim(plan.set_spec)
-    finite = isinstance(plan.set_spec, FiniteSet)
 
-    def one(m_index: int, m: int, trial: int):
-        ss = task_seed(plan.master_seed, m_index, trial)
-        map_seed, sample_seed = ss.spawn(2)
-        rng = np.random.default_rng(sample_seed)
-        if finite:
-            # exact width: group all points by code vector, take the largest
-            # filtered intra-group distance
+    def measure(rng, blocks) -> float:
+        if isinstance(plan.set_spec, FiniteSet):
             pts = plan.set_spec.points
-            codes = apply_many(make_map(plan.ensemble, m, n, plan.delta, map_seed), pts.T)
-            _, inverse = np.unique(codes.T, axis=0, return_inverse=True)
-            widths = [_max_filtered_distance(pts[inverse == gid], plan.k0)
-                      for gid in range(int(inverse.max()) + 1)]
+            widths = _shared_code_widths(blocks(len(pts)), pts, plan.k0)
         else:
             p = plan.pairs_per_m
             anchors = np.empty((n, p))
@@ -361,14 +379,11 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
-            blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, p))
-            widths = _ray_radii(blocks, anchors, dirs, caps)
-        best = float(np.max(widths))
-        if best > 0:
-            return best, False, seed_fingerprint(ss)
-        return 0.0, True, seed_fingerprint(ss)
+            widths = _ray_radii(blocks(p), anchors, dirs, caps)
+        # max(0.0, ...) records a censored width as 0.0, never -0.0
+        return max(0.0, float(np.max(widths)))
 
-    return _sweep("consistency-width", plan, one, slope_band, jobs)
+    return _sweep("consistency-width", plan, measure, slope_band, jobs)
 
 
 # --- lemma-level Monte Carlo checks ---
@@ -550,9 +565,7 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> No
 
     bern = make_ensemble("rademacher")
     for sub in root.spawn(trials):
-        # the undithered rounding map: a constant half-bin dither
-        [phi] = sample_matrix(bern, m, k0, sub)
-        qmap = QuantizedMap(phi, np.full(m, 0.5), 1.0)
+        qmap = make_map(bern, m, k0, 1.0, sub, dithered=False, variant="round")
         codes = apply_many(qmap, np.column_stack([u, v]))
         if np.array_equal(codes[:, 0], codes[:, 1]):
             passes += 1

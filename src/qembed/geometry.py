@@ -91,25 +91,6 @@ def diameter(spec: SetSpec) -> float:
     return float(spec.radius)
 
 
-def contains(spec: SetSpec, u: np.ndarray, tol: float = 1e-9) -> bool:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (ambient_dim(spec),):
-        return False
-    if isinstance(spec, FiniteSet):
-        return bool(np.any(np.linalg.norm(spec.points - u, axis=1) <= tol))
-    if isinstance(spec, SparseBall):
-        nz = np.sum(np.abs(u) > tol)
-        return nz <= spec.k and np.linalg.norm(u) <= spec.radius + tol
-    if isinstance(spec, LowRankBall):
-        mat = u.reshape(spec.n1, spec.n2)
-        s = np.linalg.svd(mat, compute_uv=False)
-        rank = np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0))
-        return rank <= spec.r and np.linalg.norm(u) <= spec.radius + tol
-    if isinstance(spec, EuclideanBall):
-        return bool(np.linalg.norm(u) <= spec.radius + tol)
-    raise InvalidArgument(f"unknown set spec: {spec!r}")
-
-
 def sample_point(spec: SetSpec, seed) -> np.ndarray:
     """One point of the set. Accepts a seed or a numpy Generator."""
     rng = np.random.default_rng(seed)

@@ -90,14 +90,28 @@ def test_quasi_isometry_filter_error():
         X.quasi_isometry_sweep(_plan(k0=20.0, m_grid=(8,), trials_per_m=1, pairs_per_m=2))
 
 
+def _clustered(seed: int, n: int = 64, clusters: int = 40, size: int = 10) -> np.ndarray:
+    """clusters * size points inside the unit ball around centres of norm 1/2,
+    at spreads from 1e-4 to 1e-1, so that the rows of a map separate them one
+    at a time; the first 7 points repeat at the end."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((clusters, n))
+    centres *= 0.5 / np.linalg.norm(centres, axis=1, keepdims=True)
+    spread = 10.0 ** rng.uniform(-4, -1, (clusters * size, 1))
+    noise = rng.standard_normal((clusters * size, n)) / math.sqrt(n)
+    pts = np.repeat(centres, size, axis=0) + spread * noise
+    return np.vstack([pts, pts[:7]])
+
+
 def test_sweep_determinism_across_jobs():
-    plan = _plan()
-    a = X.quasi_isometry_sweep(plan, jobs=1)
-    b = X.quasi_isometry_sweep(plan, jobs=4)
-    assert X.rows_to_csv(a.rows) == X.rows_to_csv(b.rows)
-    wa = X.consistency_width_sweep(plan, jobs=1)
-    wb = X.consistency_width_sweep(plan, jobs=4)
-    assert X.rows_to_csv(wa.rows) == X.rows_to_csv(wb.rows)
+    finite = G.FiniteSet(points=_clustered(3, n=8, clusters=6))
+    for plan in (_plan(), _plan(set_spec=finite, m_grid=(4, 16, 64, 256))):
+        a = X.quasi_isometry_sweep(plan, jobs=1)
+        b = X.quasi_isometry_sweep(plan, jobs=4)
+        assert X.rows_to_csv(a.rows) == X.rows_to_csv(b.rows)
+        wa = X.consistency_width_sweep(plan, jobs=1)
+        wb = X.consistency_width_sweep(plan, jobs=4)
+        assert X.rows_to_csv(wa.rows) == X.rows_to_csv(wb.rows)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -219,6 +233,67 @@ def test_consistent_radius_on_a_wall_and_without_motion():
     assert radii[0] == 0.0
     assert radii[1] == 2.0
     assert radii[2] == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("k0", [1.0, 2.0])
+def test_shared_code_widths_streamed_equals_whole(k0):
+    # M = 3 blocks + 5 rows; duplicates never separate, so every block is read
+    from qembed import quantizer as Q
+
+    pts = _clustered(0)
+    n = pts.shape[1]
+    rows = Q.block_rows(n, len(pts))
+    m = 3 * rows + 5
+    ens = E.make_ensemble("gaussian")
+    # reference: group the points by their whole code vector
+    codes = Q.apply_many(Q.make_map(ens, m, n, 0.5, 7), pts.T)
+    _, inverse = np.unique(codes.T, axis=0, return_inverse=True)
+    whole = [X._max_filtered_distance(pts[inverse == g], k0) for g in range(inverse.max() + 1)]
+    assert 0.0 < max(whole)
+    streamed = X._shared_code_widths(Q.map_blocks(ens, m, n, 0.5, 7, rows), pts, k0)
+    assert np.array_equal(streamed, whole)
+
+
+def test_shared_code_widths_stops_once_every_point_is_alone():
+    from qembed import quantizer as Q
+
+    pts = np.array([G.sample_point(G.EuclideanBall(n=8, radius=1.0), s) for s in range(50)])
+    m, rows = 4096, 64
+    read = []
+
+    def counted(blocks):
+        for block in blocks:
+            read.append(block.m)
+            yield block
+
+    widths = X._shared_code_widths(
+        counted(Q.map_blocks(E.make_ensemble("gaussian"), m, 8, 0.5, 1, rows)), pts, 1.0)
+    assert 0 < sum(read) < m
+    assert not np.any(widths)
+    res = X.consistency_width_sweep(_plan(set_spec=G.FiniteSet(points=pts), m_grid=(m,),
+                                          trials_per_m=2))
+    # censored as 0.0, never -0.0
+    assert all(r.censored and repr(r.statistic) == "0.0" for r in res.rows)
+
+
+@pytest.mark.parametrize("m, radius", [(4096, 1.0), (2, 0.02)])
+def test_finite_sweep_holds_one_block_of_codes(m, radius):
+    # 400 points in R^64: at M = 4096 the codes are drawn block by block and
+    # the trial stops once every point is alone; at M = 2 every point shares
+    # one code and the width search compares a bounded chunk of pairs. Both
+    # stay below one M = 4096 by 400 float64 array.
+    import tracemalloc
+
+    pts = np.array([G.sample_point(G.EuclideanBall(n=64, radius=radius), s)
+                    for s in range(400)])
+    plan = _plan(set_spec=G.FiniteSet(points=pts), m_grid=(m,), trials_per_m=1)
+    tracemalloc.start()
+    try:
+        X.consistency_width_sweep(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 400 * 8
 
 
 def test_consistency_width_finite_exact_grouping():

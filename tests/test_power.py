@@ -33,6 +33,11 @@ DEFECTS = {
     "sweeps-draw-the-whole-matrix-as-one-block":
         (X, "map_blocks", "sample_matrix(ensemble, m, n, mat_seed, rows)",
          "sample_matrix(ensemble, m, n, mat_seed, m)"),
+    "finite-refinement-drops-the-last-block":
+        (X, "_shared_code_widths", "for block in blocks:", "for block in list(blocks)[:-1]:"),
+    "width-search-compares-256-points-at-once":
+        (X, "_max_filtered_distance", "chunk = max(1, BLOCK_ENTRIES // points.size)",
+         "chunk = 256"),
     "rademacher-entries-for-gaussian-ones":
         (E, "sample_iid", "return rng.standard_normal(shape)",
          "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
@@ -57,6 +62,12 @@ ROWS = [
      test_experiments.test_sweep_holds_one_block_of_phi, (X.quasi_isometry_sweep,)),
     ("sweeps-draw-the-whole-matrix-as-one-block",
      test_experiments.test_sweep_holds_one_block_of_phi, (X.consistency_width_sweep,)),
+    ("sweeps-draw-the-whole-matrix-as-one-block",
+     test_experiments.test_finite_sweep_holds_one_block_of_codes, (4096, 1.0)),
+    ("finite-refinement-drops-the-last-block",
+     test_experiments.test_shared_code_widths_streamed_equals_whole, (1.0,)),
+    ("width-search-compares-256-points-at-once",
+     test_experiments.test_finite_sweep_holds_one_block_of_codes, (2, 0.02)),
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
     ("irwin-hall-without-its-last-term",
      test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),
