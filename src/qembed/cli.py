@@ -33,50 +33,112 @@ class ConfigError(Exception):
     pass
 
 
-# --- config file: flat key=value with [section] headers ---
+def read_vectors(path: str) -> list[np.ndarray]:
+    """Whitespace-separated reals, one vector per line, all of one length."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            vec = np.array([float(tok) for tok in line.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if out and len(vec) != len(out[0]):
+            raise ConfigError(f"{path}:{lineno}: expected {len(out[0])} values, got {len(vec)}")
+        out.append(vec)
+    return out
 
-# the parameters each set kind reads, lower-cased as in sparse:N=64,K=4,d=1
-SET_PARAMS = {
-    "sparse": {"n", "k", "d"},
-    "ball": {"n", "d"},
-    "lowrank": {"n1", "n2", "r", "d"},
-    "mesh": {"n", "h", "d"},
-    "finite": {"file"},
+
+# each set kind's constructor, and by parameter (lower-cased as in
+# sparse:N=64,K=4,d=1) its constructor keyword, conversion and default, or
+# None when the parameter is required
+RADIUS = ("radius", float, 1.0)
+SET_KINDS = {
+    "sparse": (geometry.SparseBall, {"n": ("n", int, None), "k": ("k", int, None), "d": RADIUS}),
+    "ball": (geometry.EuclideanBall, {"n": ("n", int, None), "d": RADIUS}),
+    "lowrank": (geometry.LowRankBall, {"n1": ("n1", int, None), "n2": ("n2", int, None),
+                                       "r": ("r", int, None), "d": RADIUS}),
+    "mesh": (geometry.ball_mesh, {"n": ("n", int, 3), "h": ("h", float, 0.3), "d": RADIUS}),
+    "finite": (lambda path: geometry.FiniteSet(points=np.asarray(read_vectors(path))),
+               {"file": ("path", str, None)}),
 }
 
-# (section, key) -> (flag attribute, conversion) for every config key that
-# stands in for a flag; [set] keys are assembled into a --set string instead
-CONFIG_FLAGS = {
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "out"): ("out", str),
-    ("experiment", "jobs"): ("jobs", int),
-    ("experiment", "scale"): ("scale", str),
-    ("ensemble", "kind"): ("ensemble", str),
-    ("ensemble", "kappa"): ("kappa", str),
-    ("quantizer", "delta"): ("delta", float),
-    ("quantizer", "variant"): ("variant", str),
-    ("quantizer", "dithered"): ("no_dither", lambda v: v.lower() in ("0", "false", "no")),
-    ("sweep", "m_grid"): ("m_grid", str),
-    ("sweep", "pairs"): ("pairs", int),
-    ("sweep", "trials"): ("trials", int),
-    ("sweep", "k0"): ("k0", float),
+
+def parse_set_spec(text) -> geometry.SetSpec:
+    """Parse e.g. sparse:N=64,K=4,d=1 or ball:N=3,d=1 or mesh:N=3,h=0.3."""
+    if not text:
+        raise ConfigError("no set given: pass --set or a [set] config section")
+    kind, _, rest = text.partition(":")
+    if kind not in SET_KINDS:
+        raise ConfigError(f"unknown set kind {kind!r}")
+    make, params = SET_KINDS[kind]
+    kv = {}
+    if rest:
+        for item in rest.split(","):
+            if "=" not in item:
+                raise ConfigError(f"bad set parameter {item!r}")
+            k, _, v = item.partition("=")
+            kv[k.strip().lower()] = v.strip()
+    unread = sorted(set(kv) - set(params))
+    if unread:
+        raise ConfigError(f"set kind {kind!r} takes no parameter {', '.join(unread)}")
+    for name, (_, _, default) in params.items():
+        if default is None and name not in kv:
+            raise ConfigError(f"set kind {kind!r} is missing parameter {name!r}")
+    try:
+        return make(**{key: conv(kv[name]) if name in kv else default
+                       for name, (key, conv, default) in params.items()})
+    except ValueError as exc:
+        raise ConfigError(f"bad set parameter in {text!r}: {exc}") from exc
+
+
+# the acceptance criteria each check subcommand runs; None runs them all
+COUNTEREXAMPLES = {"no-dither": (8,), "section2-floor": (7,)}
+CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
+
+# every flag's add_argument keywords, built-in default included, and the
+# config (section, key) that stands in for it; the [set] keys assemble into a
+# --set string. --seed has no default, so that QEMBED_SEED comes after the file.
+FLAGS = {
+    "--config": (dict(), None),
+    "--seed": (dict(type=int), ("experiment", "seed")),
+    "--out": (dict(default="."), ("experiment", "out")),
+    "--jobs": (dict(type=int, default=1), ("experiment", "jobs")),
+    "--scale": (dict(choices=[selftest.FULL, selftest.QUICK], default=selftest.FULL),
+                ("experiment", "scale")),
+    "--ensemble": (dict(choices=list(ensembles.KINDS), default="gaussian"), ("ensemble", "kind")),
+    "--kappa": (dict(default="default"), ("ensemble", "kappa")),
+    "--delta": (dict(type=float, default=1.0), ("quantizer", "delta")),
+    "--variant": (dict(choices=list(quantizer.VARIANTS), default="floor"),
+                  ("quantizer", "variant")),
+    "--no-dither": (dict(action="store_true"), ("quantizer", "dithered")),
+    "--set": (dict(dest="set_spec"), None),
+    "--m": (dict(type=int, required=True), None),
+    "--in": (dict(dest="infile", required=True), None),
+    "--t": (dict(type=float, nargs="*", default=[]), None),
+    "--draws": (dict(type=int, default=8192), None),
+    "--kind": (dict(required=True, choices=list(geometry.MINIMAL_M_KINDS)), None),
+    "--eps": (dict(type=float, required=True), None),
+    "--c": (dict(type=float, default=1.0), None),
+    "--m-grid": (dict(default="128,256,512,1024,2048,4096,8192"), ("sweep", "m_grid")),
+    "--pairs": (dict(type=int, default=200), ("sweep", "pairs")),
+    "--trials": (dict(type=int, default=20), ("sweep", "trials")),
+    "--k0": (dict(type=float, default=1.0), ("sweep", "k0")),
+    "--slope-band": (dict(help="lo,hi acceptance band for the fitted slope"), None),
+    "--which": (dict(required=True, choices=list(COUNTEREXAMPLES)), None),
 }
 
-CONFIG_SCHEMA = {section: {k for s, k in CONFIG_FLAGS if s == section}
-                 for section, _ in CONFIG_FLAGS}
-CONFIG_SCHEMA["set"] = {"kind"}.union(*SET_PARAMS.values())
+CONFIG_KEYS = {key: flag for flag, (_, key) in FLAGS.items() if key}
+CONFIG_SCHEMA = {sec: {k for s, k in CONFIG_KEYS if s == sec} for sec, _ in CONFIG_KEYS}
+CONFIG_SCHEMA["set"] = {"kind"}.union(*(params for _, params in SET_KINDS.values()))
 
-# defaults of the flags a config file can set, filled in after the merge so
-# that an explicit flag beats the file even when it equals its default
-FLAG_DEFAULTS = {
-    "out": ".", "jobs": 1, "scale": "full", "ensemble": "gaussian", "kappa": "default",
-    "delta": 1.0, "variant": "floor", "no_dither": False,
-    "m_grid": "128,256,512,1024,2048,4096,8192", "pairs": 200, "trials": 20, "k0": 1.0,
-}
+# the words a boolean config key takes, in any case
+BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_config(path: str) -> dict:
-    """Parse the flat config format; unknown sections or keys are hard errors."""
+    """Parse the flat config format; unknown sections or keys and a key given
+    twice in one section are hard errors."""
     values: dict[str, dict[str, str]] = {}
     section = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -97,168 +159,24 @@ def parse_config(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG_SCHEMA[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+        if key in values[section]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice in [{section}]")
         values[section][key] = val.strip()
     return values
 
 
-def parse_set_spec(text) -> geometry.SetSpec:
-    """Parse e.g. sparse:N=64,K=4,d=1 or ball:N=3,d=1 or mesh:N=3,h=0.3."""
-    if not text:
-        raise ConfigError("no set given: pass --set or a [set] config section")
-    kind, _, rest = text.partition(":")
-    if kind not in SET_PARAMS:
-        raise ConfigError(f"unknown set kind {kind!r}")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            if "=" not in item:
-                raise ConfigError(f"bad set parameter {item!r}")
-            k, _, v = item.partition("=")
-            kv[k.strip().lower()] = v.strip()
-    unread = sorted(set(kv) - SET_PARAMS[kind])
-    if unread:
-        raise ConfigError(f"set kind {kind!r} takes no parameter {', '.join(unread)}")
-    try:
-        if kind == "sparse":
-            return geometry.SparseBall(n=int(kv["n"]), k=int(kv["k"]),
-                                       radius=float(kv.get("d", 1.0)))
-        if kind == "ball":
-            return geometry.EuclideanBall(n=int(kv["n"]), radius=float(kv.get("d", 1.0)))
-        if kind == "lowrank":
-            return geometry.LowRankBall(n1=int(kv["n1"]), n2=int(kv["n2"]),
-                                        r=int(kv["r"]), radius=float(kv.get("d", 1.0)))
-        if kind == "mesh":
-            return geometry.ball_mesh(int(kv.get("n", 3)), float(kv.get("h", 0.3)),
-                                      float(kv.get("d", 1.0)))
-        if kind == "finite":
-            pts = read_vectors(kv["file"])
-            return geometry.FiniteSet(points=np.asarray(pts))
-    except KeyError as exc:
-        raise ConfigError(f"set kind {kind!r} is missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad set parameter in {text!r}: {exc}") from exc
-
-
-def read_vectors(path: str) -> list[np.ndarray]:
-    """Whitespace-separated reals, one vector per line, all of one length."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            vec = np.array([float(tok) for tok in line.split()], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if out and len(vec) != len(out[0]):
-            raise ConfigError(f"{path}:{lineno}: expected {len(out[0])} values, got {len(vec)}")
-        out.append(vec)
-    return out
-
-
-def _default_seed() -> int:
-    env = os.environ.get("QEMBED_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError as exc:
-        raise ConfigError(f"QEMBED_SEED must be an integer, got {env!r}") from exc
-
-
-# the acceptance criteria each check subcommand runs; None runs them all
-COUNTEREXAMPLES = {"no-dither": (8,), "section2-floor": (7,)}
-CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
-
-# add_argument keywords of every flag; a flag that a config key can set has
-# no default here, so that _merge_config can tell it was not given
-FLAGS = {
-    "--config": dict(),
-    "--seed": dict(type=int),
-    "--out": dict(),
-    "--jobs": dict(type=int),
-    "--scale": dict(choices=[selftest.FULL, selftest.QUICK]),
-    "--ensemble": dict(choices=list(ensembles.KINDS)),
-    "--kappa": dict(),
-    "--delta": dict(type=float),
-    "--variant": dict(choices=list(quantizer.VARIANTS)),
-    "--no-dither": dict(action="store_true", default=None),
-    "--set": dict(dest="set_spec"),
-    "--m": dict(type=int, required=True),
-    "--in": dict(dest="infile", required=True),
-    "--t": dict(type=float, nargs="*", default=[]),
-    "--draws": dict(type=int, default=8192),
-    "--kind": dict(required=True, choices=list(geometry.MINIMAL_M_KINDS)),
-    "--eps": dict(type=float, required=True),
-    "--c": dict(type=float, default=1.0),
-    "--m-grid": dict(),
-    "--pairs": dict(type=int),
-    "--trials": dict(type=int),
-    "--k0": dict(type=float),
-    "--slope-band": dict(help="lo,hi acceptance band for the fitted slope"),
-    "--which": dict(required=True, choices=list(COUNTEREXAMPLES)),
-}
-
-MAP = ("--seed", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither")
-SWEEP = ("--seed", "--out", "--jobs", "--ensemble", "--kappa", "--delta", "--set",
-         "--m-grid", "--pairs", "--trials", "--k0", "--slope-band")
-
-# each subcommand's help line and the flags its computation reads; every
-# subcommand also takes --config
-SUBCOMMANDS = {
-    "embed": ("print codes for input vectors", (*MAP, "--m", "--in")),
-    "distance": ("pseudo-distances for vector pairs", (*MAP, "--m", "--in", "--t")),
-    "width": ("Gaussian mean width of a set", ("--seed", "--set", "--draws")),
-    "min-m": ("minimal measurement count",
-              ("--seed", "--set", "--delta", "--kind", "--eps", "--c")),
-    "quasi-isometry": ("distortion decay sweep", SWEEP),
-    "consistency-width": ("consistency width sweep", SWEEP),
-    "counterexamples": ("criterion 8 (no-dither) or 7 (section2-floor)",
-                        ("--seed", "--out", "--scale", "--which")),
-    "lemmas": ("criteria 12, 15 and 16", ("--seed", "--out", "--scale")),
-    "combinatorics": ("criterion 9", ("--out", "--scale")),
-    "selftest": ("run the acceptance suite", ("--seed", "--out", "--jobs", "--scale")),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qembed", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag in ("--config", *flags):
-            sp.add_argument(flag, **FLAGS[flag])
-    return p
-
-
-def _merge_config(args) -> None:
-    """Resolve the flags: an explicit flag, else the config file, else the default.
-
-    A config key stands in for its flag, so a key whose flag the subcommand
-    does not take is an error.
-    """
-    cfg = parse_config(args.config) if args.config else {}
-    for section, keys in cfg.items():
-        for key, val in keys.items():
-            attr, conv = ("set_spec", None) if section == "set" else CONFIG_FLAGS[section, key]
-            if attr not in vars(args):
-                raise ConfigError(f"{args.config}: {args.command} takes no [{section}] {key}")
-            if conv is not None and getattr(args, attr) is None:
-                try:
-                    setattr(args, attr, conv(val))
-                except ValueError as exc:
-                    raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
-    st = cfg.get("set", {})
-    if st and args.set_spec is None:
-        kind = st.get("kind")
-        if kind is None:
-            raise ConfigError("[set] section needs a kind")
-        parts = ",".join(f"{k}={v}" for k, v in st.items() if k != "kind")
-        args.set_spec = f"{kind}:{parts}" if parts else kind
-    for attr, default in FLAG_DEFAULTS.items():
-        if getattr(args, attr, default) is None:
-            setattr(args, attr, default)
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
-    if getattr(args, "seed", 0) < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+def _config_value(kw: dict, text: str):
+    """A config value as its flag would take it: through the flag's type and
+    choices. The key of a store_true flag names its opposite (dithered = no
+    sets --no-dither)."""
+    if kw.get("action") == "store_true":
+        if text.lower() not in BOOLEANS:
+            raise ValueError(f"expected one of {'/'.join(BOOLEANS)}, got {text!r}")
+        return not BOOLEANS[text.lower()]
+    value = kw.get("type", str)(text)
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(kw['choices'])})")
+    return value
 
 
 def _parse_list(text: str, conv, flag: str) -> tuple:
@@ -266,10 +184,6 @@ def _parse_list(text: str, conv, flag: str) -> tuple:
         return tuple(conv(tok) for tok in str(text).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {flag} {text!r}: expected comma-separated numbers") from exc
-
-
-def _ensemble(args) -> ensembles.Ensemble:
-    return ensembles.make_ensemble(args.ensemble, args.kappa)
 
 
 def _out_dir(args) -> Path:
@@ -282,8 +196,9 @@ def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode())
 
 
-def _qmap(args, m: int, n: int, seed):
-    return quantizer.make_map(_ensemble(args), m, n, args.delta, seed,
+def _qmap(args, n: int):
+    return quantizer.make_map(ensembles.make_ensemble(args.ensemble, args.kappa), args.m, n,
+                              args.delta, np.random.SeedSequence(args.seed),
                               dithered=not args.no_dither, variant=args.variant)
 
 
@@ -291,8 +206,7 @@ def cmd_embed(args) -> int:
     vecs = read_vectors(args.infile)
     if not vecs:
         raise ConfigError("no input vectors")
-    n = len(vecs[0])
-    qmap = _qmap(args, args.m, n, np.random.SeedSequence(args.seed))
+    qmap = _qmap(args, len(vecs[0]))
     codes = quantizer.apply_many(qmap, np.column_stack(vecs))
     sys.stdout.write(quantizer.serialize_codes(codes.T))
     return EXIT_PASS
@@ -302,8 +216,7 @@ def cmd_distance(args) -> int:
     vecs = read_vectors(args.infile)
     if len(vecs) < 2 or len(vecs) % 2 != 0:
         raise ConfigError("distance needs an even number of input vectors (pairs)")
-    n = len(vecs[0])
-    qmap = _qmap(args, args.m, n, np.random.SeedSequence(args.seed))
+    qmap = _qmap(args, len(vecs[0]))
     for x, y in zip(vecs[0::2], vecs[1::2]):
         d = distances.pseudo_distance(qmap, x, y)
         soft = distances.soft_pseudo_distance(qmap, x, y, args.t)
@@ -332,11 +245,13 @@ def cmd_min_m(args) -> int:
     return EXIT_PASS
 
 
-def _sweep_common(args, which: str) -> int:
+def cmd_sweep(args) -> int:
+    which = args.command
     spec = parse_set_spec(args.set_spec)
     grid = _parse_list(args.m_grid, int, "--m-grid")
-    plan = experiments.TrialPlan(set_spec=spec, ensemble=_ensemble(args), delta=args.delta,
-                                 m_grid=grid, pairs_per_m=args.pairs, trials_per_m=args.trials,
+    plan = experiments.TrialPlan(set_spec=spec, delta=args.delta, m_grid=grid,
+                                 ensemble=ensembles.make_ensemble(args.ensemble, args.kappa),
+                                 pairs_per_m=args.pairs, trials_per_m=args.trials,
                                  k0=args.k0, master_seed=args.seed)
     band = None
     if args.slope_band:
@@ -355,16 +270,11 @@ def _sweep_common(args, which: str) -> int:
           f"{res.slope_stderr if res.slope_stderr is None else round(res.slope_stderr, 4)} "
           f"censored {res.censored_total} verdict "
           f"{'pass' if res.verdict else 'info' if res.verdict is None else 'fail'}")
-    if res.verdict is None:
-        return EXIT_PASS
-    return EXIT_PASS if res.verdict else EXIT_FAIL
+    return EXIT_PASS if res.verdict is None or res.verdict else EXIT_FAIL
 
 
 def cmd_checks(args) -> int:
-    if args.command == "counterexamples":
-        cids = COUNTEREXAMPLES[args.which]
-    else:
-        cids = CHECKS[args.command]
+    cids = CHECKS[args.command] if args.command in CHECKS else COUNTEREXAMPLES[args.which]
     # combinatorics takes no --seed (criterion 9 draws nothing), and only
     # selftest runs the sweeps that --jobs fans out
     results, summary = selftest.run_selftest(seed=getattr(args, "seed", 0),
@@ -376,29 +286,95 @@ def cmd_checks(args) -> int:
     return EXIT_PASS if passed == len(results) else EXIT_FAIL
 
 
-COMMANDS = {
-    "embed": cmd_embed,
-    "distance": cmd_distance,
-    "width": cmd_width,
-    "min-m": cmd_min_m,
-    "quasi-isometry": lambda a: _sweep_common(a, "quasi-isometry"),
-    "consistency-width": lambda a: _sweep_common(a, "consistency-width"),
-    "counterexamples": cmd_checks,
-    "lemmas": cmd_checks,
-    "combinatorics": cmd_checks,
-    "selftest": cmd_checks,
+MAP = ("--seed", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither")
+SWEEP = ("--seed", "--out", "--jobs", "--ensemble", "--kappa", "--delta", "--set",
+         "--m-grid", "--pairs", "--trials", "--k0", "--slope-band")
+
+# each subcommand's help line, the flags its computation reads and its
+# handler; every subcommand also takes --config
+SUBCOMMANDS = {
+    "embed": ("print codes for input vectors", (*MAP, "--m", "--in"), cmd_embed),
+    "distance": ("pseudo-distances for vector pairs", (*MAP, "--m", "--in", "--t"),
+                 cmd_distance),
+    "width": ("Gaussian mean width of a set", ("--seed", "--set", "--draws"), cmd_width),
+    "min-m": ("minimal measurement count",
+              ("--seed", "--set", "--delta", "--kind", "--eps", "--c"), cmd_min_m),
+    "quasi-isometry": ("distortion decay sweep", SWEEP, cmd_sweep),
+    "consistency-width": ("consistency width sweep", SWEEP, cmd_sweep),
+    "counterexamples": ("criterion 8 (no-dither) or 7 (section2-floor)",
+                        ("--seed", "--out", "--scale", "--which"), cmd_checks),
+    "lemmas": ("criteria 12, 15 and 16", ("--seed", "--out", "--scale"), cmd_checks),
+    "combinatorics": ("criterion 9", ("--out", "--scale"), cmd_checks),
+    "selftest": ("run the acceptance suite", ("--seed", "--out", "--jobs", "--scale"),
+                 cmd_checks),
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
+def _parsers():
+    """The qembed parser and, by name, its subcommand parsers."""
+    p = argparse.ArgumentParser(prog="qembed", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in ("--config", *flags):
+            sp.add_argument(flag, **FLAGS[flag][0])
+    return p, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Resolve the flags: an explicit flag, else the config file, else the
+    built-in default (for --seed, QEMBED_SEED, else 0).
+
+    The config file becomes the subcommand parser's defaults and argv is
+    parsed again, so argparse itself applies that order. A config key stands
+    in for its flag, so a key whose flag the subcommand does not take is an
+    error.
+    """
+    parser, subparsers = _parsers()
+    args = parser.parse_args(argv)
+    cfg = parse_config(args.config) if args.config else {}
+    defaults = {}
+    for section, keys in cfg.items():
+        for key, text in keys.items():
+            flag = "--set" if section == "set" else CONFIG_KEYS[section, key]
+            if flag not in SUBCOMMANDS[args.command][1]:
+                raise ConfigError(f"{args.config}: {args.command} takes no [{section}] {key}")
+            kw = FLAGS[flag][0]
+            try:
+                if section != "set":
+                    defaults[kw.get("dest", flag[2:].replace("-", "_"))] = _config_value(kw, text)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
+    st = cfg.get("set", {})
+    if st:
+        if "kind" not in st:
+            raise ConfigError("[set] section needs a kind")
+        parts = ",".join(f"{k}={v}" for k, v in st.items() if k != "kind")
+        defaults["set_spec"] = f"{st['kind']}:{parts}" if parts else st["kind"]
+    if defaults:
+        subparsers[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get("QEMBED_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"QEMBED_SEED must be an integer, got {env!r}") from exc
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(argv)
+        return SUBCOMMANDS[args.command][2](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        _merge_config(args)
-        return COMMANDS[args.command](args)
     except (ConfigError, InvalidArgument, OSError, experiments.SetFilterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

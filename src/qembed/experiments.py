@@ -467,9 +467,8 @@ class Lemma5Report:
     p_lower_skipped_reason: Optional[str]
 
 
-def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: float,
-                          m: int, r: int, trials: int, seed, eps0: Optional[float] = None,
-                          p_samples: int = 100_000) -> Lemma5Report:
+def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: float, m: int,
+                          r: int, trials: int, seed, p_samples: int = 100_000) -> Lemma5Report:
     """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) by Monte Carlo.
 
     p is the per-coordinate nonzero probability of the soft count; when
@@ -487,10 +486,6 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     if k0 > 0 and anti_sparsity_level(w) < k0:
         raise InvalidArgument("u - v fails the anti-sparsity precondition")
     dist = float(np.linalg.norm(w))
-    if eps0 is None:
-        eps0 = dist
-    if eps0 < dist - 1e-12:
-        raise InvalidArgument("eps0 must upper bound ||u - v||")
     root = as_seedseq(seed)
     s_p, s_trials = root.spawn(2)
 
@@ -525,7 +520,7 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
         if p_hat == 0.0:
             reason = "p_hat is zero; lower bound not certifiable"
         else:
-            lb = dist / (16.0 * (delta + eps0)) - 2.0 * t / (delta + eps0)
+            lb = dist / (16.0 * (delta + dist)) - 2.0 * t / (delta + dist)
             lb_holds = p_hat + 3.0 * p_se >= lb
     else:
         reason = "sqrt(k0) < 16 kappa"

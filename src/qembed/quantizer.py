@@ -69,11 +69,11 @@ def quantize_array(t, delta: float) -> np.ndarray:
     return _floor_index(t, delta)
 
 
-def boundary_flags(t, delta: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """True where t sits within tol*delta of a quantization threshold."""
+def boundary_flags(t, delta: float) -> np.ndarray:
+    """True where t sits within BOUNDARY_TOL*delta of a quantization threshold."""
     t = np.asarray(t, dtype=np.float64)
     r = t - np.round(t / delta) * delta
-    return np.abs(r) <= tol * delta
+    return np.abs(r) <= BOUNDARY_TOL * delta
 
 
 @dataclass(frozen=True)

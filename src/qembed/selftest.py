@@ -362,7 +362,7 @@ CRITERIA = {
 }
 
 
-def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print, cids=None):
+def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, cids=None):
     """Run the criteria numbered in cids (default: all) in order; returns
     (results, summary CSV text)."""
     if scale not in (FULL, QUICK):
@@ -379,7 +379,7 @@ def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, log=print, cid
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         slope_txt = "" if res.slope is None else f" slope={res.slope:.4f}"
-        log(f"criterion {res.cid:2d} [{status}] {res.name}{slope_txt}")
+        print(f"criterion {res.cid:2d} [{status}] {res.name}{slope_txt}")
     entries = [(f"criterion-{r.cid:02d}-{r.name}", r.slope, r.slope_stderr, r.passed)
                for r in results]
     return results, experiments.summary_to_csv(entries)

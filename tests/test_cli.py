@@ -180,13 +180,78 @@ def test_explicit_flag_beats_config_even_at_its_default(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[experiment]\njobs = 4\nout = elsewhere\n\n"
                    "[quantizer]\ndelta = 0.25\n\n[sweep]\npairs = 7\ntrials = 3\n")
-    args = cli.build_parser().parse_args(["quasi-isometry", "--pairs", "200", "--jobs", "1",
-                                          "--out", ".", "--delta", "1.0",
-                                          "--config", str(cfg)])
-    cli._merge_config(args)
+    args = cli.parse_args(["quasi-isometry", "--pairs", "200", "--jobs", "1",
+                           "--out", ".", "--delta", "1.0", "--config", str(cfg)])
     assert (args.pairs, args.jobs, args.out, args.delta) == (200, 1, ".", 1.0)
     # keys without a flag come from the file, the rest from the defaults
     assert (args.trials, args.k0, args.ensemble) == (3, 1.0, "gaussian")
+
+
+# a value other than the built-in default for each flag a config key stands in for
+CONFIG_VALUES = {"--seed": "5", "--out": "elsewhere", "--jobs": "2", "--scale": "quick",
+                 "--ensemble": "rademacher", "--kappa": "estimated", "--delta": "0.5",
+                 "--variant": "round", "--m-grid": "16,32", "--pairs": "7", "--trials": "3",
+                 "--k0": "2"}
+# the two flags whose config stand-in is not one key = value: argv, config text
+STAND_INS = {"--no-dither": (["--no-dither"], "[quantizer]\ndithered = false\n"),
+             "--set": (["--set", "sparse:n=64,k=4,d=0.5"],
+                       "[set]\nkind = sparse\nn = 64\nk = 4\nd = 0.5\n")}
+
+
+def test_config_key_stands_in_for_its_flag(tmp_path, monkeypatch):
+    """For every subcommand and every flag of it that a config key can set,
+    parse_args gives the same namespace, less --config, from the flag as from
+    the key; the table has no row that no subcommand takes."""
+    monkeypatch.delenv("QEMBED_SEED", raising=False)
+    taken = {"--config"}.union(*(flags for _, flags, _ in cli.SUBCOMMANDS.values()))
+    assert taken == set(cli.FLAGS)
+    assert {"--set", *cli.CONFIG_KEYS.values()} <= taken
+    cfg = tmp_path / "run.cfg"
+    checked = set()
+    for command, (_, flags, _) in cli.SUBCOMMANDS.items():
+        base = BASE_ARGV.get(command, [])
+        if "--set" in base:
+            at = base.index("--set")
+            base = base[:at] + base[at + 2:]
+        for flag in flags:
+            if flag in STAND_INS:
+                argv, text = STAND_INS[flag]
+            elif cli.FLAGS[flag][1]:
+                section, key = cli.FLAGS[flag][1]
+                argv = [flag, CONFIG_VALUES[flag]]
+                text = f"[{section}]\n{key} = {CONFIG_VALUES[flag]}\n"
+            else:
+                continue
+            cfg.write_text(text)
+            by_flag = vars(cli.parse_args([command, *base, *argv]))
+            by_key = vars(cli.parse_args([command, *base, "--config", str(cfg)]))
+            assert by_key.pop("config") == str(cfg) and by_flag.pop("config") is None
+            assert by_flag == by_key, (command, flag)
+            default = vars(cli.parse_args([command, *base]))
+            default.pop("config")
+            assert by_flag != default, (command, flag)
+            checked.add(flag)
+    assert checked == {"--set", *cli.CONFIG_KEYS.values()}
+
+
+@pytest.mark.parametrize("word, no_dither", [("true", False), ("Yes", False), ("1", False),
+                                             ("FALSE", True), ("no", True), ("0", True)])
+def test_dithered_takes_boolean_words(word, no_dither, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[quantizer]\ndithered = {word}\n")
+    args = cli.parse_args(["embed", "--m", "4", "--in", "x.txt", "--config", str(cfg)])
+    assert args.no_dither is no_dither
+
+
+@pytest.mark.parametrize("text", ["[quantizer]\ndelta = 0.5\ndelta = 2\n",
+                                  "[quantizer]\ndelta = 0.5\n[experiment]\nseed = 1\n"
+                                  "[quantizer]\ndelta = 2\n"])
+def test_config_key_given_twice_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli(["embed", "--m", "4", "--in", "x.txt", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "'delta' given twice in [quantizer]" in err
 
 
 SWEEP = ["--delta", "0.5", "--m-grid", "16,32,64", "--pairs", "8", "--trials", "2",
@@ -205,6 +270,8 @@ INPUTS = {
     "bad-scale.cfg": "[experiment]\nscale = huge\n",
     "zero-jobs.cfg": "[experiment]\njobs = 0\n",
     "nan.txt": "nan 0\n1 0\n",
+    "banana.cfg": "[quantizer]\ndithered = banana\n",
+    "twice.cfg": "[quantizer]\ndelta = 0.5\ndelta = 2\n",
 }
 
 
@@ -254,6 +321,8 @@ INPUTS = {
       "--slope-band=-1,1"], 2),
     (["consistency-width", "--set", "ball:N=2", "--m-grid", "16,32", "--pairs", "4", "--trials",
       "2", "--slope-band=-1,1"], 2),
+    (["embed", "--m", "6", "--in", "TMP/pair.txt", "--config", "TMP/banana.cfg"], 2),
+    (["embed", "--m", "6", "--in", "TMP/pair.txt", "--config", "TMP/twice.cfg"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -374,9 +443,14 @@ ARGV_FILES = {
     "bad-token.txt": "1 0\n0 x\n",
     "good.cfg": "[experiment]\nseed = 3\n",
     "malformed.cfg": "[experiment]\nseed\n",
+    "sweep.cfg": "[sweep]\nm_grid = 16,32\npairs = 4\ntrials = 2\n\n[set]\nkind = ball\nn = 2\n",
+    "banana.cfg": "[quantizer]\ndithered = banana\n",
+    "twice.cfg": "[quantizer]\ndelta = 0.5\ndelta = 2\n",
+    "bad-pairs.cfg": "[sweep]\npairs = x\n",
 }
 FLAG_POOLS = {
-    "--config": ["TMP/good.cfg", "TMP/malformed.cfg", "TMP/missing.cfg", "TMP"],
+    "--config": ["TMP/sweep.cfg", "TMP/good.cfg", "TMP/banana.cfg", "TMP/malformed.cfg",
+                 "TMP/twice.cfg", "TMP/missing.cfg", "TMP/bad-pairs.cfg", "TMP"],
     "--out": ["TMP/out", "TMP/good.txt"],
     "--jobs": ["-1", "0", "1", "2"],
     "--scale": ["quick"],
