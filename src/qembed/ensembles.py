@@ -199,36 +199,6 @@ def _gauss_abs_tail_inv(c: float) -> float:
     return math.sqrt(2.0) * float(erfcinv(c))
 
 
-def _segments_from_tail(breaks: np.ndarray, levels: np.ndarray):
-    """Split [0, inf) at tail-level Gaussian crossings; yield (lo, hi, sign).
-
-    breaks are the sorted magnitudes where the piecewise-constant tail drops,
-    levels[i] is the tail value on (breaks[i-1], breaks[i]] with breaks[-1]
-    extended to infinity at level 0.
-    """
-    segs = []
-    lo = 0.0
-    for i in range(len(breaks)):
-        hi = float(breaks[i])
-        c = float(levels[i])
-        if hi <= lo:
-            lo = max(lo, hi)
-            continue
-        g_lo = _gauss_abs_tail(lo)
-        g_hi = _gauss_abs_tail(hi)
-        if c >= g_lo:
-            segs.append((lo, hi, 1.0))
-        elif c <= g_hi:
-            segs.append((lo, hi, -1.0))
-        else:
-            # G decreases through c: empirical tail sits below G on the left
-            t_star = min(max(_gauss_abs_tail_inv(c), lo), hi)
-            segs.append((lo, t_star, -1.0))
-            segs.append((t_star, hi, 1.0))
-        lo = hi
-    return segs
-
-
 def exact_tail_gap_discrete(magnitudes: np.ndarray, probs: np.ndarray) -> float:
     """Exact integral of |P(|X| >= t) - P(|g| >= t)| dt for atomic |X|.
 
@@ -237,23 +207,31 @@ def exact_tail_gap_discrete(magnitudes: np.ndarray, probs: np.ndarray) -> float:
     mags = np.asarray(magnitudes, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     order = np.argsort(mags)
-    mags, p = mags[order], p[order]
-    # collapse duplicate atoms
-    uniq, inv = np.unique(mags, return_inverse=True)
+    # collapse duplicate atoms, adding their masses in sorted order
+    uniq, inv = np.unique(mags[order], return_inverse=True)
     pu = np.zeros_like(uniq)
-    np.add.at(pu, inv, p)
+    np.add.at(pu, inv, p[order])
     # tail on (uniq[i-1], uniq[i]] is the mass at atoms >= uniq[i]
     tail_at = np.cumsum(pu[::-1])[::-1]
+    integral = _gauss_abs_tail_integral
     total = 0.0
-    for lo, hi, sign in _segments_from_tail(uniq, tail_at):
-        piece = _gauss_abs_tail_integral(hi) - _gauss_abs_tail_integral(lo)
-        # recover the constant level on this segment from its midpoint
-        mid = 0.5 * (lo + hi)
-        idx = np.searchsorted(uniq, mid)
-        const = tail_at[idx] if idx < len(uniq) else 0.0
-        total += sign * (const * (hi - lo) - piece)
+    lo = 0.0
+    for hi, c in zip(uniq.tolist(), tail_at.tolist()):
+        if hi <= lo:  # an atom at 0 bounds no piece
+            continue
+        if c >= _gauss_abs_tail(lo):
+            pieces = [(lo, hi, 1.0)]
+        elif c <= _gauss_abs_tail(hi):
+            pieces = [(lo, hi, -1.0)]
+        else:
+            # G decreases through c: the tail of |X| sits below G left of t*
+            t_star = min(max(_gauss_abs_tail_inv(c), lo), hi)
+            pieces = [(lo, t_star, -1.0), (t_star, hi, 1.0)]
+        for a, b, sign in pieces:
+            total += sign * (c * (b - a) - (integral(b) - integral(a)))
+        lo = hi
     # beyond the largest atom the empirical tail is 0 and the gap is the gaussian tail
-    total += SQRT_2_OVER_PI - _gauss_abs_tail_integral(float(uniq[-1]))
+    total += SQRT_2_OVER_PI - integral(float(uniq[-1]))
     return float(total)
 
 

@@ -12,7 +12,7 @@ import io
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .ensembles import (
     InvalidArgument,
     binomial_mad,
     binomial_mad_de_moivre,
+    make_ensemble,
     mu_sg_exact_binomial,
     sample_iid,
 )
@@ -87,23 +88,13 @@ class TrialRow:
 
 
 @dataclass
-class PerMStats:
-    m: int
-    worst: float
-    n_values: int
-    n_censored: int
-
-
-@dataclass
 class ExperimentResult:
-    experiment: str
     rows: list[TrialRow]
-    per_m: list[PerMStats]
+    fit_points: list[tuple[int, float]]  # (m, worst uncensored statistic) where positive
     slope: Optional[float]
     slope_stderr: Optional[float]
     verdict: Optional[bool]
-    censored_total: int = 0
-    detail: dict = field(default_factory=dict)
+    censored_total: int
 
 
 def task_seed(master_seed: int, m_index: int, trial: int) -> np.random.SeedSequence:
@@ -144,8 +135,8 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return slope, math.sqrt(sigma2 / sxx)
 
 
-def _sample_filtered_pair(spec: SetSpec, k0: float, rng, max_tries: int = 200):
-    for _ in range(max_tries):
+def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
+    for _ in range(200):
         x = sample_point(spec, rng)
         y = sample_point(spec, rng)
         d = x - y
@@ -156,17 +147,16 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng, max_tries: int = 200):
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
 
-def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int,
-           detail=None) -> ExperimentResult:
+def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int) -> ExperimentResult:
     """Run one trial per (m, trial) task and aggregate the trials into rows,
-    per-m statistics and the log-log fit.
+    per-m fit points and the log-log fit.
 
     A trial splits its task seed into a map seed and a sample seed and calls
     measure(rng, blocks) with a Generator on the sample seed; blocks(count)
     yields the trial's map as row-block sub-maps sized for projecting count
-    vectors. A statistic <= 0 is censored: it stays out of the per-m values
-    and the fit. A slope band on a grid too short to fit is a usage error,
-    not a failed check.
+    vectors. A statistic <= 0 is censored: it stays out of the fit points.
+    A slope band on a grid too short to fit is a usage error, not a failed
+    check.
     """
     if slope_band is not None and len(plan.m_grid) < MIN_FIT_POINTS:
         raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
@@ -186,15 +176,11 @@ def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int,
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
     rows = [TrialRow(experiment, m, t, *res)
             for (_, m, t), res in zip(tasks, _run_tasks(tasks, one, jobs))]
-    per_m = []
     fit_points = []
     for m in plan.m_grid:
-        trial_rows = [r for r in rows if r.m == m]
-        vals = np.array([r.statistic for r in trial_rows if not r.censored], dtype=np.float64)
-        worst = float(np.max(vals)) if len(vals) else math.nan
-        per_m.append(PerMStats(m=m, worst=worst, n_values=len(vals),
-                               n_censored=len(trial_rows) - len(vals)))
-        if len(vals) and worst > 0:
+        vals = [r.statistic for r in rows if r.m == m and not r.censored]
+        worst = float(np.max(vals)) if vals else math.nan
+        if worst > 0:
             fit_points.append((m, worst))
     slope = stderr = None
     verdict = None
@@ -205,10 +191,8 @@ def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int,
     except InsufficientData:
         if slope_band is not None:
             verdict = False
-    return ExperimentResult(experiment=experiment, rows=rows, per_m=per_m, slope=slope,
-                            slope_stderr=stderr, verdict=verdict,
-                            censored_total=sum(s.n_censored for s in per_m),
-                            detail=dict(detail or {}))
+    return ExperimentResult(rows=rows, fit_points=fit_points, slope=slope, slope_stderr=stderr,
+                            verdict=verdict, censored_total=sum(r.censored for r in rows))
 
 
 def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
@@ -236,7 +220,7 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
         errs = np.abs(pair_distances(blocks(2 * p), xs) - SQRT_2_OVER_PI * dists)
         return float(np.max(errs / (dists + plan.delta))) - allowance
 
-    res = _sweep("quasi-isometry", plan, measure, slope_band, jobs, {"allowance": allowance})
+    res = _sweep("quasi-isometry", plan, measure, slope_band, jobs)
     if allowance > 0 and res.censored_total == len(res.rows):
         raise InvalidArgument(
             f"vacuous plan: the allowance kappa/sqrt(k0) = {allowance:.4g} censors every "
@@ -244,10 +228,10 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     return res
 
 
-def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng, max_tries: int = 100):
+def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng):
     """Unit direction u of a continuum set with x + r*u staying in the set
     for small r > 0 and u passing the anti-sparsity filter."""
-    for _ in range(max_tries):
+    for _ in range(100):
         if isinstance(spec, SparseBall):
             support = np.flatnonzero(np.abs(x) > 1e-12)
             if len(support) == 0:
@@ -324,9 +308,9 @@ def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
         diff = rows[:, None, :] - points[None, :, :]
         norms = np.linalg.norm(diff, axis=2)
         if k0 > 1.0:
-            sup = np.max(np.abs(diff), axis=2)
-            level = np.where(sup > 0, (norms / np.where(sup > 0, sup, 1.0)) ** 2, 0.0)
-            norms = np.where(level >= k0, norms, 0.0)
+            keep = np.any(diff, axis=2)
+            keep[keep] = anti_sparsity_level(diff[keep]) >= k0
+            norms = np.where(keep, norms, 0.0)
         best = max(best, float(norms.max()))
     return best
 
@@ -389,16 +373,7 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
 # --- lemma-level Monte Carlo checks ---
 
 
-@dataclass(frozen=True)
-class Lemma4Report:
-    pass_rate: float
-    trials: int
-    failures: int
-    m: int
-    pattern: tuple  # per-trial pass flags
-
-
-def _sample_local_set(spec: SetSpec, eta: float, rng, max_tries: int = 50) -> np.ndarray:
+def _sample_local_set(spec: SetSpec, eta: float, rng) -> np.ndarray:
     """A point of (K - K) inter eta B.
 
     Continuum kinds: a sampled difference radially shrunk to a uniform norm
@@ -410,7 +385,7 @@ def _sample_local_set(spec: SetSpec, eta: float, rng, max_tries: int = 50) -> np
     v = a - b
     cap = eta * rng.random()
     if isinstance(spec, FiniteSet):
-        for _ in range(max_tries):
+        for _ in range(50):
             if np.linalg.norm(v) <= eta:
                 return v
             a = sample_point(spec, rng)
@@ -424,8 +399,9 @@ def _sample_local_set(spec: SetSpec, eta: float, rng, max_tries: int = 50) -> np
 
 
 def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
-                          trials: int, seed, margin: float = 1.0) -> Lemma4Report:
-    """Projection stability of the local set (K - K) inter eta B.
+                          trials: int, seed, margin: float = 1.0) -> np.ndarray:
+    """Projection stability of the local set (K - K) inter eta B: the
+    per-trial pass flags.
 
     Per trial: fresh matrix, a sampled local-set point v, check
     ||Phi v|| <= sqrt(m) * eta. Points sitting exactly on the eta sphere fail
@@ -442,15 +418,13 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
         raise InvalidArgument("trials must be >= 1")
     n = ambient_dim(spec)
     root = as_seedseq(seed)
-    pattern = []
-    for sub in root.spawn(trials):
+    passed = np.empty(trials, dtype=bool)
+    for i, sub in enumerate(root.spawn(trials)):
         rng = np.random.default_rng(sub)
         v = _sample_local_set(spec, margin * eta, rng)
         mat = sample_iid(ensemble, (m, n), rng)
-        pattern.append(bool(np.linalg.norm(mat @ v) <= math.sqrt(m) * eta * (1 + 1e-12)))
-    failures = pattern.count(False)
-    return Lemma4Report(pass_rate=1.0 - failures / trials, trials=trials, failures=failures,
-                        m=m, pattern=tuple(pattern))
+        passed[i] = np.linalg.norm(mat @ v) <= math.sqrt(m) * eta * (1 + 1e-12)
+    return passed
 
 
 @dataclass(frozen=True)
@@ -532,19 +506,13 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
 # --- deterministic counterexamples and exact combinatorics ---
 
 
-@dataclass(frozen=True)
-class NoDitherReport:
-    pass_rate: float
-    trials: int
-    width: float  # ||u - v|| = s / sqrt(k0), irreducible for this map
+def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> float:
+    """Undithered rounding map collapsing two distinct sparse vectors: the
+    share of trials whose codes agree.
 
-
-def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> NoDitherReport:
-    """Undithered rounding map collapsing two distinct sparse vectors.
-
-    u is all-ones on k0 coordinates and v = (1 + s/k0) u; Bernoulli rows give
-    integer projections, the relative shift stays below one half, so the
-    rounded codes agree deterministically.
+    u is all-ones on k0 coordinates and v = (1 + s/k0) u, so ||u - v|| =
+    s / sqrt(k0); Bernoulli rows give integer projections, the relative shift
+    stays below one half, so the rounded codes agree deterministically.
     """
     if k0 < 1:
         raise InvalidArgument("k0 must be >= 1")
@@ -556,16 +524,13 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> No
     v = (1.0 + s / k0) * u
     root = as_seedseq(seed)
     passes = 0
-    from .ensembles import make_ensemble
-
     bern = make_ensemble("rademacher")
     for sub in root.spawn(trials):
         qmap = make_map(bern, m, k0, 1.0, sub, dithered=False, variant="round")
         codes = apply_many(qmap, np.column_stack([u, v]))
         if np.array_equal(codes[:, 0], codes[:, 1]):
             passes += 1
-    return NoDitherReport(pass_rate=passes / trials, trials=trials,
-                          width=s / math.sqrt(k0))
+    return passes / trials
 
 
 @dataclass(frozen=True)
@@ -634,30 +599,19 @@ def stirling_gosper_check(n_max: int) -> np.ndarray:
     return ok
 
 
-@dataclass(frozen=True)
-class FloorContrastReport:
-    all_exact: bool
-    trials: int
-    m: int
-    implied_floor: float  # 1 - sqrt(2/pi)
-
-
-def section2_bernoulli_floor(m: int, trials: int, seed) -> FloorContrastReport:
-    """D(e1, 0) = 1 exactly for Bernoulli rows at delta = 1, dithered floor,
-    where Gaussian rows make D concentrate near sqrt(2/pi) instead."""
+def section2_bernoulli_floor(m: int, trials: int, seed) -> bool:
+    """Whether D(e1, 0) = 1 exactly in every trial for Bernoulli rows at
+    delta = 1, dithered floor, where Gaussian rows make D concentrate near
+    sqrt(2/pi) instead."""
     if m < 1:
         raise InvalidArgument("m must be >= 1")
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
-    from .ensembles import make_ensemble
-
     bern = make_ensemble("rademacher")
     n = 2
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
-    all_exact = all(pair_distances([make_map(bern, m, n, 1.0, sub)], pair)[0] == 1.0
-                    for sub in as_seedseq(seed).spawn(trials))
-    return FloorContrastReport(all_exact=all_exact, trials=trials, m=m,
-                               implied_floor=1.0 - SQRT_2_OVER_PI)
+    return all(pair_distances([make_map(bern, m, n, 1.0, sub)], pair)[0] == 1.0
+               for sub in as_seedseq(seed).spawn(trials))
 
 
 # --- CSV emission (RFC 4180, header row mandatory) ---
@@ -689,9 +643,6 @@ def summary_to_csv(entries) -> str:
 
 
 def gnuplot_data(result: ExperimentResult) -> str:
-    """Two columns: log10(m), log10(per-m worst statistic)."""
-    lines = []
-    for s in result.per_m:
-        if s.n_values and s.worst > 0:
-            lines.append(f"{math.log10(s.m):.12g} {math.log10(s.worst):.12g}")
-    return "\n".join(lines) + "\n"
+    """Two columns, log10(m) and log10(worst statistic), one line per fit point."""
+    return "".join(f"{math.log10(m):.12g} {math.log10(worst):.12g}\n"
+                   for m, worst in result.fit_points) or "\n"

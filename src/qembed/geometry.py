@@ -174,13 +174,15 @@ def structured_wbar_sq(spec: SetSpec) -> float:
     raise InvalidArgument("structured width bound needs a sparse or low-rank set")
 
 
-def anti_sparsity_level(u: np.ndarray) -> float:
-    """||u||^2 / ||u||_inf^2: 1 for one nonzero entry, the dimension for a flat u."""
+def anti_sparsity_level(u: np.ndarray):
+    """||u||^2 / ||u||_inf^2 over the last axis: 1 for one nonzero entry, the
+    dimension for a flat u. A float for one vector, an array for a stack."""
     u = np.asarray(u, dtype=np.float64)
-    sup = float(np.max(np.abs(u)))
-    if sup == 0.0:
+    sup = np.max(np.abs(u), axis=-1)
+    if np.any(sup == 0.0):
         raise InvalidArgument("u must be nonzero")
-    return float(np.dot(u, u)) / sup**2
+    level = np.vecdot(u, u) / sup**2
+    return float(level) if u.ndim == 1 else level
 
 
 MINIMAL_M_KINDS = ("embed-general", "embed-structured", "width-general", "width-structured")

@@ -151,17 +151,25 @@ def test_binomial_exact_matches_monte_carlo():
 
 
 def test_exact_tail_gap_discrete_matches_quadrature():
-    # two-atom |X| in {0.5, 1.5} with probs {0.5, 0.5}
-    mags = np.array([0.5, 1.5])
-    probs = np.array([0.5, 0.5])
+    cases = [
+        # two-atom |X| in {0.5, 1.5} with probs {0.5, 0.5}
+        ([0.5, 1.5], [0.5, 0.5]),
+        # unsorted, with duplicate atoms
+        ([1.2, 0.3, 1.2, 2.0, 0.3, 1.2], [0.1, 0.2, 0.15, 0.25, 0.05, 0.25]),
+        # an atom at 0
+        ([0.0, 0.8, 1.7], [0.3, 0.3, 0.4]),
+    ]
+    for mags, probs in cases:
+        mags, probs = np.array(mags), np.array(probs)
 
-    def integrand(t):
-        emp = 1.0 if t <= 0.5 else (0.5 if t <= 1.5 else 0.0)
-        return abs(emp - 2.0 * (1.0 - norm.cdf(t)))
+        def integrand(t):
+            emp = probs[mags >= t].sum()
+            return abs(emp - 2.0 * (1.0 - norm.cdf(t)))
 
-    oracle = sum(quad(integrand, a, b, limit=200)[0]
-                 for a, b in ((0, 0.5), (0.5, 1.5), (1.5, 12.0)))
-    assert E.exact_tail_gap_discrete(mags, probs) == pytest.approx(oracle, abs=1e-8)
+        knots = [0.0, *np.unique(mags[mags > 0]), 12.0]
+        oracle = sum(quad(integrand, a, b, limit=200, epsabs=1e-12)[0]
+                     for a, b in zip(knots, knots[1:]))
+        assert E.exact_tail_gap_discrete(mags, probs) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_estimated_kappa_below_generic_bound():

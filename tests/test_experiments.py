@@ -6,6 +6,7 @@ import pytest
 from qembed import ensembles as E
 from qembed import experiments as X
 from qembed import geometry as G
+from qembed import selftest as S
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -81,7 +82,28 @@ def test_quasi_isometry_sweep_small():
     assert res.verdict is True
     assert len(res.rows) == 4 * 3
     assert all(r.statistic > 0 for r in res.rows)
-    assert res.detail["allowance"] == 0.0
+
+
+def test_fit_points_are_the_worst_uncensored_statistics():
+    # the Rademacher low-rank plan at k0 = 4 censors distortion trials, and
+    # its width trials differ within an M
+    plan = _plan(set_spec=G.LowRankBall(n1=8, n2=8, r=1, radius=1.0),
+                 ensemble=E.make_ensemble("rademacher", "estimated"), k0=4.0,
+                 m_grid=(8, 16, 32, 64), pairs_per_m=20, trials_per_m=4, master_seed=2)
+    qi = X.quasi_isometry_sweep(plan)
+    cw = X.consistency_width_sweep(plan)
+    assert qi.censored_total > 0
+    assert len({r.statistic for r in cw.rows if r.m == 8}) > 1
+    for res in (qi, cw):
+        expected = []
+        for m in plan.m_grid:
+            vals = [r.statistic for r in res.rows if r.m == m and not r.censored]
+            if vals and max(vals) > 0:
+                expected.append((m, max(vals)))
+        assert res.fit_points == expected
+        assert res.censored_total == sum(r.censored for r in res.rows)
+        assert X.gnuplot_data(res) == "".join(f"{math.log10(m):.12g} {math.log10(w):.12g}\n"
+                                              for m, w in expected)
 
 
 def test_quasi_isometry_filter_error():
@@ -148,6 +170,15 @@ def test_consistency_width_censoring_semantics():
     assert res.censored_total == 6
     assert all(r.censored and r.statistic == 0.0 for r in res.rows)
     assert res.slope is None
+
+
+def test_all_censored_sweep_has_no_fit_points():
+    pts = 0.9 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    res = X.consistency_width_sweep(_plan(set_spec=G.FiniteSet(points=pts),
+                                          m_grid=(1024, 2048, 4096), trials_per_m=2))
+    assert res.fit_points == []
+    assert res.slope is None and res.slope_stderr is None
+    assert X.gnuplot_data(res) == "\n"
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
@@ -254,6 +285,13 @@ def test_shared_code_widths_streamed_equals_whole(k0):
     assert np.array_equal(streamed, whole)
 
 
+def test_width_search_filters_with_the_anti_sparsity_level():
+    # the difference (0.1 + 0.2) * (1, 1) has level exactly 2 and passes k0 = 2
+    pts = np.array([[0.0, 0.0], [0.1 + 0.2, 0.1 + 0.2]])
+    assert G.anti_sparsity_level(pts[1] - pts[0]) == 2.0
+    assert X._max_filtered_distance(pts, 2.0) == pytest.approx(0.4243, abs=1e-4)
+
+
 def test_shared_code_widths_stops_once_every_point_is_alone():
     from qembed import quantizer as Q
 
@@ -306,16 +344,16 @@ def test_consistency_width_finite_exact_grouping():
 
 
 def test_lemma4_zero_vector_always_passes():
-    rep = X.lemma4_diameter_check(G.FiniteSet(points=np.zeros((1, 4))), 0.5,
-                                  E.make_ensemble("gaussian"), 32, 50, 0)
-    assert rep.pass_rate == 1.0
+    passed = X.lemma4_diameter_check(G.FiniteSet(points=np.zeros((1, 4))), 0.5,
+                                     E.make_ensemble("gaussian"), 32, 50, 0)
+    assert passed.all()
 
 
 def test_lemma4_interior_margin_zero_failures():
-    rep = X.lemma4_diameter_check(G.EuclideanBall(n=8, radius=1.0), 0.7,
-                                  E.make_ensemble("gaussian"), 128, 1000, 1,
-                                  margin=0.5)
-    assert rep.failures == 0
+    passed = X.lemma4_diameter_check(G.EuclideanBall(n=8, radius=1.0), 0.7,
+                                     E.make_ensemble("gaussian"), 128, 1000, 1,
+                                     margin=0.5)
+    assert passed.all()
 
 
 def test_lemma4_scale_invariance():
@@ -324,7 +362,7 @@ def test_lemma4_scale_invariance():
     g = E.make_ensemble("gaussian")
     r1 = X.lemma4_diameter_check(spec, 0.2, g, 64, 200, 3, margin=0.5)
     r2 = X.lemma4_diameter_check(spec, 0.4, g, 64, 200, 3, margin=0.5)
-    assert r1.pattern == r2.pattern
+    assert np.array_equal(r1, r2)
 
 
 def test_lemma5_bound_and_lower_bound():
@@ -369,9 +407,9 @@ def test_lemma5_validation():
 
 
 def test_no_dither_counterexample():
-    rep = X.no_dither_counterexample(64, 0.4, 128, 200, 0)
-    assert rep.pass_rate == 1.0
-    assert rep.width == pytest.approx(0.4 / 8.0)
+    assert X.no_dither_counterexample(64, 0.4, 128, 200, 0) == 1.0
+    # ||u - v|| = s / sqrt(k0), irreducible for this map
+    assert S.criterion_8(0, S.QUICK).detail["width"] == pytest.approx(0.4 / 8.0)
     with pytest.raises(E.InvalidArgument):
         X.no_dither_counterexample(64, 0.6, 128, 10, 0)
     with pytest.raises(E.InvalidArgument):
@@ -417,10 +455,10 @@ def test_stirling_small_and_medium():
 
 
 def test_section2_floor_exact_and_contrast():
-    rep = X.section2_bernoulli_floor(64, 60, 4)
-    assert rep.all_exact
-    assert rep.implied_floor == pytest.approx(1 - SQ2PI)
-    assert rep.implied_floor > 0.202
+    assert X.section2_bernoulli_floor(64, 60, 4) is True
+    floor = S.criterion_7(0, S.QUICK).detail["implied_floor"]
+    assert floor == pytest.approx(1 - SQ2PI)
+    assert floor > 0.202
     # Gaussian rows: D(e1, 0) concentrates near sqrt(2/pi), not at 1
     from qembed import distances as D
     from qembed import quantizer as Q

@@ -125,6 +125,20 @@ def test_anti_sparsity_level_range():
         assert 1.0 <= lvl <= 12.0
 
 
+def test_stacked_anti_sparsity_level_equals_each_row():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((4, 5, 12)) * rng.uniform(1e-3, 1e3, (4, 5, 1))
+    stack[0, 0, 1:] = 0.0
+    levels = G.anti_sparsity_level(stack)
+    assert levels.shape == (4, 5)
+    assert all(levels[i, j] == G.anti_sparsity_level(stack[i, j])
+               for i in range(4) for j in range(5))
+    assert isinstance(G.anti_sparsity_level(stack[0, 0]), float)
+    stack[2, 3] = 0.0
+    with pytest.raises(E.InvalidArgument):
+        G.anti_sparsity_level(stack)
+
+
 def test_minimal_m_eps_scaling():
     spec = G.SparseBall(n=32, k=2, radius=1.0)
     m1 = G.minimal_m(spec, "embed-general", 0.2, 0.5, 1.0, draws=2000, seed=0)

@@ -43,6 +43,14 @@ DEFECTS = {
          "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
     "irwin-hall-without-its-last-term":
         (E, "_uniform_sum_tail", "range(int(y) + 1)", "range(int(y))"),
+    "fit-point-is-the-mean-not-the-worst":
+        (X, "_sweep", "worst = float(np.max(vals))", "worst = float(np.mean(vals))"),
+    "tail-gap-piece-not-split-at-the-crossing":
+        (E, "exact_tail_gap_discrete",
+         "pieces = [(lo, t_star, -1.0), (t_star, hi, 1.0)]", "pieces = [(lo, hi, 1.0)]"),
+    "width-search-filters-on-the-norm-ratio":
+        (X, "_max_filtered_distance", "anti_sparsity_level(diff[keep])",
+         "(norms[keep] / np.max(np.abs(diff[keep]), axis=1)) ** 2"),
 }
 
 # (defect, test that must fail, its arguments)
@@ -71,6 +79,12 @@ ROWS = [
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
     ("irwin-hall-without-its-last-term",
      test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),
+    ("fit-point-is-the-mean-not-the-worst",
+     test_experiments.test_fit_points_are_the_worst_uncensored_statistics, ()),
+    ("tail-gap-piece-not-split-at-the-crossing",
+     test_ensembles.test_exact_tail_gap_discrete_matches_quadrature, ()),
+    ("width-search-filters-on-the-norm-ratio",
+     test_experiments.test_width_search_filters_with_the_anti_sparsity_level, ()),
 ]
 
 
