@@ -107,7 +107,8 @@ FLAGS = {
     "--scale": (dict(choices=[selftest.FULL, selftest.QUICK], default=selftest.FULL),
                 ("experiment", "scale")),
     "--ensemble": (dict(choices=list(ensembles.KINDS), default="gaussian"), ("ensemble", "kind")),
-    "--kappa": (dict(default="default"), ("ensemble", "kappa")),
+    "--kappa": (dict(choices=list(ensembles.KAPPA_SOURCES), default="generic-bound"),
+                ("ensemble", "kappa")),
     "--delta": (dict(type=float, default=1.0), ("quantizer", "delta")),
     "--variant": (dict(choices=list(quantizer.VARIANTS), default="floor"),
                   ("quantizer", "variant")),
@@ -197,7 +198,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _qmap(args, n: int):
-    return quantizer.make_map(ensembles.make_ensemble(args.ensemble, args.kappa), args.m, n,
+    return quantizer.make_map(ensembles.make_ensemble(args.ensemble), args.m, n,
                               args.delta, np.random.SeedSequence(args.seed),
                               dithered=not args.no_dither, variant=args.variant)
 
@@ -249,8 +250,9 @@ def cmd_sweep(args) -> int:
     which = args.command
     spec = parse_set_spec(args.set_spec)
     grid = _parse_list(args.m_grid, int, "--m-grid")
-    plan = experiments.TrialPlan(set_spec=spec, delta=args.delta, m_grid=grid,
-                                 ensemble=ensembles.make_ensemble(args.ensemble, args.kappa),
+    # consistency-width takes no --kappa: its statistic has no allowance
+    ensemble = ensembles.make_ensemble(args.ensemble, *([args.kappa] if "kappa" in args else []))
+    plan = experiments.TrialPlan(set_spec=spec, delta=args.delta, m_grid=grid, ensemble=ensemble,
                                  pairs_per_m=args.pairs, trials_per_m=args.trials,
                                  k0=args.k0, master_seed=args.seed)
     band = None
@@ -286,9 +288,9 @@ def cmd_checks(args) -> int:
     return EXIT_PASS if passed == len(results) else EXIT_FAIL
 
 
-MAP = ("--seed", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither")
-SWEEP = ("--seed", "--out", "--jobs", "--ensemble", "--kappa", "--delta", "--set",
-         "--m-grid", "--pairs", "--trials", "--k0", "--slope-band")
+MAP = ("--seed", "--ensemble", "--delta", "--variant", "--no-dither")
+SWEEP = ("--seed", "--out", "--jobs", "--ensemble", "--delta", "--set", "--m-grid", "--pairs",
+         "--trials", "--k0", "--slope-band")
 
 # each subcommand's help line, the flags its computation reads and its
 # handler; every subcommand also takes --config
@@ -299,7 +301,8 @@ SUBCOMMANDS = {
     "width": ("Gaussian mean width of a set", ("--seed", "--set", "--draws"), cmd_width),
     "min-m": ("minimal measurement count",
               ("--seed", "--set", "--delta", "--kind", "--eps", "--c"), cmd_min_m),
-    "quasi-isometry": ("distortion decay sweep", SWEEP, cmd_sweep),
+    # only the quasi-isometry allowance kappa / sqrt(k0) reads kappa
+    "quasi-isometry": ("distortion decay sweep", (*SWEEP, "--kappa"), cmd_sweep),
     "consistency-width": ("consistency width sweep", SWEEP, cmd_sweep),
     "counterexamples": ("criterion 8 (no-dither) or 7 (section2-floor)",
                         ("--seed", "--out", "--scale", "--which"), cmd_checks),

@@ -15,11 +15,11 @@ import numpy as np
 from scipy.special import erfcinv, gammaln, ndtr
 
 KINDS = ("gaussian", "rademacher", "bounded-uniform")
-KAPPA_SOURCES = ("exact-zero", "generic-bound", "estimated")
+KAPPA_SOURCES = ("generic-bound", "estimated")
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# 9*sqrt(27); multiplies alpha^3 in the generic Berry-Esseen-style bound
+# 9*sqrt(27); multiplies psi2^3 in the generic Berry-Esseen-style bound
 GENERIC_KAPPA_FACTOR = 9.0 * math.sqrt(27.0)
 
 
@@ -27,22 +27,20 @@ class InvalidArgument(ValueError):
     """Raised when an operation precondition is violated."""
 
 
+def as_seedseq(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """A symmetric, zero-mean, unit-variance sub-Gaussian distribution family."""
 
     kind: str
-    alpha: float
     kappa_sg: float
-    kappa_source: str
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgument(f"unknown ensemble kind: {self.kind!r}")
-        if self.kappa_source not in KAPPA_SOURCES:
-            raise InvalidArgument(f"unknown kappa_source: {self.kappa_source!r}")
-        if self.alpha < 1.0 / math.sqrt(2.0) - 1e-12:
-            raise InvalidArgument("alpha must be >= 1/sqrt(2) for unit variance")
         if self.kappa_sg < 0:
             raise InvalidArgument("kappa_sg must be nonnegative")
 
@@ -73,27 +71,22 @@ def psi2_norm(kind: str) -> float:
     return best
 
 
-def make_ensemble(kind: str, kappa_source: str = "default") -> Ensemble:
-    """Build an Ensemble with alpha from the psi2 grid and kappa per source.
-
-    kappa_source "default" resolves to exact-zero for gaussian and the
-    generic bound otherwise; "estimated" refines the generic bound by
-    exact tail-gap integration on flat sparse unit vectors.
+def make_ensemble(kind: str, kappa_source: str = "generic-bound") -> Ensemble:
+    """Build an Ensemble with kappa per source: 0 for gaussian under either;
+    "generic-bound" is 9 sqrt(27) psi2^3, and "estimated" refines it by exact
+    tail-gap integration on flat sparse unit vectors.
     """
-    alpha = psi2_norm(kind)
-    if kappa_source == "default":
-        kappa_source = "exact-zero" if kind == "gaussian" else "generic-bound"
-    if kappa_source == "exact-zero":
-        if kind != "gaussian":
-            raise InvalidArgument("exact-zero kappa is only valid for the gaussian kind")
+    if kind not in KINDS:
+        raise InvalidArgument(f"unknown ensemble kind: {kind!r}")
+    if kappa_source not in KAPPA_SOURCES:
+        raise InvalidArgument(f"unknown kappa_source: {kappa_source!r}")
+    if kind == "gaussian":
         kappa = 0.0
     elif kappa_source == "generic-bound":
-        kappa = 0.0 if kind == "gaussian" else GENERIC_KAPPA_FACTOR * alpha**3
-    elif kappa_source == "estimated":
-        kappa = 0.0 if kind == "gaussian" else estimate_kappa(kind)
+        kappa = GENERIC_KAPPA_FACTOR * psi2_norm(kind) ** 3
     else:
-        raise InvalidArgument(f"unknown kappa_source: {kappa_source!r}")
-    return Ensemble(kind=kind, alpha=alpha, kappa_sg=kappa, kappa_source=kappa_source)
+        kappa = estimate_kappa(kind)
+    return Ensemble(kind=kind, kappa_sg=kappa)
 
 
 def sample_iid(ensemble: Ensemble, shape, seed) -> np.ndarray:
@@ -271,15 +264,13 @@ def _uniform_tail_gap(k: int) -> float:
 
 
 def estimate_kappa(kind: str) -> float:
-    """Refined kappa: max over flat K-sparse unit vectors, K = 1..12, of
-    sqrt(K) * tail gap.
+    """Refined kappa of a non-Gaussian kind: max over flat K-sparse unit
+    vectors, K = 1..12, of sqrt(K) * tail gap.
 
     Both non-Gaussian kinds have exact laws on ones(K)/sqrt(K): binomial
     atoms for Rademacher sums and a scaled Irwin-Hall density for
     bounded-uniform ones, so kappa is deterministic.
     """
-    if kind == "gaussian":
-        return 0.0
     best = 0.0
     for k in range(1, 13):
         if kind == "rademacher":
@@ -287,9 +278,7 @@ def estimate_kappa(kind: str) -> float:
             mags = np.abs(2.0 * j - k) / math.sqrt(k)
             probs = np.array([math.comb(k, int(jj)) for jj in j], dtype=np.float64) / 2.0**k
             gap = exact_tail_gap_discrete(mags, probs)
-        elif kind == "bounded-uniform":
-            gap = _uniform_tail_gap(k)
         else:
-            raise InvalidArgument(f"unknown ensemble kind: {kind!r}")
+            gap = _uniform_tail_gap(k)
         best = max(best, gap * math.sqrt(k))
     return best

@@ -21,6 +21,7 @@ from .ensembles import (
     SQRT_2_OVER_PI,
     Ensemble,
     InvalidArgument,
+    as_seedseq,
     binomial_mad,
     binomial_mad_de_moivre,
     make_ensemble,
@@ -34,7 +35,7 @@ from .geometry import (
     SetSpec,
     SparseBall,
     ambient_dim,
-    anti_sparsity_level,
+    anti_sparse,
     diameter,
     sample_point,
 )
@@ -73,8 +74,8 @@ class TrialPlan:
         if not (self.delta > 0):
             raise InvalidArgument("delta must be positive")
         if not (0 <= self.k0 < math.inf):
-            raise InvalidArgument(f"k0 must be finite and nonnegative (0 disables the filter), "
-                                  f"got {self.k0}")
+            raise InvalidArgument(f"k0 must be finite and nonnegative (k0 <= 1 filters "
+                                  f"nothing), got {self.k0}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,6 @@ class ExperimentResult:
 
 def task_seed(master_seed: int, m_index: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(m_index, trial))
-
-
-def as_seedseq(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def seed_fingerprint(ss: np.random.SeedSequence) -> int:
@@ -139,10 +136,7 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     for _ in range(200):
         x = sample_point(spec, rng)
         y = sample_point(spec, rng)
-        d = x - y
-        if not np.any(d):
-            continue
-        if k0 <= 0 or anti_sparsity_level(d) >= k0:
+        if anti_sparse(x - y, k0):
             return x, y
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
@@ -245,12 +239,8 @@ def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng):
             u = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
         else:
             u = rng.standard_normal(spec.n)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            continue
-        u = u / norm
-        if k0 <= 0 or anti_sparsity_level(u) >= k0:
-            return u
+        if anti_sparse(u, k0):
+            return u / np.linalg.norm(u)
     raise SetFilterError(f"no direction passed the k0={k0} anti-sparsity filter")
 
 
@@ -307,11 +297,7 @@ def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
         rows = points[start:start + chunk]
         diff = rows[:, None, :] - points[None, :, :]
         norms = np.linalg.norm(diff, axis=2)
-        if k0 > 1.0:
-            keep = np.any(diff, axis=2)
-            keep[keep] = anti_sparsity_level(diff[keep]) >= k0
-            norms = np.where(keep, norms, 0.0)
-        best = max(best, float(norms.max()))
+        best = max(best, float(np.where(anti_sparse(diff, k0), norms, 0.0).max()))
     return best
 
 
@@ -457,7 +443,7 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     w = u - v
     if not np.any(w):
         raise InvalidArgument("u and v must differ")
-    if k0 > 0 and anti_sparsity_level(w) < k0:
+    if not anti_sparse(w, k0):
         raise InvalidArgument("u - v fails the anti-sparsity precondition")
     dist = float(np.linalg.norm(w))
     root = as_seedseq(seed)

@@ -1,5 +1,5 @@
 """Low-complexity sets: sampling, exact sup oracles, Gaussian mean width,
-anti-sparsity levels, and minimal measurement counts.
+the anti-sparsity condition, and minimal measurement counts.
 
 Width estimates are Monte Carlo over the outer Gaussian draw only; the inner
 sup over the set has a closed form for every supported kind.
@@ -174,15 +174,20 @@ def structured_wbar_sq(spec: SetSpec) -> float:
     raise InvalidArgument("structured width bound needs a sparse or low-rank set")
 
 
-def anti_sparsity_level(u: np.ndarray):
-    """||u||^2 / ||u||_inf^2 over the last axis: 1 for one nonzero entry, the
-    dimension for a flat u. A float for one vector, an array for a stack."""
+def anti_sparse(u: np.ndarray, k0: float):
+    """Whether u is nonzero and ||u||^2 >= k0 ||u||_inf^2, over the last axis:
+    a bool for one vector, an array for a stack.
+
+    The test compares and never divides, and it is skipped at k0 <= 1: a
+    float sum of nonnegative squares is never below its largest square, so
+    there every nonzero u passes and k0 <= 1 filters nothing.
+    """
     u = np.asarray(u, dtype=np.float64)
     sup = np.max(np.abs(u), axis=-1)
-    if np.any(sup == 0.0):
-        raise InvalidArgument("u must be nonzero")
-    level = np.vecdot(u, u) / sup**2
-    return float(level) if u.ndim == 1 else level
+    ok = sup > 0.0
+    if k0 > 1.0:
+        ok &= np.vecdot(u, u) >= k0 * sup**2
+    return bool(ok) if u.ndim == 1 else ok
 
 
 MINIMAL_M_KINDS = ("embed-general", "embed-structured", "width-general", "width-structured")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, InvalidArgument, sample_matrix
+from .ensembles import Ensemble, InvalidArgument, as_seedseq, sample_matrix
 
 VARIANTS = ("floor", "round")
 
@@ -133,8 +133,7 @@ def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int
     """
     if variant not in VARIANTS:
         raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    mat_seed, dither_seed = root.spawn(2)
+    mat_seed, dither_seed = as_seedseq(seed).spawn(2)
     phis = sample_matrix(ensemble, m, n, mat_seed, rows)
     xi = np.random.default_rng(dither_seed).random(m) * delta if dithered else np.zeros(m)
     if variant == "round":

@@ -97,15 +97,15 @@ BASE_ARGV = {
     "combinatorics": [],
 }
 FLAG_VALUES = {"--out": ["x"], "--jobs": ["1"], "--set": ["ball:N=2"], "--seed": ["1"],
-               "--ensemble": ["gaussian"], "--kappa": ["default"], "--delta": ["1"],
+               "--ensemble": ["gaussian"], "--kappa": ["generic-bound"], "--delta": ["1"],
                "--variant": ["floor"], "--no-dither": []}
 UNREAD_FLAGS = {
-    "embed": ["--out", "--jobs", "--set"],
-    "distance": ["--out", "--jobs", "--set"],
+    "embed": ["--out", "--jobs", "--set", "--kappa"],
+    "distance": ["--out", "--jobs", "--set", "--kappa"],
     "width": ["--out", "--jobs", "--ensemble", "--kappa", "--delta", "--variant", "--no-dither"],
     "min-m": ["--out", "--jobs", "--ensemble", "--kappa", "--variant", "--no-dither"],
     "quasi-isometry": ["--variant", "--no-dither"],
-    "consistency-width": ["--variant", "--no-dither"],
+    "consistency-width": ["--variant", "--no-dither", "--kappa"],
     "counterexamples": ["--jobs"],
     "lemmas": ["--jobs"],
     "combinatorics": ["--jobs", "--seed"],
@@ -126,6 +126,7 @@ def test_flag_the_computation_does_not_read_exits_2(command, flag, capsys):
     ("quasi-isometry", "quantizer", "variant = round"),
     ("width", "experiment", "out = elsewhere"),
     ("embed", "set", "kind = ball"),
+    ("consistency-width", "ensemble", "kappa = estimated"),
 ])
 def test_config_key_without_its_flag_exits_2(command, section, key, tmp_path, capsys,
                                              monkeypatch):
@@ -343,6 +344,35 @@ def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch)
         assert "--kappa estimated" in err and "--k0" in err
 
 
+@pytest.mark.parametrize("source", ["default", "exact-zero"])
+def test_kappa_takes_only_the_two_sources(source, capsys):
+    code, _, err = run_cli([*VACUOUS, "--kappa", source], capsys)
+    assert code == 2
+    assert f"argument --kappa: invalid choice: '{source}'" in err
+
+
+# (argv, flag, two values of it): the exit code, stdout or output files of
+# argv differ between the two values
+FLAG_EFFECTS = [
+    # a Rademacher plan that the generic kappa makes vacuous and the estimated one does not
+    (["quasi-isometry", "--ensemble", "rademacher", "--set", "lowrank:N1=8,N2=8,r=1", "--k0", "4",
+      "--m-grid", "8,16", "--pairs", "20", "--trials", "2", "--seed", "2"],
+     "--kappa", "generic-bound", "estimated"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, a, b", FLAG_EFFECTS,
+                         ids=[f"{argv[0]}-{flag}" for argv, flag, _, _ in FLAG_EFFECTS])
+def test_flag_changes_the_outputs(argv, flag, a, b, tmp_path, capsys):
+    outputs = []
+    for value in (a, b):
+        out = tmp_path / value
+        code, stdout, _ = run_cli([*argv, flag, value, "--out", str(out)], capsys)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        outputs.append((code, stdout, files))
+    assert outputs[0] != outputs[1]
+
+
 def check_summary(path, rows):
     """The summary CSV of a passing check subcommand: one row per criterion."""
     lines = ["experiment,slope,stderr,verdict", *(f"{row},,,pass" for row in rows)]
@@ -454,7 +484,6 @@ FLAG_POOLS = {
     "--out": ["TMP/out", "TMP/good.txt"],
     "--jobs": ["-1", "0", "1", "2"],
     "--scale": ["quick"],
-    "--kappa": ["default", "estimated", "generic-bound", "exact-zero", "bogus"],
     "--set": ["ball:N=2", "ball:N=16,d=0.5", "sparse:N=16,K=2,d=1", "lowrank:N1=4,N2=4,r=1",
               "mesh:N=2,h=0.5", "finite:file=TMP/good.txt", "ball:N=0", "ball:N=2,d=-1",
               "ball:N=2,d=inf", "sparse:N=4,K=8", "sparse:N=x,K=1", "lowrank:N1=4,N2=4",

@@ -23,16 +23,16 @@ def test_alpha_at_least_inv_sqrt2():
 
 
 def test_make_ensemble_kappa_sources():
-    g = E.make_ensemble("gaussian")
-    assert g.kappa_sg == 0.0 and g.kappa_source == "exact-zero"
+    assert E.make_ensemble("gaussian").kappa_sg == 0.0
+    assert E.make_ensemble("gaussian", "estimated").kappa_sg == 0.0
     r = E.make_ensemble("rademacher")
-    assert r.kappa_source == "generic-bound"
+    assert r.kappa_sg == E.make_ensemble("rademacher", "generic-bound").kappa_sg
     assert r.kappa_sg == pytest.approx(9 * math.sqrt(27), abs=1e-9)
     assert r.kappa_sg < 47
-    with pytest.raises(E.InvalidArgument):
-        E.make_ensemble("rademacher", "exact-zero")
-    with pytest.raises(E.InvalidArgument):
-        E.make_ensemble("rademacher", "bogus")
+    for source in ("exact-zero", "default", "bogus"):
+        for kind in E.KINDS:
+            with pytest.raises(E.InvalidArgument):
+                E.make_ensemble(kind, source)
     with pytest.raises(E.InvalidArgument):
         E.make_ensemble("cauchy")
 

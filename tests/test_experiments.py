@@ -288,7 +288,7 @@ def test_shared_code_widths_streamed_equals_whole(k0):
 def test_width_search_filters_with_the_anti_sparsity_level():
     # the difference (0.1 + 0.2) * (1, 1) has level exactly 2 and passes k0 = 2
     pts = np.array([[0.0, 0.0], [0.1 + 0.2, 0.1 + 0.2]])
-    assert G.anti_sparsity_level(pts[1] - pts[0]) == 2.0
+    assert G.anti_sparse(pts[1] - pts[0], 2.0)
     assert X._max_filtered_distance(pts, 2.0) == pytest.approx(0.4243, abs=1e-4)
 
 
@@ -486,12 +486,12 @@ def test_bernoulli_mean_envelope_on_filtered_pairs():
     spec = G.SparseBall(n=24, k=6, radius=1.0)
     k0 = 3.0
     from qembed import quantizer as Q
-    from qembed.geometry import anti_sparsity_level, sample_point
+    from qembed.geometry import anti_sparse, sample_point
 
     for _ in range(3):
         while True:
             x, y = sample_point(spec, rng), sample_point(spec, rng)
-            if np.any(x - y) and anti_sparsity_level(x - y) >= k0:
+            if anti_sparse(x - y, k0):
                 break
         trials, m = 3000, 4
         phi = E.sample_iid(rade, (trials * m, 24), rng)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -109,34 +110,56 @@ def test_width_sparse_log_bound():
         assert c_fit <= 4.0
 
 
-def test_anti_sparsity_levels():
-    assert G.anti_sparsity_level(np.array([1.0, 0.0, 0.0])) == 1.0
-    assert G.anti_sparsity_level(np.array([1.0, 1.0, 0.0])) == 2.0
-    assert G.anti_sparsity_level(np.ones(10)) == pytest.approx(10.0)
-    with pytest.raises(E.InvalidArgument):
-        G.anti_sparsity_level(np.zeros(3))
+def test_anti_sparse_at_the_level():
+    assert G.anti_sparse(np.array([1.0, 0.0, 0.0]), 1.0)
+    assert not G.anti_sparse(np.array([1.0, 0.0, 0.0]), np.nextafter(1.0, 2.0))
+    assert G.anti_sparse(np.array([1.0, 1.0, 0.0]), 2.0)
+    assert not G.anti_sparse(np.array([1.0, 1.0, 0.0]), np.nextafter(2.0, 3.0))
+    assert G.anti_sparse(np.ones(10), 10.0)
+    assert not G.anti_sparse(np.ones(10), np.nextafter(10.0, 11.0))
+    assert not G.anti_sparse(np.zeros(3), 0.0)
 
 
-def test_anti_sparsity_level_range():
+def test_anti_sparse_level_range():
     rng = np.random.default_rng(8)
     for _ in range(50):
         u = rng.standard_normal(12)
-        lvl = G.anti_sparsity_level(u)
-        assert 1.0 <= lvl <= 12.0
+        assert G.anti_sparse(u, 1.0)
+        assert not G.anti_sparse(u, np.nextafter(12.0, 13.0))
 
 
-def test_stacked_anti_sparsity_level_equals_each_row():
+def test_stacked_anti_sparse_equals_each_row():
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((4, 5, 12)) * rng.uniform(1e-3, 1e3, (4, 5, 1))
     stack[0, 0, 1:] = 0.0
-    levels = G.anti_sparsity_level(stack)
-    assert levels.shape == (4, 5)
-    assert all(levels[i, j] == G.anti_sparsity_level(stack[i, j])
-               for i in range(4) for j in range(5))
-    assert isinstance(G.anti_sparsity_level(stack[0, 0]), float)
     stack[2, 3] = 0.0
-    with pytest.raises(E.InvalidArgument):
-        G.anti_sparsity_level(stack)
+    for k0 in (0.0, 0.5, 1.0, 1.5, 3.0, 6.0):
+        passed = G.anti_sparse(stack, k0)
+        assert passed.shape == (4, 5)
+        assert all(passed[i, j] == G.anti_sparse(stack[i, j], k0)
+                   for i in range(4) for j in range(5))
+        assert isinstance(G.anti_sparse(stack[0, 0], k0), bool)
+        # a zero row never passes, and k0 <= 1 filters nothing else
+        assert not passed[2, 3]
+        if k0 <= 1.0:
+            assert np.array_equal(passed, np.any(stack, axis=-1))
+    assert not G.anti_sparse(stack[0, 0], 1.5)
+
+
+def test_anti_sparse_is_exact_on_the_mesh_differences():
+    # every ordered pair of distinct mesh points, decided in exact rationals
+    # on the float differences
+    pts = G.ball_mesh(3, 0.3).points
+    i, j = np.nonzero(~np.eye(len(pts), dtype=bool))
+    diffs = pts[i] - pts[j]
+    exact = [(sum(Fraction(x) ** 2 for x in d), max(Fraction(abs(x)) for x in d) ** 2)
+             for d in diffs.tolist()]
+    decisions = 0
+    for k0 in (1.5, 2.0, 3.0):
+        want = [sq >= Fraction(k0) * sup_sq for sq, sup_sq in exact]
+        assert G.anti_sparse(diffs, k0).tolist() == want
+        decisions += len(want)
+    assert decisions == 70_686
 
 
 def test_minimal_m_eps_scaling():

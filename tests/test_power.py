@@ -14,9 +14,11 @@ import pytest
 import test_distances
 import test_ensembles
 import test_experiments
+import test_geometry
 import test_quantizer
 from qembed import ensembles as E
 from qembed import experiments as X
+from qembed import geometry as G
 from qembed import quantizer as Q
 
 # name: (owner, function, anchor, replacement)
@@ -49,8 +51,12 @@ DEFECTS = {
         (E, "exact_tail_gap_discrete",
          "pieces = [(lo, t_star, -1.0), (t_star, hi, 1.0)]", "pieces = [(lo, hi, 1.0)]"),
     "width-search-filters-on-the-norm-ratio":
-        (X, "_max_filtered_distance", "anti_sparsity_level(diff[keep])",
-         "(norms[keep] / np.max(np.abs(diff[keep]), axis=1)) ** 2"),
+        (X, "_max_filtered_distance", "anti_sparse(diff, k0)",
+         "np.divide(norms, np.max(np.abs(diff), axis=2), out=np.zeros_like(norms),"
+         " where=norms > 0) ** 2 >= k0"),
+    "anti-sparsity-by-division":
+        (G, "anti_sparse", "np.vecdot(u, u) >= k0 * sup**2", "np.vecdot(u, u) / sup**2 >= k0"),
+    "zero-difference-passes": (G, "anti_sparse", "sup > 0.0", "sup >= 0.0"),
 }
 
 # (defect, test that must fail, its arguments)
@@ -85,6 +91,9 @@ ROWS = [
      test_ensembles.test_exact_tail_gap_discrete_matches_quadrature, ()),
     ("width-search-filters-on-the-norm-ratio",
      test_experiments.test_width_search_filters_with_the_anti_sparsity_level, ()),
+    ("anti-sparsity-by-division",
+     test_geometry.test_anti_sparse_is_exact_on_the_mesh_differences, ()),
+    ("zero-difference-passes", test_geometry.test_stacked_anti_sparse_equals_each_row, ()),
 ]
 
 
