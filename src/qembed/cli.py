@@ -96,6 +96,10 @@ def parse_set_spec(text) -> geometry.SetSpec:
 COUNTEREXAMPLES = {"no-dither": (8,), "section2-floor": (7,)}
 CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
 
+# the min-m kinds that use the closed-form width bound: they draw nothing, so
+# an explicit seed would be inert
+UNSEEDED_KINDS = ("embed-structured", "width-structured")
+
 # every flag's add_argument keywords, built-in default included, and the
 # config (section, key) that stands in for it; the [set] keys assemble into a
 # --set string. --seed has no default, so that QEMBED_SEED comes after the file.
@@ -194,7 +198,13 @@ def _out_dir(args) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_bytes(text.encode())
+    """Overwrite path in place: open without O_TRUNC, write, then cut the file
+    at the written length. Truncating a file's allocated blocks at open stalls
+    the open on ext4 (tens of ms per file), and a rerun into the same --out
+    would pay that for every output. Not atomic, and not fsynced."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
 
 
 def _qmap(args, n: int):
@@ -361,6 +371,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     if defaults:
         subparsers[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
+    if getattr(args, "kind", None) in UNSEEDED_KINDS and args.seed is not None:
+        raise ConfigError(f"min-m --kind {args.kind} draws nothing: it takes no --seed "
+                          "or [experiment] seed")
     if getattr(args, "seed", 0) is None:
         env = os.environ.get("QEMBED_SEED") or "0"
         try:

@@ -1,7 +1,9 @@
 import argparse
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +69,7 @@ def test_width_command(capsys):
 
 def test_min_m_command(capsys):
     code, out, _ = run_cli(["min-m", "--set", "sparse:N=64,K=4,d=1", "--kind",
-                            "embed-structured", "--eps", "0.25", "--delta", "0.5",
-                            "--seed", "0"], capsys)
+                            "embed-structured", "--eps", "0.25", "--delta", "0.5"], capsys)
     assert code == 0
     assert int(out.strip()) > 0
 
@@ -89,7 +90,7 @@ BASE_ARGV = {
     "embed": ["--m", "4", "--in", "x.txt"],
     "distance": ["--m", "4", "--in", "x.txt"],
     "width": ["--set", "ball:N=2"],
-    "min-m": ["--set", "ball:N=2", "--kind", "embed-structured", "--eps", "0.5"],
+    "min-m": ["--set", "ball:N=2", "--kind", "embed-general", "--eps", "0.5"],
     "quasi-isometry": ["--set", "ball:N=2"],
     "consistency-width": ["--set", "ball:N=2"],
     "counterexamples": ["--which", "no-dither"],
@@ -262,7 +263,10 @@ SPARSE = ["--set", "sparse:N=32,K=4,d=1"]
 VACUOUS = ["quasi-isometry", "--ensemble", "rademacher", "--set", "sparse:N=64,K=4,d=1",
            "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3"]
 
-# input files of the exit-code table, written under TMP/ (the test's tmp_path)
+MIN_M = ["min-m", "--set", "sparse:N=64,K=4,d=1", "--eps", "0.25", "--delta", "0.5"]
+
+# input files of the exit-code table, written under TMP/ (the test's tmp_path);
+# a name ending in / is made as a directory
 INPUTS = {
     "bad-token.txt": "1 0\n0 x\n",
     "ragged.txt": "1 0\n1 0 0\n",
@@ -273,6 +277,8 @@ INPUTS = {
     "nan.txt": "nan 0\n1 0\n",
     "banana.cfg": "[quantizer]\ndithered = banana\n",
     "twice.cfg": "[quantizer]\ndelta = 0.5\ndelta = 2\n",
+    "seed.cfg": "[experiment]\nseed = 1\n",
+    "taken/quasi-isometry.csv/": None,
 }
 
 
@@ -324,17 +330,29 @@ INPUTS = {
       "2", "--slope-band=-1,1"], 2),
     (["embed", "--m", "6", "--in", "TMP/pair.txt", "--config", "TMP/banana.cfg"], 2),
     (["embed", "--m", "6", "--in", "TMP/pair.txt", "--config", "TMP/twice.cfg"], 2),
+    # the structured kinds draw nothing, so an explicit seed is refused;
+    # QEMBED_SEED stays a silent default
+    ([*MIN_M, "--kind", "embed-structured", "--seed", "1"], 2),
+    ([*MIN_M, "--kind", "width-structured", "--config", "TMP/seed.cfg"], 2),
+    (["QEMBED_SEED=1", *MIN_M, "--kind", "embed-structured"], 0),
+    # outputs that cannot be opened for writing: --out is a file, or an
+    # output's path is a directory
+    (["quasi-isometry", *SWEEP, *SPARSE, "--out", "TMP/pair.txt"], 2),
+    (["quasi-isometry", *SWEEP, *SPARSE, "--out", "TMP/taken"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
     error for every other subcommand. Leading NAME=value items set the
     environment, as in a shell."""
     for name, text in INPUTS.items():
-        (tmp_path / name).write_text(text)
+        if name.endswith("/"):
+            (tmp_path / name).mkdir(parents=True)
+        else:
+            (tmp_path / name).write_text(text)
     argv = [arg.replace("TMP/", f"{tmp_path}/") for arg in argv]
     while "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
-    if "--out" in cli.SUBCOMMANDS[argv[0]][1]:
+    if "--out" in cli.SUBCOMMANDS[argv[0]][1] and "--out" not in argv:
         argv += ["--out", str(tmp_path)]
     code, _, err = run_cli(argv, capsys)
     assert code == expected
@@ -358,6 +376,8 @@ FLAG_EFFECTS = [
     (["quasi-isometry", "--ensemble", "rademacher", "--set", "lowrank:N1=8,N2=8,r=1", "--k0", "4",
       "--m-grid", "8,16", "--pairs", "20", "--trials", "2", "--seed", "2"],
      "--kappa", "generic-bound", "estimated"),
+    # a general kind estimates the width from --draws Gaussian draws (81238 and 81135)
+    ([*MIN_M, "--kind", "embed-general"], "--seed", "1", "2"),
 ]
 
 
@@ -367,7 +387,8 @@ def test_flag_changes_the_outputs(argv, flag, a, b, tmp_path, capsys):
     outputs = []
     for value in (a, b):
         out = tmp_path / value
-        code, stdout, _ = run_cli([*argv, flag, value, "--out", str(out)], capsys)
+        out_argv = ["--out", str(out)] if "--out" in cli.SUBCOMMANDS[argv[0]][1] else []
+        code, stdout, _ = run_cli([*argv, flag, value, *out_argv], capsys)
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         outputs.append((code, stdout, files))
     assert outputs[0] != outputs[1]
@@ -429,6 +450,60 @@ def test_sweep_writes_byte_identical_csvs_across_jobs(tmp_path, capsys):
     assert a == b
     dat = (tmp_path / "a" / "quasi-isometry.dat").read_text()
     assert all(len(line.split()) == 2 for line in dat.strip().splitlines())
+
+
+def _record_opens(monkeypatch) -> list:
+    """Wrap os.open, as cli calls it, to record the (path, flags) of each call."""
+    calls = []
+    real = cli.os.open
+
+    def record(path, flags, *args, **kwargs):
+        calls.append((Path(path), flags))
+        return real(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", record)
+    return calls
+
+
+def _opened_in(calls, directory: Path) -> list:
+    """The recorded opens of files in directory, each checked to create
+    without truncating; their file names, sorted."""
+    opens = [(path, flags) for path, flags in calls if path.parent == directory]
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opens)
+    return sorted(path.name for path, _ in opens)
+
+
+def _files(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("argv", [["quasi-isometry", *SWEEP, *SPARSE],
+                                  ["combinatorics", "--scale", "quick"]],
+                         ids=["quasi-isometry", "combinatorics"])
+def test_rerun_rewrites_every_output_in_place(argv, tmp_path, monkeypatch):
+    """Each output is opened without O_TRUNC, and a rerun into a used --out
+    leaves the bytes of a run into a fresh one."""
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    calls = _record_opens(monkeypatch)
+    for _ in range(2):
+        assert cli.main([*argv, "--out", str(used)]) == 0
+    assert _opened_in(calls, used) == sorted(list(_files(fresh)) * 2)
+    assert _files(used) == _files(fresh)
+
+
+@pytest.mark.parametrize("which", ["quasi-isometry", "consistency-width"])
+def test_sweep_over_longer_files_leaves_no_stale_tail(which, tmp_path, monkeypatch):
+    """Outputs written over longer files hold a fresh run's bytes and no more."""
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert cli.main([which, *SWEEP, *SPARSE, "--out", str(fresh)]) == 0
+    used.mkdir()
+    for name in (f"{which}.dat", f"{which}.csv"):
+        (used / name).write_bytes(b"junk\n" * 2048)
+    calls = _record_opens(monkeypatch)
+    assert cli.main([which, *SWEEP, *SPARSE, "--out", str(used)]) == 0
+    assert _opened_in(calls, used) == sorted(_files(fresh))
+    assert _files(used) == _files(fresh)
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

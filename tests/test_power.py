@@ -11,11 +11,13 @@ import textwrap
 
 import pytest
 
+import test_cli
 import test_distances
 import test_ensembles
 import test_experiments
 import test_geometry
 import test_quantizer
+from qembed import cli as C
 from qembed import ensembles as E
 from qembed import experiments as X
 from qembed import geometry as G
@@ -57,9 +59,11 @@ DEFECTS = {
     "anti-sparsity-by-division":
         (G, "anti_sparse", "np.vecdot(u, u) >= k0 * sup**2", "np.vecdot(u, u) / sup**2 >= k0"),
     "zero-difference-passes": (G, "anti_sparse", "sup > 0.0", "sup >= 0.0"),
+    "outputs-keep-a-stale-tail": (C, "_write", "fh.truncate()", "pass"),
 }
 
-# (defect, test that must fail, its arguments)
+# (defect, test that must fail, its arguments); the test's remaining
+# parameters are pytest fixtures
 ROWS = [
     ("floor-without-upward-fixup", test_quantizer.test_lattice_exactness, (0.1,)),
     ("floor-without-downward-fixup", test_quantizer.test_floor_bracket_at_lattice_neighbours,
@@ -94,6 +98,8 @@ ROWS = [
     ("anti-sparsity-by-division",
      test_geometry.test_anti_sparse_is_exact_on_the_mesh_differences, ()),
     ("zero-difference-passes", test_geometry.test_stacked_anti_sparse_equals_each_row, ()),
+    ("outputs-keep-a-stale-tail", test_cli.test_sweep_over_longer_files_leaves_no_stale_tail,
+     ("quasi-isometry",)),
 ]
 
 
@@ -110,8 +116,9 @@ def _planted(owner, name: str, anchor: str, replacement: str):
 
 @pytest.mark.parametrize("defect, test, args", ROWS,
                          ids=[f"{d}-{t.__name__}" for d, t, _ in ROWS])
-def test_planted_defect_is_caught(defect, test, args, monkeypatch):
+def test_planted_defect_is_caught(defect, test, args, monkeypatch, request):
     owner, name, anchor, replacement = DEFECTS[defect]
     monkeypatch.setattr(owner, name, _planted(owner, name, anchor, replacement))
+    fixtures = list(inspect.signature(test).parameters)[len(args):]
     with pytest.raises(AssertionError):
-        test(*args)
+        test(*args, *map(request.getfixturevalue, fixtures))
