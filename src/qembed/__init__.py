@@ -14,7 +14,6 @@ from .ensembles import (
 from .quantizer import (
     QuantizedMap,
     dithered_floor_exact,
-    dithered_floor_mean,
     make_map,
 )
 from .distances import (

@@ -416,9 +416,7 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
 @dataclass(frozen=True)
 class Lemma5Report:
     p_hat: float
-    p_stderr: float
     empirical: float
-    empirical_stderr: float
     chernoff_bound: float
     bound_vacuous: bool
     bound_holds: bool
@@ -431,8 +429,11 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
                           r: int, trials: int, seed, p_samples: int = 100_000) -> Lemma5Report:
     """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) by Monte Carlo.
 
-    p is the per-coordinate nonzero probability of the soft count; when
-    sqrt(k0) >= 16 kappa the closed-form lower bound on p is also checked.
+    p is the per-coordinate nonzero probability of the soft count, estimated
+    on the rows of one map of p_samples rows; when sqrt(k0) >= 16 kappa the
+    closed-form lower bound on p is also checked. The trials are the
+    consecutive m-row slices of one map of trials * m rows, drawn in blocks
+    of whole trials.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -446,27 +447,22 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     if not anti_sparse(w, k0):
         raise InvalidArgument("u - v fails the anti-sparsity precondition")
     dist = float(np.linalg.norm(w))
-    root = as_seedseq(seed)
-    s_p, s_trials = root.spawn(2)
+    n = u.size
+    uv = np.column_stack([u, v])
+    s_p, s_trials = as_seedseq(seed).spawn(2)
+
+    def soft_counts(qmap):
+        z = qmap.project_many(uv)
+        return soft_count_array(z[:, 0], z[:, 1], t, delta)
 
     # per-coordinate nonzero probability
-    rng = np.random.default_rng(s_p)
-    phi = sample_iid(ensemble, (p_samples, u.size), rng)
-    xi = rng.random(p_samples) * delta
-    counts = soft_count_array(phi @ u + xi, phi @ v + xi, t, delta)
-    nz = counts != 0
-    p_hat = float(np.mean(nz))
+    p_hat = float(np.mean(soft_counts(make_map(ensemble, p_samples, n, delta, s_p)) != 0))
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / p_samples)
 
     # full-map left probability
-    rng = np.random.default_rng(s_trials)
-    hits = 0
-    for _ in range(trials):
-        phi = sample_iid(ensemble, (m, u.size), rng)
-        xi = rng.random(m) * delta
-        c = soft_count_array(phi @ u + xi, phi @ v + xi, t, delta)
-        if int(np.sum(c)) <= r:
-            hits += 1
+    rows = m * max(1, block_rows(n, 2) // m)
+    hits = sum(int(np.count_nonzero(soft_counts(block).reshape(-1, m).sum(axis=1) <= r))
+               for block in map_blocks(ensemble, trials * m, n, delta, s_trials, rows))
     emp = hits / trials
     emp_se = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
 
@@ -484,9 +480,9 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
             lb_holds = p_hat + 3.0 * p_se >= lb
     else:
         reason = "sqrt(k0) < 16 kappa"
-    return Lemma5Report(p_hat=p_hat, p_stderr=p_se, empirical=emp, empirical_stderr=emp_se,
-                        chernoff_bound=bound, bound_vacuous=vacuous, bound_holds=holds,
-                        p_lower_bound=lb, p_lower_holds=lb_holds, p_lower_skipped_reason=reason)
+    return Lemma5Report(p_hat=p_hat, empirical=emp, chernoff_bound=bound,
+                        bound_vacuous=vacuous, bound_holds=holds, p_lower_bound=lb,
+                        p_lower_holds=lb_holds, p_lower_skipped_reason=reason)
 
 
 # --- deterministic counterexamples and exact combinatorics ---
@@ -494,7 +490,7 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
 
 def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> float:
     """Undithered rounding map collapsing two distinct sparse vectors: the
-    share of trials whose codes agree.
+    share of trials, the m-row slices of one map, whose codes agree.
 
     u is all-ones on k0 coordinates and v = (1 + s/k0) u, so ||u - v|| =
     s / sqrt(k0); Bernoulli rows give integer projections, the relative shift
@@ -508,14 +504,11 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> fl
         raise InvalidArgument("trials must be >= 1")
     u = np.ones(k0)
     v = (1.0 + s / k0) * u
-    root = as_seedseq(seed)
-    passes = 0
     bern = make_ensemble("rademacher")
-    for sub in root.spawn(trials):
-        qmap = make_map(bern, m, k0, 1.0, sub, dithered=False, variant="round")
+    passes = 0
+    for qmap in map_blocks(bern, trials * m, k0, 1.0, seed, m, dithered=False, variant="round"):
         codes = apply_many(qmap, np.column_stack([u, v]))
-        if np.array_equal(codes[:, 0], codes[:, 1]):
-            passes += 1
+        passes += np.array_equal(codes[:, 0], codes[:, 1])
     return passes / trials
 
 
@@ -586,9 +579,9 @@ def stirling_gosper_check(n_max: int) -> np.ndarray:
 
 
 def section2_bernoulli_floor(m: int, trials: int, seed) -> bool:
-    """Whether D(e1, 0) = 1 exactly in every trial for Bernoulli rows at
-    delta = 1, dithered floor, where Gaussian rows make D concentrate near
-    sqrt(2/pi) instead."""
+    """Whether D(e1, 0) = 1 exactly in every trial (an m-row slice of one
+    map) for Bernoulli rows at delta = 1, dithered floor, where Gaussian rows
+    make D concentrate near sqrt(2/pi) instead."""
     if m < 1:
         raise InvalidArgument("m must be >= 1")
     if trials < 1:
@@ -596,8 +589,8 @@ def section2_bernoulli_floor(m: int, trials: int, seed) -> bool:
     bern = make_ensemble("rademacher")
     n = 2
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
-    return all(pair_distances([make_map(bern, m, n, 1.0, sub)], pair)[0] == 1.0
-               for sub in as_seedseq(seed).spawn(trials))
+    return all(pair_distances([qmap], pair)[0] == 1.0
+               for qmap in map_blocks(bern, trials * m, n, 1.0, seed, m))
 
 
 # --- CSV emission (RFC 4180, header row mandatory) ---

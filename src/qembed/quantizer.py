@@ -130,6 +130,10 @@ def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int
     own seed: M floats. xi is uniform on [0, delta), or zero for the
     undithered map; the round variant adds delta/2 to it, since
     round(t) = floor(t + delta/2).
+
+    The rows of a map are i.i.d., so T fresh maps of m rows are the T
+    consecutive m-row slices of one map of T*m rows: a check that needs many
+    maps draws them here, in blocks of whole maps.
     """
     if variant not in VARIANTS:
         raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
@@ -156,18 +160,6 @@ def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
 def apply_many(qmap: QuantizedMap, xs: np.ndarray) -> np.ndarray:
     """A(x)/delta as integer codes for a batch of column vectors, shape (m, count)."""
     return quantize_array(qmap.project_many(xs), qmap.delta)
-
-
-def dithered_floor_mean(x: float, y: float, samples: int, seed) -> tuple[float, float]:
-    """Monte Carlo (estimate, stderr) of E|floor(x+xi) - floor(y+xi)|, xi ~ U[0,1)."""
-    if samples < 1:
-        raise InvalidArgument("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xi = rng.random(samples)
-    vals = np.abs(np.floor(x + xi) - np.floor(y + xi))
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
-    return est, stderr
 
 
 def dithered_floor_exact(x: float, y: float) -> float:

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 10 and 11 run the full-scale sweeps and take a few minutes; the
-rest complete in seconds. Run with `pytest tests/test_acceptance.py -v -s`.
+Criteria 10 and 11 run the full-scale sweeps and take about 2 s each (2.1
+and 2.0 s with 2 jobs on a 2-core machine). Criterion 14 runs two quick
+selftests in about 1.6 s, and every other criterion takes under half a
+second. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import os

@@ -378,6 +378,28 @@ def test_lemma5_bound_and_lower_bound():
     assert rep.p_hat >= rep.p_lower_bound
 
 
+def test_lemma5_trials_are_the_m_row_slices_of_one_map():
+    # m = 96 does not divide the 8192-row block budget at n = 16, so a block
+    # that cut a trial in two would miscount it
+    from qembed import distances as D
+    from qembed import quantizer as Q
+
+    gauss = E.make_ensemble("gaussian")
+    rng = np.random.default_rng(3)
+    n, m, trials, delta, t, seed = 16, 96, 300, 1.0, 0.01, 21
+    u = rng.standard_normal(n)
+    v = u - 0.4 * rng.standard_normal(n)
+    qmap = Q.make_map(gauss, trials * m, n, delta, np.random.SeedSequence(seed).spawn(2)[1])
+    z = qmap.project_many(np.column_stack([u, v]))
+    counts = D.soft_count_array(z[:, 0], z[:, 1], t, delta)
+    sums = np.array([piece.sum() for piece in np.split(counts, trials)])
+    r = int(np.median(sums))
+    rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, delta, m, r, trials, seed,
+                                  p_samples=2000)
+    assert 0 < rep.empirical < 1
+    assert rep.empirical == np.count_nonzero(sums <= r) / trials
+
+
 def test_lemma5_vacuous_and_skips():
     gauss = E.make_ensemble("gaussian")
     u = np.array([1.0, 0.0])

@@ -11,6 +11,7 @@ import textwrap
 
 import pytest
 
+import test_acceptance
 import test_cli
 import test_distances
 import test_ensembles
@@ -42,6 +43,10 @@ DEFECTS = {
     "width-search-compares-256-points-at-once":
         (X, "_max_filtered_distance", "chunk = max(1, BLOCK_ENTRIES // points.size)",
          "chunk = 256"),
+    # criterion 1 draws its dither by make_map, through quantizer's own binding of map_blocks
+    "dither-on-half-the-bin": (Q, "map_blocks", "random(m) * delta", "random(m) * delta / 2"),
+    "dither-left-out":
+        (Q, "map_blocks", "np.random.default_rng(dither_seed).random(m) * delta", "np.zeros(m)"),
     "rademacher-entries-for-gaussian-ones":
         (E, "sample_iid", "return rng.standard_normal(shape)",
          "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
@@ -87,6 +92,10 @@ ROWS = [
     ("width-search-compares-256-points-at-once",
      test_experiments.test_finite_sweep_holds_one_block_of_codes, (2, 0.02)),
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
+    ("rademacher-entries-for-gaussian-ones",
+     test_acceptance.test_criterion_05_expectation_identity, ()),
+    ("dither-on-half-the-bin", test_acceptance.test_criterion_01_dithered_floor_identity, ()),
+    ("dither-left-out", test_acceptance.test_criterion_01_dithered_floor_identity, ()),
     ("irwin-hall-without-its-last-term",
      test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),
     ("fit-point-is-the-mean-not-the-worst",

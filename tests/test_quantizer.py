@@ -144,12 +144,21 @@ def test_shift_covariance():
     assert np.array_equal(c1, c0 + 3)
 
 
-def test_dithered_floor_mean_examples():
-    est, se = Q.dithered_floor_mean(0.3, 1.7, 100_000, 0)
+def _dithered_floor_mean(x, y, samples, seed):
+    """Monte Carlo (estimate, stderr) of E|floor(x + xi) - floor(y + xi)| with
+    xi the package's dither at delta = 1."""
+    xi = Q.make_map(E.make_ensemble("gaussian"), samples, 1, 1.0, seed).xi
+    vals = np.abs(Q.quantize_array(x + xi, 1.0) - Q.quantize_array(y + xi, 1.0))
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(samples)
+
+
+def test_dithered_floor_examples_through_the_package_dither():
+    est, se = _dithered_floor_mean(0.3, 1.7, 100_000, 0)
     assert abs(est - 1.4) <= 3 * se
-    est, se = Q.dithered_floor_mean(-2.6, 0.4, 100_000, 1)
-    assert abs(est - 3.0) <= 3 * se
-    est, se = Q.dithered_floor_mean(1.25, 1.25, 100, 2)
+    # an integer gap is exact under any dither in [0, 1)
+    est, se = _dithered_floor_mean(-2.6, 0.4, 100_000, 1)
+    assert est == 3.0
+    est, se = _dithered_floor_mean(1.25, 1.25, 100, 2)
     assert est == 0.0
 
 
