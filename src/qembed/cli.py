@@ -100,9 +100,13 @@ CHECKS = {"selftest": None, "lemmas": (12, 15, 16), "combinatorics": (9,)}
 # an explicit seed would be inert
 UNSEEDED_KINDS = ("embed-structured", "width-structured")
 
+# pairs (rays) per sweep trial unless --pairs or [sweep] pairs says otherwise
+DEFAULT_PAIRS = 200
+
 # every flag's add_argument keywords, built-in default included, and the
 # config (section, key) that stands in for it; the [set] keys assemble into a
-# --set string. --seed has no default, so that QEMBED_SEED comes after the file.
+# --set string. --seed has no default, so that QEMBED_SEED comes after the file,
+# and --pairs none, so that a consistency sweep over a finite set can refuse it.
 FLAGS = {
     "--config": (dict(), None),
     "--seed": (dict(type=int), ("experiment", "seed")),
@@ -126,7 +130,7 @@ FLAGS = {
     "--eps": (dict(type=float, required=True), None),
     "--c": (dict(type=float, default=1.0), None),
     "--m-grid": (dict(default="128,256,512,1024,2048,4096,8192"), ("sweep", "m_grid")),
-    "--pairs": (dict(type=int, default=200), ("sweep", "pairs")),
+    "--pairs": (dict(type=int), ("sweep", "pairs")),
     "--trials": (dict(type=int, default=20), ("sweep", "trials")),
     "--k0": (dict(type=float, default=1.0), ("sweep", "k0")),
     "--slope-band": (dict(help="lo,hi acceptance band for the fitted slope"), None),
@@ -260,10 +264,16 @@ def cmd_sweep(args) -> int:
     which = args.command
     spec = parse_set_spec(args.set_spec)
     grid = _parse_list(args.m_grid, int, "--m-grid")
+    pairs = args.pairs
+    if pairs is None:
+        pairs = DEFAULT_PAIRS
+    elif which == "consistency-width" and isinstance(spec, geometry.FiniteSet):
+        raise ConfigError("consistency-width measures every point of a finite set: "
+                          "it takes no --pairs or [sweep] pairs there")
     # consistency-width takes no --kappa: its statistic has no allowance
     ensemble = ensembles.make_ensemble(args.ensemble, *([args.kappa] if "kappa" in args else []))
     plan = experiments.TrialPlan(set_spec=spec, delta=args.delta, m_grid=grid, ensemble=ensemble,
-                                 pairs_per_m=args.pairs, trials_per_m=args.trials,
+                                 pairs_per_m=pairs, trials_per_m=args.trials,
                                  k0=args.k0, master_seed=args.seed)
     band = None
     if args.slope_band:

@@ -17,6 +17,7 @@ from .quantizer import (
     InternalConsistencyError,
     QuantizedMap,
     apply_many,
+    as_batch,
     boundary_flags,
     quantize_array,
 )
@@ -86,9 +87,10 @@ def pair_distances(blocks, xs) -> np.ndarray:
     blocks are the sub-maps of one map over its row blocks (map_blocks); a
     whole map is passed as the one block [qmap]. The l1 distance is a sum
     over rows, so it is summed block by block, holding one block's codes at
-    a time.
+    a time. xs may be a scipy sparse array, which every block projects
+    through its nonzeros (see quantizer.as_batch).
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = as_batch(xs)
     if xs.ndim != 2 or xs.shape[1] % 2:
         raise InvalidArgument(f"expected pairs of columns, shape (n, 2 * pairs), got {xs.shape}")
     total = np.zeros(xs.shape[1] // 2, dtype=np.int64)

@@ -211,7 +211,15 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
             xs[:, 2 * j] = x
             xs[:, 2 * j + 1] = y
             dists[j] = np.linalg.norm(x - y)
-        errs = np.abs(pair_distances(blocks(2 * p), xs) - SQRT_2_OVER_PI * dists)
+        batch = xs
+        if isinstance(plan.set_spec, SparseBall):
+            # K nonzeros per column: each block's Phi @ batch runs over those
+            # alone. It sums in another order than the dense product, so a
+            # code can move only where Phi x + xi is within an ulp of a
+            # threshold. Imported here, so other runs do not pay for it.
+            from scipy.sparse import csc_array
+            batch = csc_array(xs)
+        errs = np.abs(pair_distances(blocks(2 * p), batch) - SQRT_2_OVER_PI * dists)
         return float(np.max(errs / (dists + plan.delta))) - allowance
 
     res = _sweep("quasi-isometry", plan, measure, slope_band, jobs)
@@ -349,6 +357,8 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
+            # dense even on a sparse ball: a radius is a float ratio of two
+            # projections, so a sparse product would move it in the last digits
             widths = _ray_radii(blocks(p), anchors, dirs, caps)
         # max(0.0, ...) records a censored width as 0.0, never -0.0
         return max(0.0, float(np.max(widths)))

@@ -264,6 +264,8 @@ VACUOUS = ["quasi-isometry", "--ensemble", "rademacher", "--set", "sparse:N=64,K
            "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3"]
 
 MIN_M = ["min-m", "--set", "sparse:N=64,K=4,d=1", "--eps", "0.25", "--delta", "0.5"]
+MESH_CW = ["consistency-width", "--set", "mesh:N=3,h=0.3", "--m-grid", "2,4,8", "--trials", "2",
+           "--seed", "1"]
 
 # input files of the exit-code table, written under TMP/ (the test's tmp_path);
 # a name ending in / is made as a directory
@@ -278,6 +280,7 @@ INPUTS = {
     "banana.cfg": "[quantizer]\ndithered = banana\n",
     "twice.cfg": "[quantizer]\ndelta = 0.5\ndelta = 2\n",
     "seed.cfg": "[experiment]\nseed = 1\n",
+    "pairs.cfg": "[sweep]\npairs = 5\n",
     "taken/quasi-isometry.csv/": None,
 }
 
@@ -339,6 +342,14 @@ INPUTS = {
     # output's path is a directory
     (["quasi-isometry", *SWEEP, *SPARSE, "--out", "TMP/pair.txt"], 2),
     (["quasi-isometry", *SWEEP, *SPARSE, "--out", "TMP/taken"], 2),
+    # the consistency sweep measures every point of a finite set, so it
+    # refuses a pair count there; the distortion sweep samples pairs of it
+    ([*MESH_CW], 0),
+    ([*MESH_CW, "--pairs", "5"], 2),
+    ([*MESH_CW, "--config", "TMP/pairs.cfg"], 2),
+    (["consistency-width", "--set", "finite:file=TMP/pair.txt", "--m-grid", "2,4,8",
+      "--pairs", "500"], 2),
+    (["quasi-isometry", *MESH_CW[1:], "--pairs", "5"], 0),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -378,6 +389,9 @@ FLAG_EFFECTS = [
      "--kappa", "generic-bound", "estimated"),
     # a general kind estimates the width from --draws Gaussian draws (81238 and 81135)
     ([*MIN_M, "--kind", "embed-general"], "--seed", "1", "2"),
+    # rays per trial on a continuum set (a finite set refuses --pairs)
+    (["consistency-width", *SPARSE, "--delta", "0.5", "--m-grid", "16,32,64", "--trials", "2",
+      "--seed", "4"], "--pairs", "5", "8"),
 ]
 
 
@@ -529,11 +543,12 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_import_loads_neither_scipy_integrate_nor_mpmath():
-    # both are slow to import cold and only a few checks need them, so they
-    # are imported inside those functions; every run's start-up pays for the rest
+    # these are slow to import and only a few checks (and, for scipy.sparse,
+    # the sparse-ball distortion sweep) need them, so they are imported
+    # inside those functions; every run's start-up pays for the rest
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, qembed; "
-                           "print(sorted({'scipy.integrate', 'mpmath'} & set(sys.modules)))"],
+                           "import sys, qembed; print(sorted({'scipy.integrate', 'mpmath', "
+                           "'scipy.sparse'} & set(sys.modules)))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

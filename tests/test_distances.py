@@ -127,6 +127,24 @@ def test_pair_distances_blocked_equals_whole(kind):
     assert np.array_equal(D.pair_distances(Q.map_blocks(ens, m, n, 0.5, 3, rows), xs), whole)
 
 
+def test_pair_distances_sparse_batch_equals_dense():
+    # 200 sparse-ball pairs in dimension 512, as the quasi-isometry sweep
+    # samples them: blocks of 256 rows, and M = 3 blocks + 5 rows
+    from qembed import geometry as G
+    from scipy.sparse import csc_array
+
+    spec = G.SparseBall(n=512, k=4, radius=1.0)
+    rng = np.random.default_rng(8)
+    xs = np.column_stack([G.sample_point(spec, rng) for _ in range(400)])
+    rows = Q.block_rows(512, 400)
+    m = 3 * rows + 5
+    ens = E.make_ensemble("gaussian")
+    dense = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), xs)
+    sparse = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), csc_array(xs))
+    assert np.count_nonzero(dense) > 190
+    assert np.array_equal(sparse, dense)
+
+
 def test_soft_distance_t0_equals_pseudo():
     # both variants: D^t counts the thresholds the map's variant uses
     for variant in Q.VARIANTS:

@@ -106,6 +106,30 @@ def test_fit_points_are_the_worst_uncensored_statistics():
                                               for m, w in expected)
 
 
+def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
+    """A sparse-ball sweep projects its pairs as a sparse array, and its rows
+    equal those of the same sweep with the batch forced dense."""
+    import scipy.sparse
+    from qembed import quantizer as Q
+
+    seen = []
+    project = Q.QuantizedMap.project_many
+
+    def spy(self, xs):
+        seen.append(scipy.sparse.issparse(xs))
+        return project(self, xs)
+
+    monkeypatch.setattr(Q.QuantizedMap, "project_many", spy)
+    plan = _plan(set_spec=G.SparseBall(n=128, k=4, radius=1.0), m_grid=(16, 64, 512))
+    sparse = X.quasi_isometry_sweep(plan)
+    assert seen and all(seen)
+    seen.clear()
+    monkeypatch.setattr(scipy.sparse, "csc_array", np.asarray)
+    dense = X.quasi_isometry_sweep(plan)
+    assert seen and not any(seen)
+    assert sparse.rows == dense.rows
+
+
 def test_quasi_isometry_filter_error():
     # k0 above the sparsity level of differences can never pass
     with pytest.raises(X.SetFilterError):

@@ -121,6 +121,23 @@ def test_apply_dimension_mismatch():
         Q.apply_many(qmap, np.zeros((5, 1)))
 
 
+def test_project_many_takes_a_sparse_batch():
+    # the sparse product sums each column's terms in another order than
+    # BLAS, so it agrees to a few ulps of the terms' magnitudes
+    from scipy.sparse import csc_array
+
+    qmap = Q.make_map(E.make_ensemble("gaussian"), 64, 40, 0.5, 2)
+    xs = np.random.default_rng(3).standard_normal((40, 30))
+    xs[np.random.default_rng(4).random(xs.shape) < 0.9] = 0.0
+    dense = qmap.project_many(xs)
+    sparse = qmap.project_many(csc_array(xs))
+    assert type(sparse) is np.ndarray and sparse.shape == dense.shape == (64, 30)
+    scale = np.abs(qmap.phi) @ np.abs(xs) + np.abs(qmap.xi)[:, None]
+    assert np.all(np.abs(sparse - dense) <= 4 * np.finfo(float).eps * scale)
+    with pytest.raises(E.InvalidArgument):
+        qmap.project_many(csc_array(np.ones((41, 2))))
+
+
 def test_dither_length_validation():
     ens = E.make_ensemble("gaussian")
     [mat] = E.sample_matrix(ens, 4, 2, 0)
