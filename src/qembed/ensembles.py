@@ -2,6 +2,11 @@
 
 Supported kinds: "gaussian", "rademacher", "bounded-uniform" (uniform on
 [-sqrt(3), sqrt(3)], the canonical bounded choice with unit variance).
+
+Only kappa estimation reads special functions. scipy.special is imported
+inside the Gaussian moment of _abs_moment and the three Gaussian tail
+helpers, and scipy.integrate inside the bounded-uniform tail gap, so
+`import qembed` and every Gaussian run load numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcinv, gammaln, ndtr
 
 KINDS = ("gaussian", "rademacher", "bounded-uniform")
 KAPPA_SOURCES = ("generic-bound", "estimated")
@@ -48,6 +52,8 @@ class Ensemble:
 def _abs_moment(kind: str, p: int) -> float:
     """E|X|^p in closed form for the built-in kinds."""
     if kind == "gaussian":
+        from scipy.special import gammaln
+
         # 2^(p/2) Gamma((p+1)/2) / sqrt(pi), evaluated in log space
         return math.exp(0.5 * p * math.log(2.0) + gammaln((p + 1) / 2.0) - 0.5 * math.log(math.pi))
     if kind == "rademacher":
@@ -177,11 +183,15 @@ def binomial_mad_de_moivre(n: int) -> Fraction:
 
 def _gauss_abs_tail(t):
     """P(|g| >= t) for standard normal g."""
+    from scipy.special import ndtr
+
     return 2.0 * (1.0 - ndtr(t))
 
 
 def _gauss_abs_tail_integral(t: float) -> float:
     """Integral of P(|g| >= s) ds over [0, t]; tends to sqrt(2/pi)."""
+    from scipy.special import ndtr
+
     phi0 = 1.0 / math.sqrt(2.0 * math.pi)
     phit = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
     return 2.0 * (t * (1.0 - ndtr(t)) - phit + phi0)
@@ -189,6 +199,8 @@ def _gauss_abs_tail_integral(t: float) -> float:
 
 def _gauss_abs_tail_inv(c: float) -> float:
     """t with P(|g| >= t) = c, for c in (0, 1]."""
+    from scipy.special import erfcinv
+
     return math.sqrt(2.0) * float(erfcinv(c))
 
 

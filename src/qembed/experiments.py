@@ -38,6 +38,7 @@ from .geometry import (
     anti_sparse,
     diameter,
     sample_point,
+    sparse_ball_point,
 )
 from .quantizer import (BLOCK_ENTRIES, apply_many, block_rows, make_map, map_blocks,
                         quantize_array)
@@ -133,12 +134,33 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 
 
 def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
+    """Points x, y of the set whose difference passes the anti-sparsity
+    filter, and their supports on a sparse ball (None on other sets)."""
     for _ in range(200):
-        x = sample_point(spec, rng)
-        y = sample_point(spec, rng)
+        if isinstance(spec, SparseBall):
+            (x, sx), (y, sy) = sparse_ball_point(spec, rng), sparse_ball_point(spec, rng)
+        else:
+            x, y, sx, sy = sample_point(spec, rng), sample_point(spec, rng), None, None
         if anti_sparse(x - y, k0):
-            return x, y
+            return x, y, sx, sy
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
+
+
+def _sparse_columns(xs: np.ndarray, supports: np.ndarray):
+    """xs as a CSC array built from its columns' supports (one row of
+    supports per column of xs), without scanning xs: the same indptr,
+    indices and data as csc_array(xs). Each column's indices are sorted,
+    since the sparse kernel sums in that order; explicit zeros are dropped;
+    int32 supports give the int32 indices csc_array picks. scipy.sparse is
+    imported here, so other runs do not pay for it."""
+    from scipy.sparse import csc_array
+
+    count, k = supports.shape
+    rows = np.sort(supports, axis=1).ravel()
+    batch = csc_array((xs[rows, np.repeat(np.arange(count), k)], rows,
+                       np.arange(0, count * k + 1, k, dtype=rows.dtype)), shape=xs.shape)
+    batch.eliminate_zeros()
+    return batch
 
 
 def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int) -> ExperimentResult:
@@ -201,24 +223,26 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     """
     n = ambient_dim(plan.set_spec)
     allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
+    sparse = isinstance(plan.set_spec, SparseBall)
 
     def measure(rng, blocks) -> float:
         p = plan.pairs_per_m
         xs = np.empty((n, 2 * p))
+        supports = np.empty((2 * p, plan.set_spec.k), dtype=np.int32) if sparse else None
         dists = np.empty(p)
         for j in range(p):
-            x, y = _sample_filtered_pair(plan.set_spec, plan.k0, rng)
+            x, y, sx, sy = _sample_filtered_pair(plan.set_spec, plan.k0, rng)
             xs[:, 2 * j] = x
             xs[:, 2 * j + 1] = y
+            if sparse:
+                supports[2 * j] = sx
+                supports[2 * j + 1] = sy
             dists[j] = np.linalg.norm(x - y)
-        batch = xs
-        if isinstance(plan.set_spec, SparseBall):
-            # K nonzeros per column: each block's Phi @ batch runs over those
-            # alone. It sums in another order than the dense product, so a
-            # code can move only where Phi x + xi is within an ulp of a
-            # threshold. Imported here, so other runs do not pay for it.
-            from scipy.sparse import csc_array
-            batch = csc_array(xs)
+        # K nonzeros per column of a sparse ball: each block's Phi @ batch
+        # runs over those alone. It sums in another order than the dense
+        # product, so a code can move only where Phi x + xi is within an ulp
+        # of a threshold.
+        batch = _sparse_columns(xs, supports) if sparse else xs
         errs = np.abs(pair_distances(blocks(2 * p), batch) - SQRT_2_OVER_PI * dists)
         return float(np.max(errs / (dists + plan.delta))) - allowance
 

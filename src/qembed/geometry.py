@@ -98,16 +98,7 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
         idx = rng.integers(0, spec.points.shape[0])
         return spec.points[idx].copy()
     if isinstance(spec, SparseBall):
-        support = rng.choice(spec.n, size=spec.k, replace=False)
-        coeffs = rng.standard_normal(spec.k)
-        norm = np.linalg.norm(coeffs)
-        if norm == 0.0:
-            coeffs[0] = 1.0
-            norm = 1.0
-        target = spec.radius * rng.random()
-        c = np.zeros(spec.n)
-        c[support] = coeffs * (target / norm)
-        return c
+        return sparse_ball_point(spec, rng)[0]
     if isinstance(spec, LowRankBall):
         a = rng.standard_normal((spec.n1, spec.r))
         b = rng.standard_normal((spec.r, spec.n2))
@@ -121,6 +112,22 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
         target = spec.radius * rng.random() ** (1.0 / spec.n)
         return g * (target / norm)
     raise InvalidArgument(f"unknown set spec: {spec!r}")
+
+
+def sparse_ball_point(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
+    """sample_point on a sparse ball together with the K indices it drew as
+    the support, in draw order: the point can be nonzero only there."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(spec.n, size=spec.k, replace=False)
+    coeffs = rng.standard_normal(spec.k)
+    norm = np.linalg.norm(coeffs)
+    if norm == 0.0:
+        coeffs[0] = 1.0
+        norm = 1.0
+    target = spec.radius * rng.random()
+    c = np.zeros(spec.n)
+    c[support] = coeffs * (target / norm)
+    return c, support
 
 
 def sup_oracle(spec: SetSpec, g: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -542,16 +543,51 @@ def test_console_entry_point_runs(tmp_path):
                   ["criterion-09-stirling-and-binomial-mad"])
 
 
-def test_import_loads_neither_scipy_integrate_nor_mpmath():
-    # these are slow to import and only a few checks (and, for scipy.sparse,
-    # the sparse-ball distortion sweep) need them, so they are imported
-    # inside those functions; every run's start-up pays for the rest
+def test_import_loads_neither_scipy_nor_mpmath():
+    # these are slow to import and only kappa estimation (scipy.special and
+    # scipy.integrate), the sparse-ball distortion sweep (scipy.sparse) and
+    # the Stirling check (mpmath) need them, so they are imported inside
+    # those functions; every run's start-up pays for the rest
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, qembed; print(sorted({'scipy.integrate', 'mpmath', "
-                           "'scipy.sparse'} & set(sys.modules)))"],
+                           "import sys, qembed; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] in ('scipy', 'mpmath')))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs argv lists through cli.main in one fresh process and prints each exit
+# code, then whether scipy.special got loaded.
+RUN_AND_REPORT_SPECIAL = """
+import contextlib, io, json, sys
+from qembed import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, 'scipy.special' in sys.modules)
+"""
+
+
+def test_gaussian_runs_never_load_scipy_special(tmp_path):
+    vecs = tmp_path / "x.txt"
+    vecs.write_text("0.5 -0.25 0 1\n0 0.5 0.5 0\n")
+    sweep = ["--set", "sparse:N=16,K=2,d=1", "--m-grid", "16,32,64", "--pairs", "5",
+             "--trials", "2", "--seed", "3"]
+    runs = [["quasi-isometry", *sweep, "--out", str(tmp_path / "qi")],
+            ["consistency-width", *sweep, "--out", str(tmp_path / "cw")],
+            ["embed", "--m", "8", "--in", str(vecs), "--seed", "3"],
+            ["distance", "--m", "32", "--in", str(vecs), "--seed", "0", "--t", "0.1"]]
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT_SPECIAL, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
+    # the estimated kappa of a non-Gaussian kind is where scipy.special is read
+    estimated = [["quasi-isometry", "--ensemble", "rademacher", "--kappa", "estimated",
+                  "--set", "lowrank:n1=8,n2=8,r=2,d=1", "--m-grid", "4,8,16", "--pairs", "30",
+                  "--trials", "3", "--k0", "8", "--seed", "5", "--out", str(tmp_path / "rk")]]
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT_SPECIAL, json.dumps(estimated)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0] True"
 
 
 # value pools of the argv contract test, by flag, then by type; TMP is the

@@ -124,10 +124,41 @@ def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
     sparse = X.quasi_isometry_sweep(plan)
     assert seen and all(seen)
     seen.clear()
-    monkeypatch.setattr(scipy.sparse, "csc_array", np.asarray)
+    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: xs)
     dense = X.quasi_isometry_sweep(plan)
     assert seen and not any(seen)
     assert sparse.rows == dense.rows
+
+
+def test_sparse_columns_equal_csc_array_of_the_dense_batch():
+    """The batch built from the supports is csc_array(xs) entry for entry,
+    also where a column has zero coefficients (explicit zeros dropped)."""
+    from scipy.sparse import csc_array
+
+    spec = G.SparseBall(n=512, k=4, radius=1.0)
+    rng = np.random.default_rng(17)
+    points = [G.sparse_ball_point(spec, rng) for _ in range(400)]
+    xs = np.column_stack([x for x, _ in points])
+    supports = np.array([support for _, support in points], dtype=np.int32)
+    xs[:, 3] = 0.0  # rng.random() returned 0.0
+    xs[supports[5, 1:], 5] = 0.0  # the norm-0 fallback keeps one coefficient
+    built, reference = X._sparse_columns(xs, supports), csc_array(xs)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(built, attr), getattr(reference, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    assert built.nnz == 400 * 4 - 4 - 3
+
+
+def test_quasi_isometry_sparse_batch_from_supports_matches_csc_array(monkeypatch):
+    """Building the batch from the supports gives the rows of building it
+    with csc_array from the dense points."""
+    from scipy.sparse import csc_array
+
+    plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(16, 64, 256),
+                 pairs_per_m=50, trials_per_m=2)
+    from_supports = X.quasi_isometry_sweep(plan)
+    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: csc_array(xs))
+    assert from_supports.rows == X.quasi_isometry_sweep(plan).rows
 
 
 def test_quasi_isometry_filter_error():

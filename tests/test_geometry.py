@@ -56,6 +56,22 @@ def test_sparse_sample_respects_support_and_radius():
     assert np.linalg.norm(p) <= 1.0
 
 
+def test_sparse_ball_point_is_sample_point_with_its_support():
+    spec = G.SparseBall(n=16, k=3, radius=1.0)
+    a, b, c = (np.random.default_rng(4) for _ in range(3))
+    for _ in range(20):
+        p, support = G.sparse_ball_point(spec, a)
+        assert np.array_equal(p, G.sample_point(spec, b))
+        # the Generator calls of a sparse-ball point, in their order
+        drawn = c.choice(16, size=3, replace=False)
+        coeffs = c.standard_normal(3)
+        target = c.random()
+        assert np.array_equal(support, drawn)
+        assert np.array_equal(p[support], coeffs * (target / np.linalg.norm(coeffs)))
+        assert not np.any(np.delete(p, support))
+    assert a.random() == b.random() == c.random()
+
+
 def test_lowrank_sample_rank_and_norm():
     spec = G.LowRankBall(n1=4, n2=4, r=1, radius=2.0)
     p = G.sample_point(spec, 2).reshape(4, 4)
