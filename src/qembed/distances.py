@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .ensembles import InvalidArgument
+from .ensembles import BLOCK_ENTRIES, InvalidArgument
 from .quantizer import (
     InternalConsistencyError,
     QuantizedMap,
@@ -53,15 +53,12 @@ def soft_count_array(a, b, t, delta: float) -> np.ndarray:
     return (n1 + n2 - overlap).astype(np.int64)
 
 
-ENUMERATION_CHUNK = 4000  # tuples per block of the reference enumerator
-
-
 def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     """Reference for soft_count_array on 1-d arrays of equal length: count k
     with F^t(a - k*delta, b - k*delta) by testing every k of one covering range.
 
-    Works through the tuples in blocks of ENUMERATION_CHUNK, and holds one
-    (tuples, k) float block at a time, so that the test arrays stay small.
+    Works through the tuples in blocks whose (tuples, k) arrays each hold at
+    most BLOCK_ENTRIES entries, the budget of every block the package holds.
     """
     a, b, t = (np.asarray(v, dtype=np.float64) for v in (a, b, t))
     pad = 2 + math.ceil(float(np.max(np.abs(t))) / delta)
@@ -69,8 +66,9 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     hi = math.ceil(float(np.max(np.maximum(a, b))) / delta) + pad
     ks = np.arange(lo, hi + 1, dtype=np.float64) * delta
     out = np.zeros(a.shape, dtype=np.int64)
-    for start in range(0, len(a), ENUMERATION_CHUNK):
-        sl = slice(start, start + ENUMERATION_CHUNK)
+    chunk = max(1, BLOCK_ENTRIES // len(ks))
+    for start in range(0, len(a), chunk):
+        sl = slice(start, start + chunk)
         tt = t[sl, None]
         ak = a[sl, None] - ks
         above, below = ak > tt, ak < -tt

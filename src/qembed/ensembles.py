@@ -20,6 +20,7 @@ import numpy as np
 
 KINDS = ("gaussian", "rademacher", "bounded-uniform")
 KAPPA_SOURCES = ("generic-bound", "estimated")
+BLOCK_ENTRIES = 2**17  # float64 entries (1 MB) of each array of any block the package holds
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -96,7 +97,7 @@ def make_ensemble(kind: str, kappa_source: str = "generic-bound") -> Ensemble:
 
 
 def sample_iid(ensemble: Ensemble, shape, seed) -> np.ndarray:
-    """i.i.d. draws from the ensemble, deterministic given seed."""
+    """i.i.d. draws from the ensemble, deterministic given seed: sample_matrix's block kernel."""
     rng = np.random.default_rng(seed)
     if ensemble.kind == "gaussian":
         return rng.standard_normal(shape)
@@ -133,7 +134,10 @@ def _row_blocks(ensemble: Ensemble, m: int, n: int, rng: np.random.Generator, ro
 
 
 def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:
-    """Monte Carlo estimate (value, stderr) of E|<phi, u>|.
+    """Monte Carlo estimate (value, stderr) of E|<phi, u>| over the rows of a
+    samples x n matrix from sample_matrix, in blocks of the largest power of
+    two rows within BLOCK_ENTRIES: BLAS takes rows in groups of 4, so each
+    |<phi, u>| keeps the whole product's bits, unless the last block is one row.
 
     The gaussian kind returns the exact sqrt(2/pi)*||u|| with stderr 0.
     """
@@ -145,8 +149,9 @@ def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float,
         raise InvalidArgument("samples must be >= 1")
     if ensemble.kind == "gaussian":
         return SQRT_2_OVER_PI * norm, 0.0
-    phi = sample_iid(ensemble, (samples, u.size), seed)
-    vals = np.abs(phi @ u)
+    rows = 1 << (max(1, BLOCK_ENTRIES // u.size).bit_length() - 1)
+    blocks = sample_matrix(ensemble, samples, u.size, seed, rows)
+    vals = np.concatenate([np.abs(phi @ u) for phi in blocks])
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return est, stderr

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensembles import (
+    BLOCK_ENTRIES,
     SQRT_2_OVER_PI,
     Ensemble,
     InvalidArgument,
@@ -26,7 +27,7 @@ from .ensembles import (
     binomial_mad_de_moivre,
     make_ensemble,
     mu_sg_exact_binomial,
-    sample_iid,
+    sample_matrix,
 )
 from .distances import pair_distances, soft_count_array
 from .geometry import (
@@ -40,8 +41,7 @@ from .geometry import (
     sample_point,
     sparse_ball_point,
 )
-from .quantizer import (BLOCK_ENTRIES, apply_many, block_rows, make_map, map_blocks,
-                        quantize_array)
+from .quantizer import apply_many, block_rows, map_blocks, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
@@ -133,14 +133,18 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return slope, math.sqrt(sigma2 / sxx)
 
 
+def _point_and_support(spec: SetSpec, rng):
+    """A point of the set and its drawn support on a sparse ball (None elsewhere)."""
+    if isinstance(spec, SparseBall):
+        return sparse_ball_point(spec, rng)
+    return sample_point(spec, rng), None
+
+
 def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     """Points x, y of the set whose difference passes the anti-sparsity
     filter, and their supports on a sparse ball (None on other sets)."""
     for _ in range(200):
-        if isinstance(spec, SparseBall):
-            (x, sx), (y, sy) = sparse_ball_point(spec, rng), sparse_ball_point(spec, rng)
-        else:
-            x, y, sx, sy = sample_point(spec, rng), sample_point(spec, rng), None, None
+        (x, sx), (y, sy) = _point_and_support(spec, rng), _point_and_support(spec, rng)
         if anti_sparse(x - y, k0):
             return x, y, sx, sy
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
@@ -254,17 +258,14 @@ def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, floa
     return res
 
 
-def _direction_for(spec: SetSpec, x: np.ndarray, k0: float, rng):
+def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng):
     """Unit direction u of a continuum set with x + r*u staying in the set
-    for small r > 0 and u passing the anti-sparsity filter."""
+    for small r > 0 and u passing the anti-sparsity filter; on a sparse ball
+    u lies on x's drawn support (see _point_and_support), in sorted order."""
     for _ in range(100):
         if isinstance(spec, SparseBall):
-            support = np.flatnonzero(np.abs(x) > 1e-12)
-            if len(support) == 0:
-                support = rng.choice(spec.n, size=spec.k, replace=False)
-            coeffs = rng.standard_normal(len(support))
             u = np.zeros(spec.n)
-            u[support] = coeffs
+            u[np.sort(support)] = rng.standard_normal(spec.k)
         elif isinstance(spec, LowRankBall):
             mat = x.reshape(spec.n1, spec.n2)
             uu, _, _ = np.linalg.svd(mat, full_matrices=False)
@@ -376,8 +377,8 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
             dirs = np.empty((n, p))
             caps = np.empty(p)
             for j in range(p):
-                x = sample_point(plan.set_spec, rng)
-                u = _direction_for(plan.set_spec, x, plan.k0, rng)
+                x, support = _point_and_support(plan.set_spec, rng)
+                u = _direction_for(plan.set_spec, x, support, plan.k0, rng)
                 anchors[:, j] = x
                 dirs[:, j] = u
                 caps[j] = _radial_cap(x, u, d)
@@ -400,17 +401,13 @@ def _sample_local_set(spec: SetSpec, eta: float, rng) -> np.ndarray:
     cap in [0, eta] (shrink only, so the point stays a difference); the draw
     is homogeneous in eta while the cap binds. Finite sets: rejection.
     """
-    a = sample_point(spec, rng)
-    b = sample_point(spec, rng)
-    v = a - b
+    v = sample_point(spec, rng) - sample_point(spec, rng)
     cap = eta * rng.random()
     if isinstance(spec, FiniteSet):
         for _ in range(50):
             if np.linalg.norm(v) <= eta:
                 return v
-            a = sample_point(spec, rng)
-            b = sample_point(spec, rng)
-            v = a - b
+            v = sample_point(spec, rng) - sample_point(spec, rng)
         raise SetFilterError(f"no finite-set difference fits in the eta={eta} ball")
     norm = np.linalg.norm(v)
     if norm > cap and norm > 0:
@@ -442,7 +439,7 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
     for i, sub in enumerate(root.spawn(trials)):
         rng = np.random.default_rng(sub)
         v = _sample_local_set(spec, margin * eta, rng)
-        mat = sample_iid(ensemble, (m, n), rng)
+        [mat] = sample_matrix(ensemble, m, n, rng)
         passed[i] = np.linalg.norm(mat @ v) <= math.sqrt(m) * eta * (1 + 1e-12)
     return passed
 
@@ -465,9 +462,9 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
 
     p is the per-coordinate nonzero probability of the soft count, estimated
     on the rows of one map of p_samples rows; when sqrt(k0) >= 16 kappa the
-    closed-form lower bound on p is also checked. The trials are the
-    consecutive m-row slices of one map of trials * m rows, drawn in blocks
-    of whole trials.
+    closed-form lower bound on p is also checked. The trials are the m-row
+    slices of one map of trials * m rows. Both maps are drawn in blocks of at
+    most BLOCK_ENTRIES entries of Phi, the trials' in blocks of whole trials.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -490,7 +487,8 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
         return soft_count_array(z[:, 0], z[:, 1], t, delta)
 
     # per-coordinate nonzero probability
-    p_hat = float(np.mean(soft_counts(make_map(ensemble, p_samples, n, delta, s_p)) != 0))
+    blocks = map_blocks(ensemble, p_samples, n, delta, s_p, block_rows(n, 2))
+    p_hat = sum(int(np.count_nonzero(soft_counts(block))) for block in blocks) / p_samples
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / p_samples)
 
     # full-map left probability

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, InvalidArgument, as_seedseq, sample_matrix
+from .ensembles import BLOCK_ENTRIES, Ensemble, InvalidArgument, as_seedseq, sample_matrix
 
 VARIANTS = ("floor", "round")
 
 BOUNDARY_TOL = 1e-12
-
-BLOCK_ENTRIES = 2**17  # float64 entries (1 MB) of each of one row block's arrays
 
 
 class InternalConsistencyError(RuntimeError):
@@ -131,9 +129,9 @@ class QuantizedMap:
 
 
 def block_rows(n: int, count: int) -> int:
-    """Rows of a row block such that its part of Phi, (rows, n), and its
-    projection of count vectors, (rows, count), each hold at most
-    BLOCK_ENTRIES entries, whatever M is."""
+    """Rows of a row block whose part of Phi, (rows, n), and projection of
+    count vectors, (rows, count), each hold at most BLOCK_ENTRIES entries (the
+    one block budget, from ensembles), whatever M is."""
     return max(1, BLOCK_ENTRIES // max(n, count))
 
 

@@ -131,7 +131,7 @@ def criterion_4(seed: int, scale: str = FULL) -> CriterionResult:
 
 def criterion_5(seed: int, scale: str = FULL) -> CriterionResult:
     """Mean of D equals sqrt(2/pi)||x-y|| for gaussian maps (fresh map per
-    trial: the trials are the m-row slices of one map)."""
+    trial: the trials are the m-row slices of one map, in blocks of whole trials)."""
     rng = np.random.default_rng(_seed(seed, 5))
     gauss = ensembles.make_ensemble("gaussian")
     trials = 10_000 if scale == FULL else 2000
@@ -142,8 +142,9 @@ def criterion_5(seed: int, scale: str = FULL) -> CriterionResult:
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         target = SQRT_2_OVER_PI * np.linalg.norm(x - y)
-        qmap = quantizer.make_map(gauss, trials * m, n, delta, rng.integers(2**63))
-        codes = quantizer.apply_many(qmap, np.column_stack([x, y]))
+        blocks = quantizer.map_blocks(gauss, trials * m, n, delta, rng.integers(2**63),
+                                      m * max(1, quantizer.block_rows(n, 2) // m))
+        codes = np.vstack([quantizer.apply_many(b, np.column_stack([x, y])) for b in blocks])
         d_vals = delta * np.abs(codes[:, 0] - codes[:, 1]).reshape(trials, m).sum(axis=1) / m
         mean = float(d_vals.mean())
         se = float(d_vals.std(ddof=1) / math.sqrt(trials))

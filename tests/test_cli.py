@@ -351,6 +351,10 @@ INPUTS = {
     (["consistency-width", "--set", "finite:file=TMP/pair.txt", "--m-grid", "2,4,8",
       "--pairs", "500"], 2),
     (["quasi-isometry", *MESH_CW[1:], "--pairs", "5"], 0),
+    # rare pool combinations that random argv examples found: a negative
+    # seed on the check subcommands is a usage error, not a traceback
+    (["lemmas", "--seed=-1"], 2),
+    (["counterexamples", "--which", "no-dither", "--seed=-1"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage

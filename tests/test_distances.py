@@ -54,6 +54,24 @@ def test_soft_count_matches_enumeration(a, b, t, delta):
     assert D.soft_count_enumerated([a], [b], [t], delta) == D.soft_count_array(a, b, t, delta)
 
 
+def test_enumerator_stays_within_the_block_budget():
+    # criterion 2's share at delta = 0.1: about 33,000 tuples over 465 values
+    # of k, a (tuples, k) float array of 117 MiB if held whole
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    a, b = rng.uniform(-20, 20, (2, 33_000))
+    t = rng.uniform(-3, 3, 33_000)
+    tracemalloc.start()
+    try:
+        counts = D.soft_count_enumerated(a, b, t, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, D.soft_count_array(a, b, t, 0.1))
+    assert peak < 4 * 8 * Q.BLOCK_ENTRIES
+
+
 @given(finite_reals, finite_reals, soft_ts, soft_ts, st.sampled_from([0.1, 1.0, 2.0]))
 @settings(max_examples=500, deadline=None)
 def test_lemma1_bounds_property(a, b, t, s, delta):

@@ -129,6 +129,34 @@ def test_mu_sg_envelope_generic_bound():
             assert lhs <= ens.kappa_sg * np.max(np.abs(u)) + 3 * se
 
 
+@pytest.mark.parametrize("kind", ["rademacher", "bounded-uniform"])
+@pytest.mark.parametrize("n, samples", [(9, 100_001), (32, 20_000), (4099, 70)])
+def test_mu_sg_blocked_equals_the_whole_draw(kind, n, samples):
+    # several blocks and a partial last one of more than one row (a lone row
+    # goes through another kernel); at n = 4099 blocks of 31 rows
+    # (BLOCK_ENTRIES // n) would split the BLAS's row groups and move the mean
+    ens = E.make_ensemble(kind)
+    u = np.random.default_rng(n).standard_normal(n)
+    vals = np.abs(E.sample_iid(ens, (samples, n), 5) @ u)
+    whole = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)))
+    assert E.mu_sg(ens, u, samples, 5) == whole
+
+
+def test_mu_sg_holds_one_block():
+    # 100,000 x 32 draws are 24 MiB whole; one block is 1 MiB, plus the
+    # 100,000 values |<phi, u>| and the Rademacher draw's integer block
+    import tracemalloc
+
+    u = np.random.default_rng(4).standard_normal(32)
+    tracemalloc.start()
+    try:
+        E.mu_sg(E.make_ensemble("rademacher"), u, 100_000, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * E.BLOCK_ENTRIES
+
+
 def test_mu_sg_rejects_zero_vector():
     g = E.make_ensemble("gaussian")
     with pytest.raises(E.InvalidArgument):

@@ -236,6 +236,25 @@ def test_all_censored_sweep_has_no_fit_points():
     assert X.gnuplot_data(res) == "\n"
 
 
+def test_direction_lies_on_the_drawn_support():
+    # u is nonzero exactly on the support the point was drawn on, and for a
+    # generic point it is the direction on the support recovered from the
+    # point's nonzeros: the drawn support, taken in sorted order
+    spec = G.SparseBall(n=64, k=5, radius=1.0)
+    rng = np.random.default_rng(8)
+    unsorted = 0
+    for _ in range(50):
+        x, support = G.sparse_ball_point(spec, rng)
+        unsorted += bool(np.any(np.diff(support) < 0))
+        state = rng.bit_generator.state
+        u = X._direction_for(spec, x, support, 3.0, rng)
+        assert np.array_equal(np.flatnonzero(u), np.sort(support))
+        rng.bit_generator.state = state
+        recovered = np.flatnonzero(np.abs(x) > 1e-12)
+        assert np.array_equal(X._direction_for(spec, x, recovered, 3.0, rng), u)
+    assert unsorted > 0
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("m", [16, 256, 4096])
 def test_consistent_radius_is_tight(kind, m):
@@ -248,8 +267,8 @@ def test_consistent_radius_is_tight(kind, m):
     rng = np.random.default_rng(m)
     anchors, dirs, caps = [], [], []
     for j in range(10):
-        x = G.sample_point(spec, rng)
-        u = X._direction_for(spec, x, 1.0, rng)
+        x, support = G.sparse_ball_point(spec, rng)
+        u = X._direction_for(spec, x, support, 1.0, rng)
         anchors.append(x)
         dirs.append(u)
         # every other ray gets a short cap, which binds at small m
@@ -284,8 +303,8 @@ def test_ray_radii_blocked_equals_whole(kind):
     rng = np.random.default_rng(7)
     anchors, dirs, caps = np.empty((n, rays)), np.empty((n, rays)), np.empty(rays)
     for j in range(rays):
-        anchors[:, j] = G.sample_point(spec, rng)
-        dirs[:, j] = X._direction_for(spec, anchors[:, j], 1.0, rng)
+        anchors[:, j], support = G.sparse_ball_point(spec, rng)
+        dirs[:, j] = X._direction_for(spec, anchors[:, j], support, 1.0, rng)
         caps[j] = X._radial_cap(anchors[:, j], dirs[:, j], 1.0)
     whole = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
     assert np.array_equal(X._ray_radii([qmap], anchors, dirs, caps), whole)
@@ -453,6 +472,40 @@ def test_lemma5_trials_are_the_m_row_slices_of_one_map():
                                   p_samples=2000)
     assert 0 < rep.empirical < 1
     assert rep.empirical == np.count_nonzero(sums <= r) / trials
+
+
+def test_lemma5_p_hat_is_the_whole_maps():
+    # 100,000 rows at n = 16: 12 blocks of 8192 rows and a partial one
+    from qembed import distances as D
+    from qembed import quantizer as Q
+
+    gauss = E.make_ensemble("gaussian")
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(16)
+    v = u - 0.3 * rng.standard_normal(16)
+    qmap = Q.make_map(gauss, 100_000, 16, 0.5, np.random.SeedSequence(9).spawn(2)[0])
+    z = qmap.project_many(np.column_stack([u, v]))
+    p_hat = float(np.mean(D.soft_count_array(z[:, 0], z[:, 1], 0.02, 0.5) != 0))
+    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.02, gauss, 0.5, 64, 7, 20, 9)
+    assert rep.p_hat == p_hat
+
+
+def test_lemma5_holds_one_block_of_phi():
+    # the p_hat map is 100,000 x 16, 12 MiB whole; a block is 1 MiB, plus
+    # the dither of 100,000 floats
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal(16)
+    v = u - 0.4 * rng.standard_normal(16)
+    tracemalloc.start()
+    try:
+        X.lemma5_chernoff_check(u, v, 1.0, 0.0, E.make_ensemble("gaussian"), 1.0, 64, 7, 50,
+                                11, p_samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * E.BLOCK_ENTRIES
 
 
 def test_lemma5_vacuous_and_skips():

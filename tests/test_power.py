@@ -19,6 +19,7 @@ import test_experiments
 import test_geometry
 import test_quantizer
 from qembed import cli as C
+from qembed import distances as D
 from qembed import ensembles as E
 from qembed import experiments as X
 from qembed import geometry as G
@@ -40,6 +41,8 @@ DEFECTS = {
          "sample_matrix(ensemble, m, n, mat_seed, m)"),
     "finite-refinement-drops-the-last-block":
         (X, "_shared_code_widths", "for block in blocks:", "for block in list(blocks)[:-1]:"),
+    "enumerator-ignores-the-block-budget":
+        (D, "soft_count_enumerated", "chunk = max(1, BLOCK_ENTRIES // len(ks))", "chunk = 4000"),
     "width-search-compares-256-points-at-once":
         (X, "_max_filtered_distance", "chunk = max(1, BLOCK_ENTRIES // points.size)",
          "chunk = 256"),
@@ -89,6 +92,8 @@ ROWS = [
      test_experiments.test_finite_sweep_holds_one_block_of_codes, (4096, 1.0)),
     ("finite-refinement-drops-the-last-block",
      test_experiments.test_shared_code_widths_streamed_equals_whole, (1.0,)),
+    ("enumerator-ignores-the-block-budget",
+     test_distances.test_enumerator_stays_within_the_block_budget, ()),
     ("width-search-compares-256-points-at-once",
      test_experiments.test_finite_sweep_holds_one_block_of_codes, (2, 0.02)),
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
