@@ -13,14 +13,7 @@ import math
 import numpy as np
 
 from .ensembles import BLOCK_ENTRIES, InvalidArgument
-from .quantizer import (
-    InternalConsistencyError,
-    QuantizedMap,
-    apply_many,
-    as_batch,
-    boundary_flags,
-    quantize_array,
-)
+from .quantizer import QuantizedMap, apply_many, as_batch
 
 
 def soft_count_array(a, b, t, delta: float) -> np.ndarray:
@@ -100,29 +93,10 @@ def pair_distances(blocks, xs) -> np.ndarray:
     return block.delta * total / m
 
 
-def _projected_pair(qmap: QuantizedMap, x, y) -> np.ndarray:
-    """Phi [x y] + xi from one projection, shape (M, 2)."""
-    xs = np.column_stack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
-    if xs.shape[0] != qmap.n:
-        raise InvalidArgument(f"expected vectors of dimension {qmap.n}")
-    return qmap.project_many(xs)
-
-
 def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
-    """D(x, y) = (delta/M) * l1 distance of the integer codes.
-
-    Internally cross-checked against the t = 0 threshold count on every
-    coordinate not flagged as sitting on a bin boundary.
-    """
-    z = _projected_pair(qmap, x, y)
-    codes = quantize_array(z, qmap.delta)
-    diff = np.abs(codes[:, 0] - codes[:, 1])
-    za, zb = z.T
-    counts0 = soft_count_array(za, zb, 0.0, qmap.delta)
-    ok = boundary_flags(za, qmap.delta) | boundary_flags(zb, qmap.delta)
-    if np.any((counts0 != diff) & ~ok):
-        raise InternalConsistencyError("code distance and t=0 threshold count disagree off-boundary")
-    return qmap.delta * float(np.sum(diff)) / qmap.m
+    """D(x, y) = (delta/M) * l1 distance of the integer codes: pair_distances
+    on the one pair."""
+    return float(pair_distances([qmap], np.column_stack([x, y]))[0])
 
 
 def soft_pseudo_distance(qmap: QuantizedMap, x, y, t):
@@ -131,7 +105,7 @@ def soft_pseudo_distance(qmap: QuantizedMap, x, y, t):
     t is a scalar, giving a float, or an array, giving D^t for each of its
     values from one projection of the pair.
     """
-    za, zb = _projected_pair(qmap, x, y).T
+    za, zb = qmap.project_many(np.column_stack([x, y])).T
     t = np.asarray(t, dtype=np.float64)
     counts = soft_count_array(za, zb, t[..., None], qmap.delta)
     dists = qmap.delta * counts.sum(axis=-1) / qmap.m

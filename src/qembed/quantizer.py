@@ -20,12 +20,6 @@ from .ensembles import BLOCK_ENTRIES, Ensemble, InvalidArgument, as_seedseq, sam
 
 VARIANTS = ("floor", "round")
 
-BOUNDARY_TOL = 1e-12
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two internal evaluation paths disagreed away from a bin boundary."""
-
 
 def _floor_index(t: np.ndarray, delta: float) -> np.ndarray:
     """Largest integer k with k*delta <= t, exact on representable lattice points.
@@ -82,13 +76,6 @@ def as_batch(xs):
     if sparse is not None and sparse.issparse(xs):
         return xs
     return np.asarray(xs, dtype=np.float64)
-
-
-def boundary_flags(t, delta: float) -> np.ndarray:
-    """True where t sits within BOUNDARY_TOL*delta of a quantization threshold."""
-    t = np.asarray(t, dtype=np.float64)
-    r = t - np.round(t / delta) * delta
-    return np.abs(r) <= BOUNDARY_TOL * delta
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,7 @@ INPUTS = {
     "seed.cfg": "[experiment]\nseed = 1\n",
     "pairs.cfg": "[sweep]\npairs = 5\n",
     "taken/quasi-isometry.csv/": None,
+    "lattice-neighbour.txt": "28765.700000000004\n-42830.67307168129\n",
 }
 
 
@@ -355,6 +356,10 @@ INPUTS = {
     # seed on the check subcommands is a usage error, not a traceback
     (["lemmas", "--seed=-1"], 2),
     (["counterexamples", "--which", "no-dither", "--seed=-1"], 2),
+    # a float neighbour of a threshold fl(k delta) at large |k|, where the
+    # closed-form soft count is one off the code difference (ROADMAP item 2)
+    (["distance", "--m", "8", "--ensemble", "rademacher", "--no-dither", "--delta", "0.1",
+      "--in", "TMP/lattice-neighbour.txt"], 0),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage

@@ -117,6 +117,47 @@ def test_pseudo_distance_matches_codes():
         assert D.pseudo_distance(qmap, x, y) == expected
 
 
+def _near_threshold(z, delta):
+    """True where z lies within 1e-12 * delta of a threshold k * delta: there
+    D counts the threshold by the quantizer's bracket and D^0 by F^0, and the
+    two may differ by definition."""
+    return np.abs(z - np.round(z / delta) * delta) <= 1e-12 * delta
+
+
+@given(st.sampled_from(["gaussian", "rademacher"]), st.sampled_from(Q.VARIANTS), st.booleans(),
+       st.sampled_from([0.1, 0.3, 1.0, 2.0]), st.integers(1, 32), st.integers(1, 8),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=500, deadline=None)
+def test_code_difference_is_the_t0_count(kind, variant, dithered, delta, m, n, seed, data):
+    # D = D^0 row by row, off the thresholds, for every kind of map
+    x, y = (np.array(data.draw(st.lists(finite_reals, min_size=n, max_size=n)))
+            for _ in range(2))
+    qmap = Q.make_map(E.make_ensemble(kind), m, n, delta, seed, dithered, variant)
+    za, zb = qmap.project_many(np.column_stack([x, y])).T
+    diff = np.abs(Q.quantize_array(za, delta) - Q.quantize_array(zb, delta))
+    off = ~(_near_threshold(za, delta) | _near_threshold(zb, delta))
+    assert np.array_equal(D.soft_count_array(za, zb, 0.0, delta)[off], diff[off])
+    assert D.pseudo_distance(qmap, x, y) == delta * diff.sum() / m
+
+
+# a float neighbour of the threshold fl(287657 * 0.1) and a far point:
+# under the fl(k delta) thresholds the codes differ by 715964
+LATTICE_NEIGHBOUR_PAIR = (28765.700000000004, -42830.67307168129)
+
+
+def test_pseudo_distance_at_a_lattice_neighbour():
+    qmap = Q.make_map(E.make_ensemble("rademacher"), 8, 1, 0.1, 0, dithered=False)
+    x, y = ([v] for v in LATTICE_NEIGHBOUR_PAIR)
+    diff = np.abs(Q.apply_many(qmap, [x]) - Q.apply_many(qmap, [y]))
+    assert diff.tolist() == [[715964]] * 8
+    assert D.pseudo_distance(qmap, x, y) == qmap.delta * diff.sum() / qmap.m
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_soft_count_at_a_lattice_neighbour_counts_the_float_thresholds():
+    assert D.soft_count_array(*LATTICE_NEIGHBOUR_PAIR, 0.0, 0.1) == 715964
+
+
 def test_pair_distances_rejects_odd_column_count():
     qmap = Q.make_map(E.make_ensemble("gaussian"), 64, 2, 0.5, 1)
     for xs in ([[0, 1, 5], [0, 0, 0]], [0, 1]):

@@ -68,6 +68,9 @@ DEFECTS = {
         (G, "anti_sparse", "np.vecdot(u, u) >= k0 * sup**2", "np.vecdot(u, u) / sup**2 >= k0"),
     "zero-difference-passes": (G, "anti_sparse", "sup > 0.0", "sup >= 0.0"),
     "outputs-keep-a-stale-tail": (C, "_write", "fh.truncate()", "pass"),
+    "soft-count-counts-the-upper-threshold":
+        (D, "soft_count_array", "hi1 = np.ceil((a - t) / delta) - 1.0",
+         "hi1 = np.ceil((a - t) / delta)"),
 }
 
 # (defect, test that must fail, its arguments); the test's remaining
@@ -114,6 +117,8 @@ ROWS = [
     ("zero-difference-passes", test_geometry.test_stacked_anti_sparse_equals_each_row, ()),
     ("outputs-keep-a-stale-tail", test_cli.test_sweep_over_longer_files_leaves_no_stale_tail,
      ("quasi-isometry",)),
+    ("soft-count-counts-the-upper-threshold",
+     test_distances.test_code_difference_is_the_t0_count, ()),
 ]
 
 

@@ -185,11 +185,6 @@ def test_dithered_floor_exact_identity(x, y):
     assert Q.dithered_floor_exact(x, y) == pytest.approx(abs(x - y), abs=1e-12)
 
 
-def test_boundary_flags():
-    flags = Q.boundary_flags(np.array([1.0, 1.0 + 1e-13, 1.4]), 1.0)
-    assert flags.tolist() == [True, True, False]
-
-
 def test_code_serialization_roundtrip():
     codes = [np.array([1, -2, 3], dtype=np.int64), np.array([0, 0], dtype=np.int64)]
     assert Q.serialize_codes(codes) == "1 -2 3\n0 0\n"
