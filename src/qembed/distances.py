@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .ensembles import BLOCK_ENTRIES, InvalidArgument
-from .quantizer import QuantizedMap, apply_many, as_batch
+from .ensembles import BLOCK_ENTRIES, Ensemble, InvalidArgument
+from .quantizer import QuantizedMap, apply_many, as_batch, block_rows, map_blocks
 
 
 def soft_count_array(a, b, t, delta: float) -> np.ndarray:
@@ -71,45 +71,68 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     return out
 
 
-def pair_distances(blocks, xs) -> np.ndarray:
-    """D for each pair of columns x0, y0, x1, y1, ... of xs:
-    (delta/M) * l1 distance of the integer codes.
-
-    blocks are the sub-maps of one map over its row blocks (map_blocks); a
-    whole map is passed as the one block [qmap]. The l1 distance is a sum
-    over rows, so it is summed block by block, holding one block's codes at
-    a time. xs may be a scipy sparse array, which every block projects
-    through its nonzeros (see quantizer.as_batch).
-    """
+def pair_counts(block: QuantizedMap, xs, t=None) -> np.ndarray:
+    """The one per-row count that every D and D^t sums: for each row of the
+    sub-map `block` and each pair of columns x0, y0, x1, y1, ... of xs,
+    |code difference|, shape (rows, pairs), or given t, the soft count at each
+    of its values, shape t.shape + (rows, pairs). xs may be a scipy sparse
+    array, which the block projects through its nonzeros (see as_batch)."""
     xs = as_batch(xs)
     if xs.ndim != 2 or xs.shape[1] % 2:
         raise InvalidArgument(f"expected pairs of columns, shape (n, 2 * pairs), got {xs.shape}")
-    total = np.zeros(xs.shape[1] // 2, dtype=np.int64)
-    m = 0
-    for block in blocks:
+    if t is None:
         codes = apply_many(block, xs)
-        total += np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0)
+        return np.abs(codes[:, 0::2] - codes[:, 1::2])
+    z = block.project_many(xs)
+    return soft_count_array(z[:, 0::2], z[:, 1::2], np.expand_dims(t, (-2, -1)), block.delta)
+
+
+def pair_distances(blocks, xs, t=None) -> np.ndarray:
+    """D for each pair of columns x0, y0, x1, y1, ... of xs, or given t, D^t
+    at each of its values, shape t.shape + (pairs,): (delta/M) times
+    pair_counts summed over rows, one block of rows at a time.
+
+    blocks are the sub-maps of one map over its row blocks (map_blocks); a
+    whole map is passed as the one block [qmap]."""
+    total = m = 0
+    for block in blocks:
+        total = total + pair_counts(block, xs, t).sum(axis=-2)
         m += block.m
     return block.delta * total / m
+
+
+def map_counts(ensemble: Ensemble, maps: int, m: int, n: int, delta: float, seed, xs, t=None,
+               dithered: bool = True, variant: str = "floor") -> np.ndarray:
+    """pair_counts summed over the rows of each of `maps` fresh m-row maps,
+    ints of shape t.shape + (maps, pairs). The rows of a map are i.i.d., so T
+    fresh maps of m rows are the T consecutive m-row slices of one map of T*m
+    rows (map_blocks), drawn in blocks of max(1, block_rows(...) // m) maps."""
+    xs = as_batch(xs)
+    rows = m * max(1, block_rows(n, xs.shape[1]) // m)
+    blocks = map_blocks(ensemble, maps * m, n, delta, seed, rows, dithered, variant)
+    counts = (pair_counts(block, xs, t) for block in blocks)
+    return np.concatenate([c.reshape(*c.shape[:-2], -1, m, c.shape[-1]).sum(axis=-2)
+                           for c in counts], axis=-2)
+
+
+def _pair(x, y) -> np.ndarray:
+    if np.shape(x) != np.shape(y):
+        raise InvalidArgument(f"x and y differ in shape: {np.shape(x)} and {np.shape(y)}")
+    return np.column_stack([x, y])
 
 
 def pseudo_distance(qmap: QuantizedMap, x, y) -> float:
     """D(x, y) = (delta/M) * l1 distance of the integer codes: pair_distances
     on the one pair."""
-    return float(pair_distances([qmap], np.column_stack([x, y]))[0])
+    return float(pair_distances([qmap], _pair(x, y))[0])
 
 
 def soft_pseudo_distance(qmap: QuantizedMap, x, y, t):
-    """D^t(x, y) = (delta/M) * sum of per-coordinate soft counts.
-
-    t is a scalar, giving a float, or an array, giving D^t for each of its
-    values from one projection of the pair.
-    """
-    za, zb = qmap.project_many(np.column_stack([x, y])).T
-    t = np.asarray(t, dtype=np.float64)
-    counts = soft_count_array(za, zb, t[..., None], qmap.delta)
-    dists = qmap.delta * counts.sum(axis=-1) / qmap.m
-    return float(dists) if t.ndim == 0 else dists
+    """D^t(x, y) = (delta/M) * sum of per-coordinate soft counts:
+    pair_distances on the one pair. t is a scalar, giving a float, or an
+    array, giving D^t for each of its values from one projection of the pair."""
+    dists = pair_distances([qmap], _pair(x, y), t)[..., 0]
+    return float(dists) if np.ndim(t) == 0 else dists
 
 
 def lemma1_check(a, b, t, s, delta: float):

@@ -29,7 +29,7 @@ from .ensembles import (
     mu_sg_exact_binomial,
     sample_matrix,
 )
-from .distances import pair_distances, soft_count_array
+from .distances import map_counts, pair_counts, pair_distances
 from .geometry import (
     FiniteSet,
     LowRankBall,
@@ -461,10 +461,9 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) by Monte Carlo.
 
     p is the per-coordinate nonzero probability of the soft count, estimated
-    on the rows of one map of p_samples rows; when sqrt(k0) >= 16 kappa the
-    closed-form lower bound on p is also checked. The trials are the m-row
-    slices of one map of trials * m rows. Both maps are drawn in blocks of at
-    most BLOCK_ENTRIES entries of Phi, the trials' in blocks of whole trials.
+    on the rows of one map of p_samples rows, drawn in blocks of at most
+    BLOCK_ENTRIES entries of Phi; when sqrt(k0) >= 16 kappa the closed-form
+    lower bound on p is also checked. Each trial is a fresh m-row map.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -482,20 +481,14 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     uv = np.column_stack([u, v])
     s_p, s_trials = as_seedseq(seed).spawn(2)
 
-    def soft_counts(qmap):
-        z = qmap.project_many(uv)
-        return soft_count_array(z[:, 0], z[:, 1], t, delta)
-
     # per-coordinate nonzero probability
     blocks = map_blocks(ensemble, p_samples, n, delta, s_p, block_rows(n, 2))
-    p_hat = sum(int(np.count_nonzero(soft_counts(block))) for block in blocks) / p_samples
+    p_hat = sum(int(np.count_nonzero(pair_counts(block, uv, t))) for block in blocks) / p_samples
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / p_samples)
 
     # full-map left probability
-    rows = m * max(1, block_rows(n, 2) // m)
-    hits = sum(int(np.count_nonzero(soft_counts(block).reshape(-1, m).sum(axis=1) <= r))
-               for block in map_blocks(ensemble, trials * m, n, delta, s_trials, rows))
-    emp = hits / trials
+    counts = map_counts(ensemble, trials, m, n, delta, s_trials, uv, t)
+    emp = int(np.count_nonzero(counts <= r)) / trials
     emp_se = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
 
     mp = m * p_hat
@@ -522,7 +515,7 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
 
 def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> float:
     """Undithered rounding map collapsing two distinct sparse vectors: the
-    share of trials, the m-row slices of one map, whose codes agree.
+    share of trials, each a fresh m-row map, whose codes agree.
 
     u is all-ones on k0 coordinates and v = (1 + s/k0) u, so ||u - v|| =
     s / sqrt(k0); Bernoulli rows give integer projections, the relative shift
@@ -536,12 +529,9 @@ def no_dither_counterexample(k0: int, s: float, m: int, trials: int, seed) -> fl
         raise InvalidArgument("trials must be >= 1")
     u = np.ones(k0)
     v = (1.0 + s / k0) * u
-    bern = make_ensemble("rademacher")
-    passes = 0
-    for qmap in map_blocks(bern, trials * m, k0, 1.0, seed, m, dithered=False, variant="round"):
-        codes = apply_many(qmap, np.column_stack([u, v]))
-        passes += np.array_equal(codes[:, 0], codes[:, 1])
-    return passes / trials
+    counts = map_counts(make_ensemble("rademacher"), trials, m, k0, 1.0, seed,
+                        np.column_stack([u, v]), dithered=False, variant="round")
+    return int(np.count_nonzero(counts == 0)) / trials
 
 
 @dataclass(frozen=True)
@@ -611,18 +601,16 @@ def stirling_gosper_check(n_max: int) -> np.ndarray:
 
 
 def section2_bernoulli_floor(m: int, trials: int, seed) -> bool:
-    """Whether D(e1, 0) = 1 exactly in every trial (an m-row slice of one
-    map) for Bernoulli rows at delta = 1, dithered floor, where Gaussian rows
-    make D concentrate near sqrt(2/pi) instead."""
+    """Whether D(e1, 0) = 1 exactly, a count of m, in every trial (a fresh
+    m-row map) for Bernoulli rows at delta = 1, dithered floor, where Gaussian
+    rows make D concentrate near sqrt(2/pi) instead."""
     if m < 1:
         raise InvalidArgument("m must be >= 1")
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
-    bern = make_ensemble("rademacher")
-    n = 2
     pair = np.array([[1.0, 0.0], [0.0, 0.0]])  # columns e1 and 0
-    return all(pair_distances([qmap], pair)[0] == 1.0
-               for qmap in map_blocks(bern, trials * m, n, 1.0, seed, m))
+    counts = map_counts(make_ensemble("rademacher"), trials, m, 2, 1.0, seed, pair)
+    return bool(np.all(counts == m))
 
 
 # --- CSV emission (RFC 4180, header row mandatory) ---

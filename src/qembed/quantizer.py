@@ -122,6 +122,19 @@ def block_rows(n: int, count: int) -> int:
     return max(1, BLOCK_ENTRIES // max(n, count))
 
 
+def dither(m: int, delta: float, seed, dithered: bool = True, variant: str = "floor") -> np.ndarray:
+    """The read-only dither xi of an m-row map, drawn whole from its own seed:
+    M floats, uniform on [0, delta), or zero for the undithered map. The round
+    variant adds delta/2 to it, since round(t) = floor(t + delta/2)."""
+    if variant not in VARIANTS:
+        raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
+    xi = np.random.default_rng(seed).random(m) * delta if dithered else np.zeros(m)
+    if variant == "round":
+        xi += 0.5 * delta
+    xi.setflags(write=False)
+    return xi
+
+
 def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int,
                dithered: bool = True, variant: str = "floor"):
     """The map make_map(ensemble, m, n, delta, seed, dithered, variant) as
@@ -129,23 +142,11 @@ def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int
 
     Each block of Phi is drawn only when the next sub-map is asked for, so a
     caller that reduces over rows (every row is quantized on its own) holds
-    one block of Phi, never all M rows. The dither is drawn whole from its
-    own seed: M floats. xi is uniform on [0, delta), or zero for the
-    undithered map; the round variant adds delta/2 to it, since
-    round(t) = floor(t + delta/2).
-
-    The rows of a map are i.i.d., so T fresh maps of m rows are the T
-    consecutive m-row slices of one map of T*m rows: a check that needs many
-    maps draws them here, in blocks of whole maps.
+    one block of Phi, never all M rows. The dither is drawn whole, by dither.
     """
-    if variant not in VARIANTS:
-        raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
     mat_seed, dither_seed = as_seedseq(seed).spawn(2)
     phis = sample_matrix(ensemble, m, n, mat_seed, rows)
-    xi = np.random.default_rng(dither_seed).random(m) * delta if dithered else np.zeros(m)
-    if variant == "round":
-        xi += 0.5 * delta
-    xi.setflags(write=False)
+    xi = dither(m, delta, dither_seed, dithered, variant)
     start = 0
     for phi in phis:
         yield QuantizedMap(phi, xi[start:start + len(phi)], delta)

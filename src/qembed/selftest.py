@@ -38,14 +38,14 @@ def criterion_1(seed: int, scale: str = FULL) -> CriterionResult:
     """Dithered-floor identity: Monte Carlo over the package's dither vs
     |x - y|, and the exact integral."""
     rng = np.random.default_rng(_seed(seed, 1))
-    gauss = ensembles.make_ensemble("gaussian")
     draws = 100_000
     worst_z = 0.0
     worst_exact = 0.0
     ok = True
     for _ in range(20):
         x, y = rng.uniform(-5, 5, size=2)
-        xi = quantizer.make_map(gauss, draws, 1, 1.0, rng.integers(2**63)).xi
+        # the dither seed of make_map(..., seed): its second child
+        xi = quantizer.dither(draws, 1.0, np.random.SeedSequence(rng.integers(2**63)).spawn(2)[1])
         vals = np.abs(quantizer.quantize_array(x + xi, 1.0)
                       - quantizer.quantize_array(y + xi, 1.0))
         est = float(vals.mean())
@@ -130,8 +130,7 @@ def criterion_4(seed: int, scale: str = FULL) -> CriterionResult:
 
 
 def criterion_5(seed: int, scale: str = FULL) -> CriterionResult:
-    """Mean of D equals sqrt(2/pi)||x-y|| for gaussian maps (fresh map per
-    trial: the trials are the m-row slices of one map, in blocks of whole trials)."""
+    """Mean of D equals sqrt(2/pi)||x-y|| for gaussian maps, a fresh map per trial."""
     rng = np.random.default_rng(_seed(seed, 5))
     gauss = ensembles.make_ensemble("gaussian")
     trials = 10_000 if scale == FULL else 2000
@@ -142,10 +141,9 @@ def criterion_5(seed: int, scale: str = FULL) -> CriterionResult:
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         target = SQRT_2_OVER_PI * np.linalg.norm(x - y)
-        blocks = quantizer.map_blocks(gauss, trials * m, n, delta, rng.integers(2**63),
-                                      m * max(1, quantizer.block_rows(n, 2) // m))
-        codes = np.vstack([quantizer.apply_many(b, np.column_stack([x, y])) for b in blocks])
-        d_vals = delta * np.abs(codes[:, 0] - codes[:, 1]).reshape(trials, m).sum(axis=1) / m
+        counts = distances.map_counts(gauss, trials, m, n, delta, rng.integers(2**63),
+                                      np.column_stack([x, y]))
+        d_vals = delta * counts[:, 0] / m
         mean = float(d_vals.mean())
         se = float(d_vals.std(ddof=1) / math.sqrt(trials))
         z = abs(mean - target) / se

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -184,6 +185,46 @@ def test_pair_distances_blocked_equals_whole(kind):
     whole = qmap.delta * np.abs(codes[:, 0::2] - codes[:, 1::2]).sum(axis=0) / qmap.m
     assert np.array_equal(D.pair_distances([qmap], xs), whole)
     assert np.array_equal(D.pair_distances(Q.map_blocks(ens, m, n, 0.5, 3, rows), xs), whole)
+    # D^t, for a scalar t and an array of them, against the whole map's soft counts
+    z = qmap.project_many(xs)
+    for t in (0.1, np.array([[-0.2, 0.0], [0.05, 0.3]])):
+        soft = D.soft_count_array(z[:, 0::2], z[:, 1::2], np.expand_dims(t, (-2, -1)), 0.5)
+        whole_t = qmap.delta * soft.sum(axis=-2) / qmap.m
+        assert whole_t.shape == np.shape(t) + (count // 2,)
+        blocked = D.pair_distances(Q.map_blocks(ens, m, n, 0.5, 3, rows), xs, t)
+        assert np.array_equal(blocked, whole_t)
+        assert np.array_equal(D.pair_distances([qmap], xs, t), whole_t)
+
+
+@pytest.mark.parametrize("budget", [Q.BLOCK_ENTRIES, 192])
+def test_map_counts_are_the_m_row_slices(budget, monkeypatch):
+    # Rademacher maps and integer inputs: every product is exact, so no BLAS
+    # kernel choice can move a bit between the blocked and the whole map. A
+    # budget of 192 entries makes blocks of 12 rows at n = 16, so several
+    # blocks of whole maps occur.
+    monkeypatch.setattr(Q, "BLOCK_ENTRIES", budget)
+    n, pairs = 16, 3
+    ens = E.make_ensemble("rademacher")
+    xs = np.random.default_rng(11).integers(-5, 6, size=(n, 2 * pairs)).astype(np.float64)
+    for maps, m, (dithered, variant), t in itertools.product(
+            (1, 3, 7), (1, 5, 96), ((True, "floor"), (False, "round")),
+            (None, 0.3, np.array([-0.5, 0.0, 0.5]))):
+        counts = D.map_counts(ens, maps, m, n, 1.0, 21, xs, t, dithered, variant)
+        whole = D.pair_counts(Q.make_map(ens, maps * m, n, 1.0, 21, dithered, variant), xs, t)
+        slices = np.stack([whole[..., i * m:(i + 1) * m, :].sum(axis=-2) for i in range(maps)],
+                          axis=-2)
+        assert counts.shape == np.shape(t) + (maps, pairs)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert np.array_equal(counts, slices)
+
+
+def test_pair_of_different_lengths_is_rejected():
+    qmap = _gaussian_map(n=8)
+    x, y = np.random.default_rng(5).standard_normal((2, 8))
+    with pytest.raises(E.InvalidArgument):
+        D.pseudo_distance(qmap, x, y[:5])
+    with pytest.raises(E.InvalidArgument):
+        D.soft_pseudo_distance(qmap, x, y[:5], [0.0, 0.1])
 
 
 def test_pair_distances_sparse_batch_equals_dense():
@@ -231,8 +272,10 @@ def test_soft_distance_monotone_and_sandwich():
         d0 = D.pseudo_distance(qmap, x, y)
         grid = np.linspace(-0.4, 0.4, 9)
         vals = [D.soft_pseudo_distance(qmap, x, y, float(t)) for t in grid]
-        # the array form projects once and gives the same values
+        # the array form projects once and gives the same values, in t's shape
         assert D.soft_pseudo_distance(qmap, x, y, grid).tolist() == vals
+        assert D.soft_pseudo_distance(qmap, x, y, grid.reshape(3, 3)).tolist() == \
+            np.reshape(vals, (3, 3)).tolist()
         assert all(u >= v - 1e-12 for u, v in zip(vals, vals[1:]))
         for t in (0.1, 0.25, 0.4):
             assert D.soft_pseudo_distance(qmap, x, y, t) <= d0 + 1e-12

@@ -46,10 +46,10 @@ DEFECTS = {
     "width-search-compares-256-points-at-once":
         (X, "_max_filtered_distance", "chunk = max(1, BLOCK_ENTRIES // points.size)",
          "chunk = 256"),
-    # criterion 1 draws its dither by make_map, through quantizer's own binding of map_blocks
-    "dither-on-half-the-bin": (Q, "map_blocks", "random(m) * delta", "random(m) * delta / 2"),
+    # criterion 1 and map_blocks draw every dither through quantizer's own binding of dither
+    "dither-on-half-the-bin": (Q, "dither", "random(m) * delta", "random(m) * delta / 2"),
     "dither-left-out":
-        (Q, "map_blocks", "np.random.default_rng(dither_seed).random(m) * delta", "np.zeros(m)"),
+        (Q, "dither", "np.random.default_rng(seed).random(m) * delta", "np.zeros(m)"),
     "rademacher-entries-for-gaussian-ones":
         (E, "sample_iid", "return rng.standard_normal(shape)",
          "return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0"),
@@ -68,6 +68,9 @@ DEFECTS = {
         (G, "anti_sparse", "np.vecdot(u, u) >= k0 * sup**2", "np.vecdot(u, u) / sup**2 >= k0"),
     "zero-difference-passes": (G, "anti_sparse", "sup > 0.0", "sup >= 0.0"),
     "outputs-keep-a-stale-tail": (C, "_write", "fh.truncate()", "pass"),
+    "map-counts-sum-strided-rows":
+        (D, "map_counts", "reshape(*c.shape[:-2], -1, m, c.shape[-1]).sum(axis=-2)",
+         "reshape(*c.shape[:-2], m, -1, c.shape[-1]).sum(axis=-3)"),
     "soft-count-counts-the-upper-threshold":
         (D, "soft_count_array", "hi1 = np.ceil((a - t) / delta) - 1.0",
          "hi1 = np.ceil((a - t) / delta)"),
@@ -119,6 +122,8 @@ ROWS = [
      ("quasi-isometry",)),
     ("soft-count-counts-the-upper-threshold",
      test_distances.test_code_difference_is_the_t0_count, ()),
+    ("map-counts-sum-strided-rows", test_distances.test_map_counts_are_the_m_row_slices,
+     (Q.BLOCK_ENTRIES,)),
 ]
 
 
