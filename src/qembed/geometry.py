@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from .ensembles import InvalidArgument
+from .quantizer import block_rows
 
 
 @dataclass(frozen=True)
@@ -130,22 +131,28 @@ def sparse_ball_point(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
     return c, support
 
 
-def sup_oracle(spec: SetSpec, g: np.ndarray) -> float:
-    """Exact sup over u in the set of |<g, u>|."""
+def sup_oracle(spec: SetSpec, g: np.ndarray):
+    """Exact sup over u in the set of |<g, u>|, over the last axis of g: a
+    float for one vector, an array for a stack."""
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (ambient_dim(spec),):
+    if g.ndim == 0 or g.shape[-1] != ambient_dim(spec):
         raise InvalidArgument(f"expected dimension {ambient_dim(spec)}, got {g.shape}")
     if isinstance(spec, FiniteSet):
-        return float(np.max(np.abs(spec.points @ g)))
-    if isinstance(spec, SparseBall):
-        top = np.sort(np.abs(g))[-spec.k:]
-        return spec.radius * float(np.linalg.norm(top))
-    if isinstance(spec, LowRankBall):
-        s = np.linalg.svd(g.reshape(spec.n1, spec.n2), compute_uv=False)
-        return spec.radius * float(np.linalg.norm(s[: spec.r]))
-    if isinstance(spec, EuclideanBall):
-        return spec.radius * float(np.linalg.norm(g))
-    raise InvalidArgument(f"unknown set spec: {spec!r}")
+        sup = np.max(np.abs((spec.points @ g[..., None])[..., 0]), axis=-1)
+    elif isinstance(spec, SparseBall):
+        top = np.abs(g)
+        top.sort(axis=-1)  # in place: a block holds one copy of g, not two
+        top = top[..., -spec.k:]
+        sup = spec.radius * np.sqrt(np.vecdot(top, top))
+    elif isinstance(spec, LowRankBall):
+        top = np.linalg.svd(g.reshape(*g.shape[:-1], spec.n1, spec.n2),
+                            compute_uv=False)[..., : spec.r]
+        sup = spec.radius * np.sqrt(np.vecdot(top, top))
+    elif isinstance(spec, EuclideanBall):
+        sup = spec.radius * np.sqrt(np.vecdot(g, g))
+    else:
+        raise InvalidArgument(f"unknown set spec: {spec!r}")
+    return float(sup) if g.ndim == 1 else sup
 
 
 @dataclass(frozen=True)
@@ -156,14 +163,16 @@ class WidthEstimate:
 
 
 def width_estimate(spec: SetSpec, draws: int, seed) -> WidthEstimate:
-    """Monte Carlo Gaussian mean width: E sup |<g, u>| with exact inner sup."""
+    """Monte Carlo Gaussian mean width: E sup |<g, u>| with exact inner sup.
+    g is drawn in row blocks within BLOCK_ENTRIES, counting a finite set's
+    (rows, points) products."""
     if draws < 2:
         raise InvalidArgument("draws must be >= 2")
     rng = np.random.default_rng(seed)
     dim = ambient_dim(spec)
-    vals = np.empty(draws)
-    for i in range(draws):
-        vals[i] = sup_oracle(spec, rng.standard_normal(dim))
+    rows = block_rows(dim, spec.points.shape[0] if isinstance(spec, FiniteSet) else 1)
+    vals = np.concatenate([sup_oracle(spec, rng.standard_normal((min(rows, draws - i), dim)))
+                           for i in range(0, draws, rows)])
     return WidthEstimate(mean=float(vals.mean()),
                          stderr=float(vals.std(ddof=1) / math.sqrt(draws)),
                          draws=draws)

@@ -578,10 +578,9 @@ def test_stirling_small_and_medium():
     assert ok.all()
     with pytest.raises(E.InvalidArgument):
         X.stirling_gosper_check(0)
-    # n = 1 by hand: -1 + log(2 pi 7/6)/2 <= 0 <= -1 + log(2 pi 6/5)/2
-    lower = -1 + 0.5 * math.log(2 * math.pi * 7 / 6)
-    upper = -1 + 0.5 * math.log(2 * math.pi * 6 / 5)
-    assert lower <= 0.0 <= upper
+    # n = 1: 2 pi 7/6 <= e^2 <= 2 pi 6/5, and each n's boolean does not depend on n_max
+    assert X.stirling_gosper_check(1).tolist() == [True]
+    assert np.array_equal(X.stirling_gosper_check(37), ok[:37])
 
 
 def test_section2_floor_exact_and_contrast():

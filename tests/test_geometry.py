@@ -104,8 +104,65 @@ def test_sup_oracle_lowrank_full_rank_is_frobenius():
 
 
 def test_sup_oracle_dimension_mismatch():
-    with pytest.raises(E.InvalidArgument):
-        G.sup_oracle(G.EuclideanBall(n=3, radius=1.0), np.zeros(4))
+    ball = G.EuclideanBall(n=3, radius=1.0)
+    for g in (np.zeros(4), np.zeros((5, 4)), np.float64(0.0)):
+        with pytest.raises(E.InvalidArgument):
+            G.sup_oracle(ball, g)
+
+
+def _oracle_specs():
+    rng = np.random.default_rng(10)
+    return [G.FiniteSet(points=rng.standard_normal((1, 7))),
+            G.FiniteSet(points=rng.standard_normal((40, 7))),
+            G.LowRankBall(n1=4, n2=6, r=2, radius=1.5),
+            G.SparseBall(n=30, k=3, radius=0.8),
+            G.EuclideanBall(n=9, radius=2.0)]
+
+
+@pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: type(s).__name__)
+def test_stacked_sup_oracle_equals_each_row(spec):
+    g = np.random.default_rng(11).standard_normal((3, 5, G.ambient_dim(spec)))
+    sups = G.sup_oracle(spec, g)
+    assert sups.shape == (3, 5)
+    rows = [[G.sup_oracle(spec, g[i, j]) for j in range(5)] for i in range(3)]
+    assert all(isinstance(v, float) for row in rows for v in row)
+    assert np.array_equal(sups, rows)
+
+
+@pytest.mark.parametrize("budget", [E.BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: type(s).__name__)
+def test_width_estimate_is_one_whole_draw(spec, budget, monkeypatch):
+    # at the small budget every kind takes many blocks and a partial last one
+    from qembed import quantizer as Q
+
+    monkeypatch.setattr(Q, "BLOCK_ENTRIES", budget)
+    draws = 1001
+    a, b = np.random.default_rng(12), np.random.default_rng(12)
+    est = G.width_estimate(spec, draws, a)
+    vals = G.sup_oracle(spec, b.standard_normal((draws, G.ambient_dim(spec))))
+    assert est == G.WidthEstimate(mean=float(vals.mean()),
+                                  stderr=float(vals.std(ddof=1) / math.sqrt(draws)),
+                                  draws=draws)
+    assert a.random() == b.random()
+
+
+WIDTH_BLOCK_SPECS = [G.SparseBall(n=512, k=4, radius=1.0), G.FiniteSet(points=np.ones((300, 4)))]
+
+
+@pytest.mark.parametrize("spec", WIDTH_BLOCK_SPECS, ids=lambda s: type(s).__name__)
+def test_width_estimate_holds_one_block(spec):
+    # 4096 draws: the whole g of the sparse ball, and the whole (draws,
+    # points) product of the finite set, are each about 10-16 MiB; a block is
+    # 1 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G.width_estimate(spec, 4096, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * E.BLOCK_ENTRIES
 
 
 def test_width_finite_singleton():
@@ -172,8 +229,10 @@ def test_anti_sparse_is_exact_on_the_mesh_differences():
              for d in diffs.tolist()]
     decisions = 0
     for k0 in (1.5, 2.0, 3.0):
-        want = [sq >= Fraction(k0) * sup_sq for sq, sup_sq in exact]
-        assert G.anti_sparse(diffs, k0).tolist() == want
+        want = np.array([sq >= Fraction(k0) * sup_sq for sq, sup_sq in exact])
+        # a mismatch count, not a list comparison, whose failure report would
+        # diff 23,562 elements one by one
+        assert np.count_nonzero(G.anti_sparse(diffs, k0) != want) == 0
         decisions += len(want)
     assert decisions == 70_686
 

@@ -71,6 +71,12 @@ DEFECTS = {
     "map-counts-sum-strided-rows":
         (D, "map_counts", "reshape(*c.shape[:-2], -1, m, c.shape[-1]).sum(axis=-2)",
          "reshape(*c.shape[:-2], m, -1, c.shape[-1]).sum(axis=-3)"),
+    "stirling-upper-constant-is-the-lower-one":
+        (X, "stirling_gosper_check", "mp.mpf(1) / 5", "mp.mpf(1) / 6"),
+    "width-estimate-draws-every-gaussian-at-once":
+        (G, "width_estimate",
+         "rows = block_rows(dim, spec.points.shape[0] if isinstance(spec, FiniteSet) else 1)",
+         "rows = draws"),
     "soft-count-counts-the-upper-threshold":
         (D, "soft_count_array", "hi1 = np.ceil((a - t) / delta) - 1.0",
          "hi1 = np.ceil((a - t) / delta)"),
@@ -124,6 +130,11 @@ ROWS = [
      test_distances.test_code_difference_is_the_t0_count, ()),
     ("map-counts-sum-strided-rows", test_distances.test_map_counts_are_the_m_row_slices,
      (Q.BLOCK_ENTRIES,)),
+    ("stirling-upper-constant-is-the-lower-one",
+     test_experiments.test_stirling_small_and_medium, ()),
+    *[("width-estimate-draws-every-gaussian-at-once",
+       test_geometry.test_width_estimate_holds_one_block, (spec,))
+      for spec in test_geometry.WIDTH_BLOCK_SPECS],
 ]
 
 
