@@ -33,10 +33,18 @@ class ConfigError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that does not decode is a config error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
+
+
 def read_vectors(path: str) -> list[np.ndarray]:
     """Whitespace-separated reals, one vector per line, all of one length."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -64,21 +72,13 @@ SET_KINDS = {
 }
 
 
-def parse_set_spec(text) -> geometry.SetSpec:
-    """Parse e.g. sparse:N=64,K=4,d=1 or ball:N=3,d=1 or mesh:N=3,h=0.3."""
-    if not text:
-        raise ConfigError("no set given: pass --set or a [set] config section")
-    kind, _, rest = text.partition(":")
+def parse_set_spec(kind: str, values: dict) -> geometry.SetSpec:
+    """The set of a kind and its parameters' text values by name, in any case,
+    as --set text (see split_set_text) or a config's [set] section gives them."""
     if kind not in SET_KINDS:
         raise ConfigError(f"unknown set kind {kind!r}")
     make, params = SET_KINDS[kind]
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            if "=" not in item:
-                raise ConfigError(f"bad set parameter {item!r}")
-            k, _, v = item.partition("=")
-            kv[k.strip().lower()] = v.strip()
+    kv = {k.strip().lower(): v.strip() for k, v in values.items()}
     unread = sorted(set(kv) - set(params))
     if unread:
         raise ConfigError(f"set kind {kind!r} takes no parameter {', '.join(unread)}")
@@ -89,7 +89,25 @@ def parse_set_spec(text) -> geometry.SetSpec:
         return make(**{key: conv(kv[name]) if name in kv else default
                        for name, (key, conv, default) in params.items()})
     except ValueError as exc:
-        raise ConfigError(f"bad set parameter in {text!r}: {exc}") from exc
+        raise ConfigError(f"bad parameter of set kind {kind!r}: {exc}") from exc
+
+
+def split_set_text(text: str) -> tuple[str, dict]:
+    """--set text such as sparse:N=64,K=4,d=1 or mesh:N=3,h=0.3 as the set's
+    kind and its parameters' text values."""
+    kind, _, rest = text.partition(":")
+    items = [item.partition("=") for item in rest.split(",")] if rest else []
+    for key, eq, _ in items:
+        if not eq:
+            raise ConfigError(f"bad set parameter {key!r}")
+    return kind, {key: value for key, _, value in items}
+
+
+def _set_spec(args) -> geometry.SetSpec:
+    """The set of --set or of the config's [set] section, as parse_args left it."""
+    if not args.set_spec:
+        raise ConfigError("no set given: pass --set or a [set] config section")
+    return parse_set_spec(*args.set_spec)
 
 
 # the acceptance criteria each check subcommand runs; None runs them all
@@ -104,9 +122,10 @@ UNSEEDED_KINDS = ("embed-structured", "width-structured")
 DEFAULT_PAIRS = 200
 
 # every flag's add_argument keywords, built-in default included, and the
-# config (section, key) that stands in for it; the [set] keys assemble into a
-# --set string. --seed has no default, so that QEMBED_SEED comes after the file,
-# and --pairs none, so that a consistency sweep over a finite set can refuse it.
+# config (section, key) that stands in for it; the [set] keys stand in for
+# --set as the set's (kind, values). --seed has no default, so that
+# QEMBED_SEED comes after the file, and --pairs none, so that a consistency
+# sweep over a finite set can refuse it.
 FLAGS = {
     "--config": (dict(), None),
     "--seed": (dict(type=int), ("experiment", "seed")),
@@ -150,7 +169,7 @@ def parse_config(path: str) -> dict:
     twice in one section are hard errors."""
     values: dict[str, dict[str, str]] = {}
     section = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,7 +259,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_width(args) -> int:
-    spec = parse_set_spec(args.set_spec)
+    spec = _set_spec(args)
     est = geometry.width_estimate(spec, args.draws, np.random.SeedSequence(args.seed))
     d = geometry.diameter(spec)
     n = geometry.ambient_dim(spec)
@@ -253,7 +272,7 @@ def cmd_width(args) -> int:
 
 
 def cmd_min_m(args) -> int:
-    spec = parse_set_spec(args.set_spec)
+    spec = _set_spec(args)
     m = geometry.minimal_m(spec, args.kind, args.eps, args.delta, args.c,
                            seed=np.random.SeedSequence(args.seed))
     print(m)
@@ -262,7 +281,7 @@ def cmd_min_m(args) -> int:
 
 def cmd_sweep(args) -> int:
     which = args.command
-    spec = parse_set_spec(args.set_spec)
+    spec = _set_spec(args)
     grid = _parse_list(args.m_grid, int, "--m-grid")
     pairs = args.pairs
     if pairs is None:
@@ -372,15 +391,16 @@ def parse_args(argv=None) -> argparse.Namespace:
                     defaults[kw.get("dest", flag[2:].replace("-", "_"))] = _config_value(kw, text)
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: bad [{section}] {key}: {exc}") from exc
-    st = cfg.get("set", {})
+    st = dict(cfg.get("set", {}))
     if st:
         if "kind" not in st:
             raise ConfigError("[set] section needs a kind")
-        parts = ",".join(f"{k}={v}" for k, v in st.items() if k != "kind")
-        defaults["set_spec"] = f"{st['kind']}:{parts}" if parts else st["kind"]
+        defaults["set_spec"] = (st.pop("kind"), st)
     if defaults:
         subparsers[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
+    if isinstance(getattr(args, "set_spec", None), str) and args.set_spec:
+        args.set_spec = split_set_text(args.set_spec)
     if getattr(args, "kind", None) in UNSEEDED_KINDS and args.seed is not None:
         raise ConfigError(f"min-m --kind {args.kind} draws nothing: it takes no --seed "
                           "or [experiment] seed")

@@ -29,7 +29,7 @@ from .ensembles import (
     mu_sg_exact_binomial,
     sample_matrix,
 )
-from .distances import map_counts, pair_counts, pair_distances
+from .distances import map_counts, pair_counts
 from .geometry import (
     FiniteSet,
     LowRankBall,
@@ -99,24 +99,6 @@ class ExperimentResult:
     censored_total: int
 
 
-def task_seed(master_seed: int, m_index: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(m_index, trial))
-
-
-def seed_fingerprint(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _run_tasks(task_args, fn, jobs: int):
-    """Run fn over task_args; output order fixed by input order, not workers."""
-    if jobs < 1:
-        raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return [fn(*args) for args in task_args]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda args: fn(*args), task_args))
-
-
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """OLS slope and stderr of log(statistic) against log(m)."""
     pts = [(m, s) for m, s in points if s > 0]
@@ -167,95 +149,99 @@ def _sparse_columns(xs: np.ndarray, supports: np.ndarray):
     return batch
 
 
-def _sweep(experiment: str, plan: TrialPlan, measure, slope_band, jobs: int) -> ExperimentResult:
-    """Run one trial per (m, trial) task and aggregate the trials into rows,
-    per-m fit points and the log-log fit.
+def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult]:
+    """Each statistic's result, by experiment, from one trial per (m, trial)
+    task: rows, per-m fit points and the log-log fit.
 
-    A trial splits its task seed into a map seed and a sample seed and calls
-    measure(rng, blocks) with a Generator on the sample seed; blocks(count)
-    yields the trial's map as row-block sub-maps sized for projecting count
-    vectors. A statistic <= 0 is censored: it stays out of the fit points.
-    A slope band on a grid too short to fit is a usage error, not a failed
-    check.
+    statistics are (experiment, start, slope band) triples. A trial splits
+    its seed into a map seed and a sample seed. Each start(plan, rng) draws
+    pairs or rays from a Generator of its own on the sample seed and returns
+    a fold over the map's row blocks: it projects fold.columns vectors,
+    fold.step(block) folds in one sub-map and returns False once no later
+    block can change the statistic, and fold.finish() gives it. The map is
+    drawn once, in blocks of block_rows(n, the most columns) rows, until no
+    fold can change. A statistic <= 0 is censored: it stays out of the fit
+    points. A slope band on a grid too short to fit is a usage error.
     """
-    if slope_band is not None and len(plan.m_grid) < MIN_FIT_POINTS:
+    if any(band is not None for *_, band in statistics) and len(plan.m_grid) < MIN_FIT_POINTS:
         raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
                               f"got {len(plan.m_grid)}")
     n = ambient_dim(plan.set_spec)
 
     def one(m_index: int, m: int, trial: int):
-        ss = task_seed(plan.master_seed, m_index, trial)
+        ss = np.random.SeedSequence(plan.master_seed, spawn_key=(m_index, trial))
         map_seed, sample_seed = ss.spawn(2)
+        folds = [start(plan, np.random.default_rng(sample_seed)) for _, start, _ in statistics]
+        columns = max(fold.columns for fold in folds)
+        changing = folds
+        for block in map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns)):
+            changing = [fold for fold in changing if fold.step(block)]
+            if not changing:
+                break
+        return [fold.finish() for fold in folds], int(ss.generate_state(1, np.uint64)[0])
 
-        def blocks(count: int):
-            return map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, count))
-
-        stat = measure(np.random.default_rng(sample_seed), blocks)
-        return stat, stat <= 0, seed_fingerprint(ss)
-
+    if jobs < 1:
+        raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
-    rows = [TrialRow(experiment, m, t, *res)
-            for (_, m, t), res in zip(tasks, _run_tasks(tasks, one, jobs))]
-    fit_points = []
-    for m in plan.m_grid:
-        vals = [r.statistic for r in rows if r.m == m and not r.censored]
-        worst = float(np.max(vals)) if vals else math.nan
-        if worst > 0:
-            fit_points.append((m, worst))
-    slope = stderr = None
-    verdict = None
-    try:
-        slope, stderr = fit_loglog_slope(fit_points)
-        if slope_band is not None:
-            verdict = slope_band[0] <= slope <= slope_band[1]
-    except InsufficientData:
-        if slope_band is not None:
-            verdict = False
-    return ExperimentResult(rows=rows, fit_points=fit_points, slope=slope, slope_stderr=stderr,
-                            verdict=verdict, censored_total=sum(r.censored for r in rows))
+    if jobs == 1:
+        trials = [one(*task) for task in tasks]
+    else:  # pool.map keeps the order of the tasks, whatever the workers
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            trials = list(pool.map(lambda task: one(*task), tasks))
+    results = {}
+    for i, (experiment, _, slope_band) in enumerate(statistics):
+        rows = [TrialRow(experiment, m, t, stats[i], stats[i] <= 0, fingerprint)
+                for (_, m, t), (stats, fingerprint) in zip(tasks, trials)]
+        fit_points = []
+        for m in plan.m_grid:
+            vals = [r.statistic for r in rows if r.m == m and not r.censored]
+            worst = float(np.max(vals)) if vals else math.nan
+            if worst > 0:
+                fit_points.append((m, worst))
+        try:
+            slope, stderr = fit_loglog_slope(fit_points)
+        except InsufficientData:
+            slope = stderr = None
+        verdict = None if slope_band is None else (
+            slope is not None and slope_band[0] <= slope <= slope_band[1])
+        results[experiment] = ExperimentResult(rows=rows, fit_points=fit_points, slope=slope,
+                                               slope_stderr=stderr, verdict=verdict,
+                                               censored_total=sum(r.censored for r in rows))
+    return results
 
 
-def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
-                         jobs: int = 1) -> ExperimentResult:
-    """Distortion decay of D against sqrt(2/pi) * distance over the m grid.
+def _allowance(plan: TrialPlan) -> float:
+    """The ensemble's kappa / sqrt(k0) allowance, subtracted from the distortion."""
+    return plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
 
-    Per (m, map trial): sample filtered pairs, record
-    e(x, y) / (||x - y|| + delta) and take the max; the ensemble's
-    kappa / sqrt(k0) allowance is subtracted from the per-m statistic. A
-    positive allowance that censors every trial makes the plan vacuous, and
-    raises InvalidArgument.
-    """
-    n = ambient_dim(plan.set_spec)
-    allowance = plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
-    sparse = isinstance(plan.set_spec, SparseBall)
 
-    def measure(rng, blocks) -> float:
-        p = plan.pairs_per_m
-        xs = np.empty((n, 2 * p))
-        supports = np.empty((2 * p, plan.set_spec.k), dtype=np.int32) if sparse else None
-        dists = np.empty(p)
-        for j in range(p):
-            x, y, sx, sy = _sample_filtered_pair(plan.set_spec, plan.k0, rng)
-            xs[:, 2 * j] = x
-            xs[:, 2 * j + 1] = y
-            if sparse:
-                supports[2 * j] = sx
-                supports[2 * j + 1] = sy
-            dists[j] = np.linalg.norm(x - y)
-        # K nonzeros per column of a sparse ball: each block's Phi @ batch
-        # runs over those alone. It sums in another order than the dense
-        # product, so a code can move only where Phi x + xi is within an ulp
-        # of a threshold.
-        batch = _sparse_columns(xs, supports) if sparse else xs
-        errs = np.abs(pair_distances(blocks(2 * p), batch) - SQRT_2_OVER_PI * dists)
-        return float(np.max(errs / (dists + plan.delta))) - allowance
+class _Distortion:
+    """The distortion statistic's fold: on pairs_per_m filtered pairs, each
+    pair's code difference summed over the rows so far (pair_counts), then the
+    largest |D - sqrt(2/pi) ||x - y||| / (||x - y|| + delta), less the allowance."""
 
-    res = _sweep("quasi-isometry", plan, measure, slope_band, jobs)
-    if allowance > 0 and res.censored_total == len(res.rows):
-        raise InvalidArgument(
-            f"vacuous plan: the allowance kappa/sqrt(k0) = {allowance:.4g} censors every "
-            "trial; lower kappa (--kappa estimated) or raise k0 (--k0)")
-    return res
+    def __init__(self, plan: TrialPlan, rng):
+        pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng)
+                 for _ in range(plan.pairs_per_m)]
+        xs = np.column_stack([v for x, y, _, _ in pairs for v in (x, y)])
+        self.dists = np.array([np.linalg.norm(x - y) for x, y, _, _ in pairs])
+        # on a sparse ball each block's Phi @ batch runs over the K nonzeros of
+        # a column alone, summing in another order than the dense product: a
+        # code can move only where Phi x + xi is within an ulp of a threshold
+        sparse = isinstance(plan.set_spec, SparseBall)
+        supports = [s for *_, sx, sy in pairs for s in (sx, sy)] if sparse else None
+        self.batch = _sparse_columns(xs, np.array(supports, np.int32)) if sparse else xs
+        self.delta, self.allowance, self.columns = plan.delta, _allowance(plan), xs.shape[1]
+        self.counts = self.m = 0
+
+    def step(self, block) -> bool:
+        self.counts = self.counts + pair_counts(block, self.batch).sum(axis=0)
+        self.m += block.m
+        return True
+
+    def finish(self) -> float:
+        errs = np.abs(self.delta * self.counts / self.m - SQRT_2_OVER_PI * self.dists)
+        return float(np.max(errs / (self.dists + self.delta))) - self.allowance
 
 
 def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng):
@@ -308,16 +294,24 @@ def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
     return np.minimum(caps, gap.min(axis=0))
 
 
-def _ray_radii(blocks, anchors: np.ndarray, dirs: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """_consistent_radii of the rays anchors[:, j] + r dirs[:, j] under the
-    map whose row-block sub-maps are blocks (a whole map is [qmap]), one
-    block at a time: the cell is an intersection of per-row slabs, so each
-    block's radii cap the next block's."""
-    radii = caps
-    for block in blocks:
-        radii = _consistent_radii(block.project_many(anchors), block.phi @ dirs, radii,
-                                  block.delta)
-    return radii
+class _Rays:
+    """The consistency width of the rays anchors[:, j] + r dirs[:, j], r <= caps[j],
+    as a fold: a cell is an intersection of per-row slabs, so each block's
+    _consistent_radii cap the next block's; the width is the largest radius."""
+
+    def __init__(self, anchors: np.ndarray, dirs: np.ndarray, caps: np.ndarray):
+        self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, anchors.shape[1]
+
+    def step(self, block) -> bool:
+        # dense even on a sparse ball: a radius is a float ratio of two
+        # projections, so a sparse product would move it in the last digits
+        self.radii = _consistent_radii(block.project_many(self.anchors), block.phi @ self.dirs,
+                                       self.radii, block.delta)
+        return True
+
+    def finish(self) -> float:
+        # max(0.0, ...) records a censored width as 0.0, never -0.0
+        return max(0.0, float(np.max(self.radii)))
 
 
 def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
@@ -334,61 +328,74 @@ def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
     return best
 
 
-def _shared_code_widths(blocks, points: np.ndarray, k0: float) -> np.ndarray:
-    """Per group of points with one code under the map whose row-block
-    sub-maps are blocks, the largest k0-filtered distance within the group.
+class _SharedCodes:
+    """The consistency width of a finite set as a fold: each block refines a
+    label per point, two points keeping one while their codes agree on every
+    row so far. Once every point is alone no later row can merge two, so the
+    fold stops at width 0; else the width is the largest k0-filtered distance
+    within a group."""
 
-    Each block refines an integer label per point: two points keep one label
-    while their codes agree on every row so far. Once every point has a label
-    of its own no later row can merge two groups, so the blocks left are not
-    drawn and every width is 0.
-    """
-    label = np.zeros(len(points), dtype=np.int64)
-    for block in blocks:
-        _, label = np.unique(np.vstack([label, apply_many(block, points.T)]), axis=1,
-                             return_inverse=True)
-        if label.max() + 1 == len(points):
-            return np.zeros(1)
-    return np.array([_max_filtered_distance(points[label == g], k0)
-                     for g in range(label.max() + 1)])
+    def __init__(self, points: np.ndarray, k0: float):
+        self.points, self.k0, self.columns = points, k0, len(points)
+        self.label = np.zeros(len(points), dtype=np.int64)
+
+    def step(self, block) -> bool:
+        _, self.label = np.unique(np.vstack([self.label, apply_many(block, self.points.T)]),
+                                  axis=1, return_inverse=True)
+        return self.label.max() + 1 < len(self.points)
+
+    def finish(self) -> float:
+        groups = self.label.max() + 1
+        if groups == len(self.points):
+            return 0.0
+        return max(0.0, *(_max_filtered_distance(self.points[self.label == g], self.k0)
+                          for g in range(groups)))
+
+
+def _consistency_width(plan: TrialPlan, rng):
+    """The consistency width statistic's fold: _SharedCodes of a finite set's
+    points, or _Rays from pairs_per_m anchors with admissible directions."""
+    if isinstance(plan.set_spec, FiniteSet):
+        return _SharedCodes(plan.set_spec.points, plan.k0)
+    n, p, d = ambient_dim(plan.set_spec), plan.pairs_per_m, diameter(plan.set_spec)
+    anchors, dirs, caps = np.empty((n, p)), np.empty((n, p)), np.empty(p)
+    for j in range(p):
+        x, support = _point_and_support(plan.set_spec, rng)
+        u = _direction_for(plan.set_spec, x, support, plan.k0, rng)
+        anchors[:, j], dirs[:, j], caps[j] = x, u, _radial_cap(x, u, d)
+    return _Rays(anchors, dirs, caps)
+
+
+# the decay sweeps by experiment name, each with the start of its statistic's fold
+STATISTICS = {"quasi-isometry": _Distortion, "consistency-width": _consistency_width}
+
+
+def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str, ExperimentResult]:
+    """The sweeps named by slope_bands, each against its band (None: no verdict),
+    from one draw of each trial's map (see _sweep). A positive allowance that
+    censors every distortion trial makes the plan vacuous: InvalidArgument."""
+    if "consistency-width" in slope_bands and diameter(plan.set_spec) > 1.0 + 1e-9:
+        raise InvalidArgument("consistency sweep requires the set inside the unit ball")
+    results = _sweep(plan, [(name, STATISTICS[name], band) for name, band in slope_bands.items()],
+                     jobs)
+    qi = results.get("quasi-isometry")
+    if qi is not None and _allowance(plan) > 0 and qi.censored_total == len(qi.rows):
+        raise InvalidArgument(
+            f"vacuous plan: the allowance kappa/sqrt(k0) = {_allowance(plan):.4g} censors every "
+            "trial; lower kappa (--kappa estimated) or raise k0 (--k0)")
+    return results
+
+
+def quasi_isometry_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
+                         jobs: int = 1) -> ExperimentResult:
+    """Distortion decay over the m grid: decay_sweeps with _Distortion alone."""
+    return decay_sweeps(plan, {"quasi-isometry": slope_band}, jobs)["quasi-isometry"]
 
 
 def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, float]] = None,
                             jobs: int = 1) -> ExperimentResult:
-    """Largest distance between vectors with identical codes, per m.
-
-    Continuum sets: anchors plus admissible directions, each ray measured
-    exactly to the edge of its anchor's quantizer cell or of the set;
-    finite sets: the largest filtered distance among points sharing a code.
-    A trial that sees no positive width is censored with statistic 0.
-    """
-    d = diameter(plan.set_spec)
-    if d > 1.0 + 1e-9:
-        raise InvalidArgument("consistency sweep requires the set inside the unit ball")
-    n = ambient_dim(plan.set_spec)
-
-    def measure(rng, blocks) -> float:
-        if isinstance(plan.set_spec, FiniteSet):
-            pts = plan.set_spec.points
-            widths = _shared_code_widths(blocks(len(pts)), pts, plan.k0)
-        else:
-            p = plan.pairs_per_m
-            anchors = np.empty((n, p))
-            dirs = np.empty((n, p))
-            caps = np.empty(p)
-            for j in range(p):
-                x, support = _point_and_support(plan.set_spec, rng)
-                u = _direction_for(plan.set_spec, x, support, plan.k0, rng)
-                anchors[:, j] = x
-                dirs[:, j] = u
-                caps[j] = _radial_cap(x, u, d)
-            # dense even on a sparse ball: a radius is a float ratio of two
-            # projections, so a sparse product would move it in the last digits
-            widths = _ray_radii(blocks(p), anchors, dirs, caps)
-        # max(0.0, ...) records a censored width as 0.0, never -0.0
-        return max(0.0, float(np.max(widths)))
-
-    return _sweep("consistency-width", plan, measure, slope_band, jobs)
+    """Consistency width decay over the m grid: decay_sweeps with its statistic alone."""
+    return decay_sweeps(plan, {"consistency-width": slope_band}, jobs)["consistency-width"]
 
 
 # --- lemma-level Monte Carlo checks ---

@@ -13,8 +13,10 @@ from typing import Union
 
 import numpy as np
 
-from .ensembles import InvalidArgument
+from .ensembles import BLOCK_ENTRIES, InvalidArgument
 from .quantizer import block_rows
+
+MESH_POINTS = BLOCK_ENTRIES  # the most grid points of a mesh; see ball_mesh
 
 
 @dataclass(frozen=True)
@@ -247,9 +249,24 @@ def minimal_m(spec: SetSpec, kind: str, eps: float, delta: float, c_const: float
 
 
 def ball_mesh(n: int, h: float, radius: float = 1.0) -> FiniteSet:
-    """Deterministic grid mesh of the radius ball with spacing h."""
-    if not (0 < h <= 2 * radius):
-        raise InvalidArgument("need 0 < h <= 2*radius")
+    """Deterministic grid mesh of the radius ball with spacing h.
+
+    The grid may hold at most MESH_POINTS = BLOCK_ENTRIES points, counted
+    before the points outside the ball are dropped. A sweep's codes and the
+    width oracle's products hold at least one row of one entry per point, so
+    a set of more points would leave the block budget; and the grid itself is
+    drawn whole (at N = 5, h = 0.05 it would be 41^5 points, 4.6 GB).
+    """
+    if not (0 < h <= 2 * radius < math.inf):
+        raise InvalidArgument("need 0 < h <= 2*radius < inf")
+    if n < 1:
+        raise InvalidArgument("a mesh needs n >= 1")
+    # len(axis) below is ceil(span) >= 2 points, so past the bit length of
+    # MESH_POINTS a grid has too many points whatever the spacing
+    span = (radius + h / 2 + radius) / h
+    if span > MESH_POINTS or math.ceil(span) ** min(n, MESH_POINTS.bit_length()) > MESH_POINTS:
+        raise InvalidArgument(f"a mesh grid in {n} dimensions at spacing {h:g} exceeds "
+                              f"{MESH_POINTS} points; raise h or lower n")
     axis = np.arange(-radius, radius + h / 2, h)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)

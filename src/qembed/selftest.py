@@ -205,39 +205,41 @@ def criterion_9(seed: int, scale: str = FULL) -> CriterionResult:
                            {"stirling_n_max": n_max, "de_moivre_worst": dm_worst})
 
 
+# by scale, the decay plan's sparse-ball dimension N, M grid, pairs and trials per M
+EMBED = {FULL: (512, (128, 256, 512, 1024, 2048, 4096, 8192), 200, 20),
+         QUICK: (128, (64, 128, 256, 512), 50, 6)}
+# each decay criterion's name, sweep, and slope band at full and at quick scale
+DECAY = {10: ("quasi-isometry-decay", "quasi-isometry", (-0.65, -0.35), (-0.75, -0.25)),
+         11: ("consistency-width-decay", "consistency-width", (-1.25, -0.75), (-1.45, -0.55))}
+
+
 def _embed_plan(seed: int, scale: str) -> experiments.TrialPlan:
-    gauss = ensembles.make_ensemble("gaussian")
-    if scale == FULL:
-        spec = geometry.SparseBall(n=512, k=4, radius=1.0)
-        grid = (128, 256, 512, 1024, 2048, 4096, 8192)
-        pairs, trials = 200, 20
-    else:
-        spec = geometry.SparseBall(n=128, k=4, radius=1.0)
-        grid = (64, 128, 256, 512)
-        pairs, trials = 50, 6
-    return experiments.TrialPlan(set_spec=spec, ensemble=gauss, delta=0.5, m_grid=grid,
-                                 pairs_per_m=pairs, trials_per_m=trials, k0=1.0,
+    n, grid, pairs, trials = EMBED[scale]
+    return experiments.TrialPlan(set_spec=geometry.SparseBall(n=n, k=4, radius=1.0),
+                                 ensemble=ensembles.make_ensemble("gaussian"), delta=0.5,
+                                 m_grid=grid, pairs_per_m=pairs, trials_per_m=trials, k0=1.0,
                                  master_seed=seed)
+
+
+def _decay_criteria(seed: int, scale: str, jobs: int, cids) -> list[CriterionResult]:
+    """The decay criteria cids (10, 11 or both) from one paired sweep of the
+    embedding plan, which draws each trial's map once for every statistic."""
+    bands = {DECAY[cid][1]: DECAY[cid][2 if scale == FULL else 3] for cid in cids}
+    results = experiments.decay_sweeps(_embed_plan(seed, scale), bands, jobs)
+    return [CriterionResult(cid, DECAY[cid][0], bool(res.verdict),
+                            {"band": bands[DECAY[cid][1]], "scale": scale},
+                            slope=res.slope, slope_stderr=res.slope_stderr)
+            for cid, res in zip(cids, results.values())]
 
 
 def criterion_10(seed: int, scale: str = FULL, jobs: int = 1) -> CriterionResult:
     """Embedding distortion decay on a structured set; target slope -1/2."""
-    band = (-0.65, -0.35) if scale == FULL else (-0.75, -0.25)
-    plan = _embed_plan(seed, scale)
-    res = experiments.quasi_isometry_sweep(plan, slope_band=band, jobs=jobs)
-    return CriterionResult(10, "quasi-isometry-decay", bool(res.verdict),
-                           {"band": band, "scale": scale},
-                           slope=res.slope, slope_stderr=res.slope_stderr)
+    return _decay_criteria(seed, scale, jobs, (10,))[0]
 
 
 def criterion_11(seed: int, scale: str = FULL, jobs: int = 1) -> CriterionResult:
     """Consistency width decay on the same structured set; target slope -1."""
-    band = (-1.25, -0.75) if scale == FULL else (-1.45, -0.55)
-    res = experiments.consistency_width_sweep(_embed_plan(seed, scale), slope_band=band,
-                                              jobs=jobs)
-    return CriterionResult(11, "consistency-width-decay", bool(res.verdict),
-                           {"band": band, "scale": scale},
-                           slope=res.slope, slope_stderr=res.slope_stderr)
+    return _decay_criteria(seed, scale, jobs, (11,))[0]
 
 
 def criterion_12(seed: int, scale: str = FULL) -> CriterionResult:
@@ -312,16 +314,12 @@ def criterion_13(seed: int, scale: str = FULL) -> CriterionResult:
 
 
 def criterion_14(seed: int, scale: str = FULL) -> CriterionResult:
-    """Worker-count independence: sweep CSVs agree byte-for-byte for jobs 1 vs 8."""
-    plan = _embed_plan(seed, QUICK)
-    a = experiments.quasi_isometry_sweep(plan, jobs=1)
-    b = experiments.quasi_isometry_sweep(plan, jobs=8)
-    csv_a = experiments.rows_to_csv(a.rows)
-    csv_b = experiments.rows_to_csv(b.rows)
-    wa = experiments.consistency_width_sweep(plan, jobs=1)
-    wb = experiments.consistency_width_sweep(plan, jobs=8)
-    ok = csv_a == csv_b and experiments.rows_to_csv(wa.rows) == experiments.rows_to_csv(wb.rows)
-    return CriterionResult(14, "determinism-across-jobs", ok, {})
+    """Worker-count independence: paired decay sweep CSVs agree for jobs 1 vs 8."""
+    bands = dict.fromkeys(experiments.STATISTICS)
+    csv_1, csv_8 = ([experiments.rows_to_csv(res.rows) for res in
+                     experiments.decay_sweeps(_embed_plan(seed, QUICK), bands, jobs).values()]
+                    for jobs in (1, 8))
+    return CriterionResult(14, "determinism-across-jobs", csv_1 == csv_8, {})
 
 
 def criterion_15(seed: int, scale: str = FULL) -> CriterionResult:
@@ -359,12 +357,7 @@ def criterion_16(seed: int, scale: str = FULL) -> CriterionResult:
                            {"trials": trials, "failures": failures})
 
 
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13, 14: criterion_14, 15: criterion_15, 16: criterion_16,
-}
+CRITERIA = {cid: globals()[f"criterion_{cid}"] for cid in range(1, 17)}
 
 
 def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, cids=None):
@@ -374,13 +367,13 @@ def run_selftest(seed: int = 0, jobs: int = 1, scale: str = FULL, cids=None):
         raise InvalidArgument(f"scale must be {FULL!r} or {QUICK!r}, got {scale!r}")
     if jobs < 1:
         raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
+    cids = sorted(CRITERIA) if cids is None else cids
+    # the decay criteria share one paired sweep
+    paired = [cid for cid in cids if cid in DECAY]
+    decay = dict(zip(paired, _decay_criteria(seed, scale, jobs, paired))) if paired else {}
     results = []
-    for cid in sorted(CRITERIA) if cids is None else cids:
-        fn = CRITERIA[cid]
-        if cid in (10, 11):
-            res = fn(seed, scale, jobs=jobs)
-        else:
-            res = fn(seed, scale)
+    for cid in cids:
+        res = decay[cid] if cid in decay else CRITERIA[cid](seed, scale)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         slope_txt = "" if res.slope is None else f" slope={res.slope:.4f}"

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 10 and 11 run the full-scale sweeps and take about 2 s each (2.1
-and 2.0 s with 2 jobs on a 2-core machine). Criterion 14 runs two quick
-selftests in about 1.6 s, and every other criterion takes under half a
+Criteria 10 and 11 each run one full-scale sweep on its own, in about 1.7 s
+with 2 jobs on a 2-core machine; `qembed selftest` runs the two as one
+paired sweep that draws each map once (4.3 s for both at 1 job, against
+5.5 s run apart). Criterion 14 runs two quick selftests and two quick
+paired sweeps in about 1.3 s, and every other criterion takes under half a
 second. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 

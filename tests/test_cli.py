@@ -179,6 +179,22 @@ def test_config_rejects_keys_the_set_parser_does_not_read(tmp_path, capsys):
     assert "basis" in err
 
 
+def test_config_set_value_with_a_comma_is_one_value(tmp_path, capsys):
+    # a [set] value reaches the set whole: a file name with a comma reads the
+    # same points as one without
+    outs = []
+    for name in ("a,b.txt", "ab.txt"):
+        (tmp_path / name).write_text("0.3 0.1\n-0.2 0.5\n0.1 0.1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[set]\nkind = finite\nfile = {tmp_path / name}\n")
+        code, out, err = run_cli(["width", "--draws", "500", "--seed", "3", "--config", str(cfg)],
+                                 capsys)
+        assert code != 2 and err == ""
+        outs.append((code, out))
+    assert outs[0] == outs[1]
+    assert outs[0][1].startswith("width ")
+
+
 def test_explicit_flag_beats_config_even_at_its_default(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[experiment]\njobs = 4\nout = elsewhere\n\n"
@@ -268,6 +284,14 @@ MIN_M = ["min-m", "--set", "sparse:N=64,K=4,d=1", "--eps", "0.25", "--delta", "0
 MESH_CW = ["consistency-width", "--set", "mesh:N=3,h=0.3", "--m-grid", "2,4,8", "--trials", "2",
            "--seed", "1"]
 
+def _write_input(path, content) -> None:
+    """An input file of text, or of bytes that need not decode."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
 # input files of the exit-code table, written under TMP/ (the test's tmp_path);
 # a name ending in / is made as a directory
 INPUTS = {
@@ -284,6 +308,7 @@ INPUTS = {
     "pairs.cfg": "[sweep]\npairs = 5\n",
     "taken/quasi-isometry.csv/": None,
     "lattice-neighbour.txt": "28765.700000000004\n-42830.67307168129\n",
+    "undecodable.bin": b"\xff\xfe1 0\n",
 }
 
 
@@ -360,6 +385,11 @@ INPUTS = {
     # closed-form soft count is one off the code difference (ROADMAP item 2)
     (["distance", "--m", "8", "--ensemble", "rademacher", "--no-dither", "--delta", "0.1",
       "--in", "TMP/lattice-neighbour.txt"], 0),
+    # an input or config file that is not text, and a mesh one of whose grid
+    # coordinates alone would take 58 TiB
+    (["embed", "--m", "4", "--in", "TMP/undecodable.bin"], 2),
+    (["width", "--set", "ball:N=2", "--config", "TMP/undecodable.bin"], 2),
+    (["width", "--set", "mesh:N=8,h=0.05", "--draws", "2"], 2),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -369,7 +399,7 @@ def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch)
         if name.endswith("/"):
             (tmp_path / name).mkdir(parents=True)
         else:
-            (tmp_path / name).write_text(text)
+            _write_input(tmp_path / name, text)
     argv = [arg.replace("TMP/", f"{tmp_path}/") for arg in argv]
     while "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
@@ -612,18 +642,24 @@ ARGV_FILES = {
     "banana.cfg": "[quantizer]\ndithered = banana\n",
     "twice.cfg": "[quantizer]\ndelta = 0.5\ndelta = 2\n",
     "bad-pairs.cfg": "[sweep]\npairs = x\n",
+    "undecodable.bin": b"\xff\xfe1 0\n",
 }
 FLAG_POOLS = {
     "--config": ["TMP/sweep.cfg", "TMP/good.cfg", "TMP/banana.cfg", "TMP/malformed.cfg",
-                 "TMP/twice.cfg", "TMP/missing.cfg", "TMP/bad-pairs.cfg", "TMP"],
+                 "TMP/twice.cfg", "TMP/missing.cfg", "TMP/bad-pairs.cfg", "TMP",
+                 "TMP/undecodable.bin"],
     "--out": ["TMP/out", "TMP/good.txt"],
     "--jobs": ["-1", "0", "1", "2"],
     "--scale": ["quick"],
-    "--set": ["ball:N=2", "ball:N=16,d=0.5", "sparse:N=16,K=2,d=1", "lowrank:N1=4,N2=4,r=1",
-              "mesh:N=2,h=0.5", "finite:file=TMP/good.txt", "ball:N=0", "ball:N=2,d=-1",
-              "ball:N=2,d=inf", "sparse:N=4,K=8", "sparse:N=x,K=1", "lowrank:N1=4,N2=4",
-              "mesh:N=2,h=0", "finite:file=TMP/bad-token.txt", "torus:N=2", "ball", ""],
-    "--in": ["TMP/good.txt", "TMP", "TMP/missing.txt", "TMP/bad-token.txt"],
+    # the mesh whose grid would take 58 TiB per coordinate sits early in the
+    # pool, where the derandomized examples draw it
+    "--set": ["ball:N=2", "ball:N=16,d=0.5", "mesh:N=8,h=0.05", "sparse:N=16,K=2,d=1",
+              "lowrank:N1=4,N2=4,r=1", "mesh:N=2,h=0.5", "finite:file=TMP/good.txt", "ball:N=0",
+              "ball:N=2,d=-1", "ball:N=2,d=inf", "sparse:N=4,K=8", "sparse:N=x,K=1",
+              "lowrank:N1=4,N2=4", "mesh:N=2,h=0", "finite:file=TMP/bad-token.txt", "torus:N=2",
+              "ball", ""],
+    "--in": ["TMP/good.txt", "TMP", "TMP/missing.txt", "TMP/bad-token.txt",
+             "TMP/undecodable.bin"],
     "--m-grid": st.lists(st.sampled_from(INT_POOL), min_size=1, max_size=3).map(",".join),
     "--slope-band": ["-10,10", "5,6", "nan,inf", "1", "bad"],
 }
@@ -677,5 +713,5 @@ def test_every_argv_exits_0_1_or_2(argv, tmp_path_factory):
     cli.main returns 0, 1 or 2 and raises nothing."""
     tmp = tmp_path_factory.mktemp("argv")
     for name, text in ARGV_FILES.items():
-        (tmp / name).write_text(text)
+        _write_input(tmp / name, text)
     assert cli.main([arg.replace("TMP", str(tmp)) for arg in argv]) in (0, 1, 2)

@@ -191,6 +191,26 @@ def test_sweep_determinism_across_jobs():
         assert X.rows_to_csv(wa.rows) == X.rows_to_csv(wb.rows)
 
 
+@pytest.mark.parametrize("scale", [S.FULL, S.QUICK])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_paired_sweep_equals_the_one_statistic_views(scale, jobs):
+    # the selftest's decay plans on a short grid: the pair's block rows (256
+    # at full scale, 1024 at quick) are each statistic's own, and M = 3
+    # blocks + 5 rows leaves a partial last block
+    import dataclasses
+
+    from qembed import quantizer as Q
+
+    plan = S._embed_plan(7, scale)
+    rows = Q.block_rows(plan.set_spec.n, 2 * plan.pairs_per_m)
+    assert rows == Q.block_rows(plan.set_spec.n, plan.pairs_per_m)
+    plan = dataclasses.replace(plan, m_grid=(64, 3 * rows + 5), trials_per_m=2)
+    paired = X.decay_sweeps(plan, dict.fromkeys(X.STATISTICS), jobs)
+    assert list(paired) == ["quasi-isometry", "consistency-width"]
+    assert paired["quasi-isometry"] == X.quasi_isometry_sweep(plan, jobs=jobs)
+    assert paired["consistency-width"] == X.consistency_width_sweep(plan, jobs=jobs)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_sweeps_reject_fewer_than_one_job(jobs):
     for sweep in (X.quasi_isometry_sweep, X.consistency_width_sweep):
@@ -307,9 +327,12 @@ def test_ray_radii_blocked_equals_whole(kind):
         dirs[:, j] = X._direction_for(spec, anchors[:, j], support, 1.0, rng)
         caps[j] = X._radial_cap(anchors[:, j], dirs[:, j], 1.0)
     whole = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
-    assert np.array_equal(X._ray_radii([qmap], anchors, dirs, caps), whole)
-    streamed = X._ray_radii(Q.map_blocks(ens, m, n, 0.5, 7, rows), anchors, dirs, caps)
-    assert np.array_equal(streamed, whole)
+    for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):
+        fold = X._Rays(anchors, dirs, caps)
+        assert fold.columns == rays
+        assert all([fold.step(block) for block in blocks])
+        assert np.array_equal(fold.radii, whole)
+        assert fold.finish() == float(whole.max()) > 0.0
 
 
 @pytest.mark.parametrize("sweep", [X.quasi_isometry_sweep, X.consistency_width_sweep])
@@ -342,21 +365,33 @@ def test_consistent_radius_on_a_wall_and_without_motion():
 
 @pytest.mark.parametrize("k0", [1.0, 2.0])
 def test_shared_code_widths_streamed_equals_whole(k0):
-    # M = 3 blocks + 5 rows; duplicates never separate, so every block is read
+    # one sweep trial whose map has M = 3 blocks + 5 rows; duplicates never
+    # separate, so the sweep hands every block to the fold
     from qembed import quantizer as Q
 
     pts = _clustered(0)
     n = pts.shape[1]
     rows = Q.block_rows(n, len(pts))
     m = 3 * rows + 5
-    ens = E.make_ensemble("gaussian")
-    # reference: group the points by their whole code vector
-    codes = Q.apply_many(Q.make_map(ens, m, n, 0.5, 7), pts.T)
+    plan = _plan(set_spec=G.FiniteSet(points=pts), m_grid=(m,), trials_per_m=1)
+    # reference: group the points by their whole code vector under the trial's map
+    map_seed = np.random.SeedSequence(plan.master_seed, spawn_key=(0, 0)).spawn(2)[0]
+    codes = Q.apply_many(Q.make_map(plan.ensemble, m, n, plan.delta, map_seed), pts.T)
     _, inverse = np.unique(codes.T, axis=0, return_inverse=True)
     whole = [X._max_filtered_distance(pts[inverse == g], k0) for g in range(inverse.max() + 1)]
     assert 0.0 < max(whole)
-    streamed = X._shared_code_widths(Q.map_blocks(ens, m, n, 0.5, 7, rows), pts, k0)
-    assert np.array_equal(streamed, whole)
+    read = []
+
+    class Counted(X._SharedCodes):
+        def step(self, block):
+            read.append(block.m)
+            return super().step(block)
+
+    fold = Counted(pts, k0)
+    res = X._sweep(plan, [("finite", lambda plan, rng: fold, None)], jobs=1)["finite"]
+    assert read == [rows] * 3 + [5]
+    assert np.array_equal(fold.label, inverse)
+    assert res.rows[0].statistic == max(whole)
 
 
 def test_width_search_filters_with_the_anti_sparsity_level():
@@ -366,24 +401,24 @@ def test_width_search_filters_with_the_anti_sparsity_level():
     assert X._max_filtered_distance(pts, 2.0) == pytest.approx(0.4243, abs=1e-4)
 
 
-def test_shared_code_widths_stops_once_every_point_is_alone():
+def test_shared_code_widths_stops_once_every_point_is_alone(monkeypatch):
+    # 50 points of the 8-dim ball are all alone after the first block of
+    # rows, so each trial draws no further block of its M = 4096 rows
     from qembed import quantizer as Q
 
     pts = np.array([G.sample_point(G.EuclideanBall(n=8, radius=1.0), s) for s in range(50)])
-    m, rows = 4096, 64
     read = []
+    map_blocks = X.map_blocks
 
-    def counted(blocks):
-        for block in blocks:
+    def counted(*args):
+        for block in map_blocks(*args):
             read.append(block.m)
             yield block
 
-    widths = X._shared_code_widths(
-        counted(Q.map_blocks(E.make_ensemble("gaussian"), m, 8, 0.5, 1, rows)), pts, 1.0)
-    assert 0 < sum(read) < m
-    assert not np.any(widths)
-    res = X.consistency_width_sweep(_plan(set_spec=G.FiniteSet(points=pts), m_grid=(m,),
+    monkeypatch.setattr(X, "map_blocks", counted)
+    res = X.consistency_width_sweep(_plan(set_spec=G.FiniteSet(points=pts), m_grid=(4096,),
                                           trials_per_m=2))
+    assert read == [Q.block_rows(8, 50)] * 2
     # censored as 0.0, never -0.0
     assert all(r.censored and repr(r.statistic) == "0.0" for r in res.rows)
 

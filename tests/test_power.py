@@ -39,8 +39,15 @@ DEFECTS = {
     "sweeps-draw-the-whole-matrix-as-one-block":
         (X, "map_blocks", "sample_matrix(ensemble, m, n, mat_seed, rows)",
          "sample_matrix(ensemble, m, n, mat_seed, m)"),
+    # the sweep's one block loop feeds the finite-set label refinement
     "finite-refinement-drops-the-last-block":
-        (X, "_shared_code_widths", "for block in blocks:", "for block in list(blocks)[:-1]:"),
+        (X, "_sweep",
+         "map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns)):",
+         "list(map_blocks(plan.ensemble, m, n, plan.delta, map_seed,"
+         " block_rows(n, columns)))[:-1]:"),
+    "both-statistics-share-one-generator":
+        (X, "_sweep", "start(plan, np.random.default_rng(sample_seed)) for",
+         "start(plan, rng) for rng in [np.random.default_rng(sample_seed)] for"),
     "enumerator-ignores-the-block-budget":
         (D, "soft_count_enumerated", "chunk = max(1, BLOCK_ENTRIES // len(ks))", "chunk = 4000"),
     "width-search-compares-256-points-at-once":
@@ -115,6 +122,8 @@ ROWS = [
     ("dither-left-out", test_acceptance.test_criterion_01_dithered_floor_identity, ()),
     ("irwin-hall-without-its-last-term",
      test_ensembles.test_uniform_sum_tail_matches_empirical_tail, (2,)),
+    ("both-statistics-share-one-generator",
+     test_experiments.test_paired_sweep_equals_the_one_statistic_views, ("quick", 1)),
     ("fit-point-is-the-mean-not-the-worst",
      test_experiments.test_fit_points_are_the_worst_uncensored_statistics, ()),
     ("tail-gap-piece-not-split-at-the-crossing",
