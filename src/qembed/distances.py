@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .ensembles import BLOCK_ENTRIES, Ensemble, InvalidArgument
-from .quantizer import QuantizedMap, apply_many, as_batch, block_rows, map_blocks
+from .ensembles import Ensemble, InvalidArgument, block_rows
+from .quantizer import QuantizedMap, apply_many, as_batch, map_blocks
 
 
 def soft_count_array(a, b, t, delta: float) -> np.ndarray:
@@ -50,8 +50,8 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     """Reference for soft_count_array on 1-d arrays of equal length: count k
     with F^t(a - k*delta, b - k*delta) by testing every k of one covering range.
 
-    Works through the tuples in blocks whose (tuples, k) arrays each hold at
-    most BLOCK_ENTRIES entries, the budget of every block the package holds.
+    Works through the tuples in blocks of block_rows(len(k range), 1), so
+    each (tuples, k) array holds at most BLOCK_ENTRIES entries.
     """
     a, b, t = (np.asarray(v, dtype=np.float64) for v in (a, b, t))
     pad = 2 + math.ceil(float(np.max(np.abs(t))) / delta)
@@ -59,7 +59,7 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     hi = math.ceil(float(np.max(np.maximum(a, b))) / delta) + pad
     ks = np.arange(lo, hi + 1, dtype=np.float64) * delta
     out = np.zeros(a.shape, dtype=np.int64)
-    chunk = max(1, BLOCK_ENTRIES // len(ks))
+    chunk = block_rows(len(ks), 1)
     for start in range(0, len(a), chunk):
         sl = slice(start, start + chunk)
         tt = t[sl, None]

@@ -126,6 +126,13 @@ def sample_matrix(ensemble: Ensemble, m: int, n: int, seed, rows: Optional[int] 
     return _row_blocks(ensemble, m, n, np.random.default_rng(seed), rows)
 
 
+def block_rows(n: int, count: int) -> int:
+    """Rows of a row block whose part of an (M, n) matrix, (rows, n), and
+    whose (rows, count) array each hold at most BLOCK_ENTRIES entries: the
+    one rule by which every block the package holds is sized, whatever M is."""
+    return max(1, BLOCK_ENTRIES // max(n, count))
+
+
 def _row_blocks(ensemble: Ensemble, m: int, n: int, rng: np.random.Generator, rows: int):
     for start in range(0, m, rows):
         block = sample_iid(ensemble, (min(rows, m - start), n), rng)
@@ -136,7 +143,7 @@ def _row_blocks(ensemble: Ensemble, m: int, n: int, rng: np.random.Generator, ro
 def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate (value, stderr) of E|<phi, u>| over the rows of a
     samples x n matrix from sample_matrix, in blocks of the largest power of
-    two rows within BLOCK_ENTRIES: BLAS takes rows in groups of 4, so each
+    two rows within block_rows(n, 1): BLAS takes rows in groups of 4, so each
     |<phi, u>| keeps the whole product's bits, unless the last block is one row.
 
     The gaussian kind returns the exact sqrt(2/pi)*||u|| with stderr 0.
@@ -149,7 +156,7 @@ def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float,
         raise InvalidArgument("samples must be >= 1")
     if ensemble.kind == "gaussian":
         return SQRT_2_OVER_PI * norm, 0.0
-    rows = 1 << (max(1, BLOCK_ENTRIES // u.size).bit_length() - 1)
+    rows = 1 << (block_rows(u.size, 1).bit_length() - 1)
     blocks = sample_matrix(ensemble, samples, u.size, seed, rows)
     vals = np.concatenate([np.abs(phi @ u) for phi in blocks])
     est = float(vals.mean())

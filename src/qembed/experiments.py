@@ -18,13 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensembles import (
-    BLOCK_ENTRIES,
     SQRT_2_OVER_PI,
     Ensemble,
     InvalidArgument,
     as_seedseq,
     binomial_mad,
-    binomial_mad_de_moivre,
+    block_rows,
     make_ensemble,
     mu_sg_exact_binomial,
     sample_matrix,
@@ -41,7 +40,7 @@ from .geometry import (
     sample_point,
     sparse_ball_point,
 )
-from .quantizer import apply_many, block_rows, map_blocks, quantize_array
+from .quantizer import apply_many, map_blocks, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
@@ -49,10 +48,6 @@ MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degre
 
 class SetFilterError(RuntimeError):
     """The anti-sparsity filter rejected every sampled pair."""
-
-
-class InsufficientData(RuntimeError):
-    """Too few usable points for a fit."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +94,12 @@ class ExperimentResult:
     censored_total: int
 
 
-def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """OLS slope and stderr of log(statistic) against log(m)."""
+def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> Optional[tuple[float, float]]:
+    """OLS slope and stderr of log(statistic) against log(m), or None with
+    fewer than MIN_FIT_POINTS positive points."""
     pts = [(m, s) for m, s in points if s > 0]
     if len(pts) < MIN_FIT_POINTS:
-        raise InsufficientData(f"need >= {MIN_FIT_POINTS} positive points, got {len(pts)}")
+        return None
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     n = len(x)
@@ -198,10 +194,7 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
             worst = float(np.max(vals)) if vals else math.nan
             if worst > 0:
                 fit_points.append((m, worst))
-        try:
-            slope, stderr = fit_loglog_slope(fit_points)
-        except InsufficientData:
-            slope = stderr = None
+        slope, stderr = fit_loglog_slope(fit_points) or (None, None)
         verdict = None if slope_band is None else (
             slope is not None and slope_band[0] <= slope <= slope_band[1])
         results[experiment] = ExperimentResult(rows=rows, fit_points=fit_points, slope=slope,
@@ -319,7 +312,7 @@ def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
     comparing a chunk of points with all of them at a time: each chunk's
     (chunk, points, n) differences hold at most BLOCK_ENTRIES entries."""
     best = 0.0
-    chunk = max(1, BLOCK_ENTRIES // points.size)
+    chunk = block_rows(points.size, 1)
     for start in range(0, len(points), chunk):
         rows = points[start:start + chunk]
         diff = rows[:, None, :] - points[None, :, :]
@@ -468,9 +461,9 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) by Monte Carlo.
 
     p is the per-coordinate nonzero probability of the soft count, estimated
-    on the rows of one map of p_samples rows, drawn in blocks of at most
-    BLOCK_ENTRIES entries of Phi; when sqrt(k0) >= 16 kappa the closed-form
-    lower bound on p is also checked. Each trial is a fresh m-row map.
+    on p_samples fresh one-row maps (map_counts); when sqrt(k0) >= 16 kappa
+    the closed-form lower bound on p is also checked. Each trial is a fresh
+    m-row map.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -489,8 +482,8 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     s_p, s_trials = as_seedseq(seed).spawn(2)
 
     # per-coordinate nonzero probability
-    blocks = map_blocks(ensemble, p_samples, n, delta, s_p, block_rows(n, 2))
-    p_hat = sum(int(np.count_nonzero(pair_counts(block, uv, t))) for block in blocks) / p_samples
+    p_hat = int(np.count_nonzero(
+        map_counts(ensemble, p_samples, 1, n, delta, s_p, uv, t))) / p_samples
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / p_samples)
 
     # full-map left probability
@@ -574,11 +567,6 @@ def bernoulli_floor_distortion(k0_even: int) -> BinomialMadReport:
     return BinomialMadReport(n=n, mad=float(mad), sigma=sigma, gap=gap, bound=bound,
                              gap_ok=gap >= bound, distortion_lhs=lhs, distortion_rhs=rhs,
                              distortion_ok=lhs >= rhs)
-
-
-def de_moivre_agreement(n_even: int) -> float:
-    """|enumerated MAD - De Moivre MAD| for even n (exact rationals)."""
-    return abs(float(binomial_mad(n_even) - binomial_mad_de_moivre(n_even)))
 
 
 def stirling_gosper_check(n_max: int) -> np.ndarray:

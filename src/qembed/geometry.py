@@ -13,8 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .ensembles import BLOCK_ENTRIES, InvalidArgument
-from .quantizer import block_rows
+from .ensembles import BLOCK_ENTRIES, InvalidArgument, block_rows
 
 MESH_POINTS = BLOCK_ENTRIES  # the most grid points of a mesh; see ball_mesh
 
@@ -76,15 +75,22 @@ SetSpec = Union[FiniteSet, SparseBall, LowRankBall, EuclideanBall]
 
 
 def ambient_dim(spec: SetSpec) -> int:
+    """The dimension N of the set, which every draw for it asks for first: at
+    most BLOCK_ENTRIES, since one row of Phi or of g already holds N entries."""
     if isinstance(spec, FiniteSet):
-        return spec.points.shape[1]
-    if isinstance(spec, SparseBall):
-        return spec.n
-    if isinstance(spec, LowRankBall):
-        return spec.n1 * spec.n2
-    if isinstance(spec, EuclideanBall):
-        return spec.n
-    raise InvalidArgument(f"unknown set spec: {spec!r}")
+        n = spec.points.shape[1]
+    elif isinstance(spec, SparseBall):
+        n = spec.n
+    elif isinstance(spec, LowRankBall):
+        n = spec.n1 * spec.n2
+    elif isinstance(spec, EuclideanBall):
+        n = spec.n
+    else:
+        raise InvalidArgument(f"unknown set spec: {spec!r}")
+    if n > BLOCK_ENTRIES:
+        raise InvalidArgument(f"dimension {n} exceeds {BLOCK_ENTRIES}: one row of Phi or g "
+                              "holds N entries, more than one block may")
+    return n
 
 
 def diameter(spec: SetSpec) -> float:

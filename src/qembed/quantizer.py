@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import BLOCK_ENTRIES, Ensemble, InvalidArgument, as_seedseq, sample_matrix
+from .ensembles import Ensemble, InvalidArgument, as_seedseq, sample_matrix
 
 VARIANTS = ("floor", "round")
 
@@ -113,13 +113,6 @@ class QuantizedMap:
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
         return self.phi @ xs + self.xi[:, None]
-
-
-def block_rows(n: int, count: int) -> int:
-    """Rows of a row block whose part of Phi, (rows, n), and projection of
-    count vectors, (rows, count), each hold at most BLOCK_ENTRIES entries (the
-    one block budget, from ensembles), whatever M is."""
-    return max(1, BLOCK_ENTRIES // max(n, count))
 
 
 def dither(m: int, delta: float, seed, dithered: bool = True, variant: str = "floor") -> np.ndarray:

@@ -199,10 +199,11 @@ def criterion_9(seed: int, scale: str = FULL) -> CriterionResult:
     for n in range(2, 41, 2):
         rep = experiments.bernoulli_floor_distortion(n)
         mad_ok &= rep.gap_ok and rep.distortion_ok
-    dm_worst = max(experiments.de_moivre_agreement(n) for n in range(2, 61, 2))
-    ok = stirling_ok and mad_ok and dm_worst <= 1e-12
+    dm_mismatches = sum(ensembles.binomial_mad(n) != ensembles.binomial_mad_de_moivre(n)
+                        for n in range(2, 61, 2))
+    ok = stirling_ok and mad_ok and dm_mismatches == 0
     return CriterionResult(9, "stirling-and-binomial-mad", ok,
-                           {"stirling_n_max": n_max, "de_moivre_worst": dm_worst})
+                           {"stirling_n_max": n_max, "de_moivre_mismatches": dm_mismatches})
 
 
 # by scale, the decay plan's sparse-ball dimension N, M grid, pairs and trials per M

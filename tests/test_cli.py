@@ -283,6 +283,7 @@ VACUOUS = ["quasi-isometry", "--ensemble", "rademacher", "--set", "sparse:N=64,K
 MIN_M = ["min-m", "--set", "sparse:N=64,K=4,d=1", "--eps", "0.25", "--delta", "0.5"]
 MESH_CW = ["consistency-width", "--set", "mesh:N=3,h=0.3", "--m-grid", "2,4,8", "--trials", "2",
            "--seed", "1"]
+WIDE = "sparse:N=99999999999999999999,K=2"  # N = 10^20
 
 def _write_input(path, content) -> None:
     """An input file of text, or of bytes that need not decode."""
@@ -390,6 +391,11 @@ INPUTS = {
     (["embed", "--m", "4", "--in", "TMP/undecodable.bin"], 2),
     (["width", "--set", "ball:N=2", "--config", "TMP/undecodable.bin"], 2),
     (["width", "--set", "mesh:N=8,h=0.05", "--draws", "2"], 2),
+    # a sparse ball wider than one block: one row of Phi or g would hold all
+    # of its N entries, so what draws refuses it; the structured bound draws nothing
+    (["width", "--set", WIDE], 2),
+    (["quasi-isometry", "--set", WIDE, "--m-grid", "16,32", "--pairs", "4", "--trials", "2"], 2),
+    (["min-m", "--set", WIDE, "--kind", "embed-structured", "--eps", "0.5"], 0),
 ])
 def test_sweep_exit_code_contract(argv, expected, tmp_path, capsys, monkeypatch):
     """0 pass, 1 verdict fail, 2 usage or config error: sweeps plus a usage
@@ -586,9 +592,10 @@ def test_import_loads_neither_scipy_nor_mpmath():
     # these are slow to import and only kappa estimation (scipy.special and
     # scipy.integrate), the sparse-ball distortion sweep (scipy.sparse) and
     # the Stirling check (mpmath) need them, so they are imported inside
-    # those functions; every run's start-up pays for the rest
+    # those functions; every run's start-up pays for the rest, which
+    # qembed.cli loads whole
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, qembed; print(sorted(m for m in sys.modules "
+                           "import sys, qembed.cli; print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] in ('scipy', 'mpmath')))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

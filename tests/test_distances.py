@@ -70,7 +70,7 @@ def test_enumerator_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert np.array_equal(counts, D.soft_count_array(a, b, t, 0.1))
-    assert peak < 4 * 8 * Q.BLOCK_ENTRIES
+    assert peak < 4 * 8 * E.BLOCK_ENTRIES
 
 
 @given(finite_reals, finite_reals, soft_ts, soft_ts, st.sampled_from([0.1, 1.0, 2.0]))
@@ -171,8 +171,8 @@ def test_pair_distances_blocked_equals_whole(kind):
     # 40 pairs in dimension 16: blocks of BLOCK_ENTRIES // 80 rows, and
     # M = 3 blocks + 5 rows leaves a partial last block
     count, n = 80, 16
-    rows = Q.block_rows(n, count)
-    assert rows == Q.BLOCK_ENTRIES // count
+    rows = E.block_rows(n, count)
+    assert rows == E.BLOCK_ENTRIES // count
     m = 3 * rows + 5
     ens = E.make_ensemble(kind)
     qmap = Q.make_map(ens, m, n, 0.5, 3)
@@ -196,13 +196,13 @@ def test_pair_distances_blocked_equals_whole(kind):
         assert np.array_equal(D.pair_distances([qmap], xs, t), whole_t)
 
 
-@pytest.mark.parametrize("budget", [Q.BLOCK_ENTRIES, 192])
+@pytest.mark.parametrize("budget", [E.BLOCK_ENTRIES, 192])
 def test_map_counts_are_the_m_row_slices(budget, monkeypatch):
     # Rademacher maps and integer inputs: every product is exact, so no BLAS
     # kernel choice can move a bit between the blocked and the whole map. A
     # budget of 192 entries makes blocks of 12 rows at n = 16, so several
     # blocks of whole maps occur.
-    monkeypatch.setattr(Q, "BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(E, "BLOCK_ENTRIES", budget)
     n, pairs = 16, 3
     ens = E.make_ensemble("rademacher")
     xs = np.random.default_rng(11).integers(-5, 6, size=(n, 2 * pairs)).astype(np.float64)
@@ -236,7 +236,7 @@ def test_pair_distances_sparse_batch_equals_dense():
     spec = G.SparseBall(n=512, k=4, radius=1.0)
     rng = np.random.default_rng(8)
     xs = np.column_stack([G.sample_point(spec, rng) for _ in range(400)])
-    rows = Q.block_rows(512, 400)
+    rows = E.block_rows(512, 400)
     m = 3 * rows + 5
     ens = E.make_ensemble("gaussian")
     dense = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), xs)

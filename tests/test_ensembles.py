@@ -5,7 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, norm, uniform
 
+from qembed import distances as D
 from qembed import ensembles as E
+from qembed import experiments as X
+from qembed import geometry as G
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -155,6 +158,45 @@ def test_mu_sg_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 8 * E.BLOCK_ENTRIES
+
+
+def _budget_cases() -> dict:
+    """One call per function that holds row blocks, on inputs whose whole
+    arrays take 1-16 MiB and fill a block of the default budget (1 MiB)."""
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal(512)
+    v = u - 0.3 * rng.standard_normal(512)
+    a, b = rng.uniform(-20, 20, (2, 2000))
+    t = rng.uniform(-3, 3, 2000)
+    pts = rng.standard_normal((400, 8))
+    rade, gauss = E.make_ensemble("rademacher"), E.make_ensemble("gaussian")
+    return {
+        "mu_sg": lambda: E.mu_sg(rade, u, 4096, 1),
+        "soft_count_enumerated": lambda: D.soft_count_enumerated(a, b, t, 0.1),
+        "_max_filtered_distance": lambda: X._max_filtered_distance(pts, 1.0),
+        "width_estimate": lambda: G.width_estimate(G.SparseBall(512, 4, 1.0), 4096, 2),
+        "map_counts": lambda: D.map_counts(gauss, 1024, 4, 512, 0.5, 3, np.column_stack([u, v])),
+        "lemma5_chernoff_check": lambda: X.lemma5_chernoff_check(
+            u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 256, 4, p_samples=4096),
+    }
+
+
+@pytest.mark.parametrize("case", list(_budget_cases()))
+def test_every_block_shrinks_with_the_one_budget(case, monkeypatch):
+    # the budget patched where it lives, at 8192 entries (64 KiB): each call
+    # then holds a few blocks and its outputs, 3-4.5 x 64 KiB, where one
+    # block of the default budget alone is 16 x 64 KiB
+    import tracemalloc
+
+    monkeypatch.setattr(E, "BLOCK_ENTRIES", 8192)
+    run = _budget_cases()[case]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * E.BLOCK_ENTRIES
 
 
 def test_mu_sg_rejects_zero_vector():

@@ -133,9 +133,7 @@ def test_stacked_sup_oracle_equals_each_row(spec):
 @pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: type(s).__name__)
 def test_width_estimate_is_one_whole_draw(spec, budget, monkeypatch):
     # at the small budget every kind takes many blocks and a partial last one
-    from qembed import quantizer as Q
-
-    monkeypatch.setattr(Q, "BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(E, "BLOCK_ENTRIES", budget)
     draws = 1001
     a, b = np.random.default_rng(12), np.random.default_rng(12)
     est = G.width_estimate(spec, draws, a)

@@ -49,10 +49,12 @@ DEFECTS = {
         (X, "_sweep", "start(plan, np.random.default_rng(sample_seed)) for",
          "start(plan, rng) for rng in [np.random.default_rng(sample_seed)] for"),
     "enumerator-ignores-the-block-budget":
-        (D, "soft_count_enumerated", "chunk = max(1, BLOCK_ENTRIES // len(ks))", "chunk = 4000"),
+        (D, "soft_count_enumerated", "chunk = block_rows(len(ks), 1)", "chunk = 4000"),
     "width-search-compares-256-points-at-once":
-        (X, "_max_filtered_distance", "chunk = max(1, BLOCK_ENTRIES // points.size)",
-         "chunk = 256"),
+        (X, "_max_filtered_distance", "chunk = block_rows(points.size, 1)", "chunk = 256"),
+    # mu_sg reads block_rows through ensembles' own binding of it
+    "block-rows-reads-a-literal-budget":
+        (E, "block_rows", "BLOCK_ENTRIES // max(n, count)", "2**17 // max(n, count)"),
     # criterion 1 and map_blocks draw every dither through quantizer's own binding of dither
     "dither-on-half-the-bin": (Q, "dither", "random(m) * delta", "random(m) * delta / 2"),
     "dither-left-out":
@@ -115,6 +117,8 @@ ROWS = [
      test_distances.test_enumerator_stays_within_the_block_budget, ()),
     ("width-search-compares-256-points-at-once",
      test_experiments.test_finite_sweep_holds_one_block_of_codes, (2, 0.02)),
+    ("block-rows-reads-a-literal-budget",
+     test_ensembles.test_every_block_shrinks_with_the_one_budget, ("mu_sg",)),
     ("rademacher-entries-for-gaussian-ones", test_ensembles.test_sample_matrix_law, ()),
     ("rademacher-entries-for-gaussian-ones",
      test_acceptance.test_criterion_05_expectation_identity, ()),
@@ -138,7 +142,7 @@ ROWS = [
     ("soft-count-counts-the-upper-threshold",
      test_distances.test_code_difference_is_the_t0_count, ()),
     ("map-counts-sum-strided-rows", test_distances.test_map_counts_are_the_m_row_slices,
-     (Q.BLOCK_ENTRIES,)),
+     (E.BLOCK_ENTRIES,)),
     ("stirling-upper-constant-is-the-lower-one",
      test_experiments.test_stirling_small_and_medium, ()),
     *[("width-estimate-draws-every-gaussian-at-once",
