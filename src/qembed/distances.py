@@ -106,13 +106,18 @@ def map_counts(ensemble: Ensemble, maps: int, m: int, n: int, delta: float, seed
     """pair_counts summed over the rows of each of `maps` fresh m-row maps,
     ints of shape t.shape + (maps, pairs). The rows of a map are i.i.d., so T
     fresh maps of m rows are the T consecutive m-row slices of one map of T*m
-    rows (map_blocks), drawn in blocks of max(1, block_rows(...) // m) maps."""
+    rows (map_blocks), drawn in blocks of max(1, block_rows(...) // m) maps,
+    each block's sums written into the one output array."""
     xs = as_batch(xs)
     rows = m * max(1, block_rows(n, xs.shape[1]) // m)
-    blocks = map_blocks(ensemble, maps * m, n, delta, seed, rows, dithered, variant)
-    counts = (pair_counts(block, xs, t) for block in blocks)
-    return np.concatenate([c.reshape(*c.shape[:-2], -1, m, c.shape[-1]).sum(axis=-2)
-                           for c in counts], axis=-2)
+    out = np.empty(np.shape(t) + (maps, xs.shape[1] // 2), dtype=np.int64)
+    by_map = out.shape[:-2] + (-1, m, out.shape[-1])
+    start = 0
+    for block in map_blocks(ensemble, maps * m, n, delta, seed, rows, dithered, variant):
+        stop = start + block.m // m
+        pair_counts(block, xs, t).reshape(by_map).sum(axis=-2, out=out[..., start:stop, :])
+        start = stop
+    return out
 
 
 def _pair(x, y) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness: distortion decay sweeps, consistency
-width sweeps, concentration checks, deterministic counterexamples, and the
-exact binomial/Stirling combinatorics.
+width sweeps, concentration checks, deterministic counterexamples, the
+exact binomial combinatorics, and the float64 Stirling check with its
+stated error budget.
 
 Every trial consumes a seed derived from (master_seed, m-index, trial), so
 results are bit-identical regardless of worker count.
@@ -569,31 +570,36 @@ def bernoulli_floor_distortion(k0_even: int) -> BinomialMadReport:
                              distortion_ok=lhs >= rhs)
 
 
-def stirling_gosper_check(n_max: int) -> np.ndarray:
-    """Per-n booleans for the factorial sandwich
-
-      n^n e^-n sqrt(2 pi (n + 1/6)) <= n! <= n^n e^-n sqrt(2 pi (n + 1/5)),
-
-    checked in the equivalent form 1/6 <= (n! e^n / n^n)^2 / (2 pi) - n <= 1/5
-    with one log and one exp per n. The lower margin shrinks like 1/n^2, far
-    below double precision at n ~ 1e4, so the running log-factorial and the
-    middle term are evaluated in high-precision arithmetic.
+def stirling_gosper_margins(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 log margins (lower, upper) of the factorial sandwich
+    n^n e^-n sqrt(2 pi (n + 1/6)) <= n! <= n^n e^-n sqrt(2 pi (n + 1/5)),
+    2 L_n - ln(n + 1/6) and ln(n + 1/5) - 2 L_n with L_n = ln n! - n ln n + n
+    - ln(2 pi)/2, for n = 1..n_max, and the budget 16 n eps (eps = 2^-52)
+    that bounds their error. L_n sums L_1 and the increments 1 - x,
+    x = k log1p(1/k) in [ln 2, 1). 1 - x is exact (Sterbenz); x is off by at
+    most 2 eps (1/k and the product round by eps/2, log1p is within 1 ulp,
+    and x < 1). Each partial sum, below 8 for n < 8e6, rounds by at most half
+    its ulp, 2 eps, so 2 L_n is off by at most 8 n eps. Each log, below 16,
+    is off by at most 8.5 eps, and the last subtraction is exact, so a margin
+    is off by less than 16 n eps (n >= 2; at n = 1 every term is below 1).
     """
     if n_max < 1:
         raise InvalidArgument("n_max must be >= 1")
-    import mpmath as mp
+    n = np.arange(1.0, n_max + 1)
+    k = n[:-1]
+    steps = np.concatenate(([1.0 - math.log(2.0 * math.pi) / 2.0], 1.0 - k * np.log1p(1.0 / k)))
+    two_l = 2.0 * np.cumsum(steps)
+    return two_l - np.log(n + 1 / 6), np.log(n + 1 / 5) - two_l, 16.0 * n * np.finfo(float).eps
 
-    ok = np.zeros(n_max, dtype=bool)
-    with mp.workdps(40):
-        lower, upper = mp.mpf(1) / 6, mp.mpf(1) / 5
-        half_log_two_pi = mp.log(2 * mp.pi) / 2
-        log_fact = mp.mpf(0)
-        for n in range(1, n_max + 1):
-            log_n = mp.log(n)
-            log_fact += log_n
-            q = mp.exp(2 * (log_fact - n * log_n + n - half_log_two_pi)) - n
-            ok[n - 1] = bool(lower <= q <= upper)
-    return ok
+
+def stirling_gosper_check(n_max: int) -> np.ndarray:
+    """Per-n booleans for the factorial sandwich of stirling_gosper_margins:
+    True only where both float margins exceed the error budget, so an n the
+    float pass cannot resolve reads False. The lower margin shrinks like
+    1/(72 n^2), so the check certifies every n up to about 15,760 and no n
+    past it."""
+    lower, upper, budget = stirling_gosper_margins(n_max)
+    return (lower > budget) & (upper > budget)
 
 
 def section2_bernoulli_floor(m: int, trials: int, seed) -> bool:

@@ -116,9 +116,11 @@ class QuantizedMap:
 
 
 def dither(m: int, delta: float, seed, dithered: bool = True, variant: str = "floor") -> np.ndarray:
-    """The read-only dither xi of an m-row map, drawn whole from its own seed:
-    M floats, uniform on [0, delta), or zero for the undithered map. The round
-    variant adds delta/2 to it, since round(t) = floor(t + delta/2)."""
+    """The read-only dither xi of an m-row map, drawn from its own seed: M
+    floats, uniform on [0, delta), or zero for the undithered map. The round
+    variant adds delta/2 to it, since round(t) = floor(t + delta/2). A
+    Generator as seed gives its next M floats, so consecutive calls on one
+    Generator give, bit for bit, consecutive slices of the dither drawn whole."""
     if variant not in VARIANTS:
         raise InvalidArgument(f"unknown quantizer variant: {variant!r}")
     xi = np.random.default_rng(seed).random(m) * delta if dithered else np.zeros(m)
@@ -135,15 +137,13 @@ def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int
 
     Each block of Phi is drawn only when the next sub-map is asked for, so a
     caller that reduces over rows (every row is quantized on its own) holds
-    one block of Phi, never all M rows. The dither is drawn whole, by dither.
+    one block of Phi and xi, never all M rows. Each block's dither is the next
+    slice of the whole dither, drawn by dither from one Generator.
     """
     mat_seed, dither_seed = as_seedseq(seed).spawn(2)
-    phis = sample_matrix(ensemble, m, n, mat_seed, rows)
-    xi = dither(m, delta, dither_seed, dithered, variant)
-    start = 0
-    for phi in phis:
-        yield QuantizedMap(phi, xi[start:start + len(phi)], delta)
-        start += len(phi)
+    rng = np.random.default_rng(dither_seed)
+    for phi in sample_matrix(ensemble, m, n, mat_seed, rows):
+        yield QuantizedMap(phi, dither(len(phi), delta, rng, dithered, variant), delta)
 
 
 def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,

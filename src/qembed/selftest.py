@@ -191,8 +191,9 @@ def criterion_8(seed: int, scale: str = FULL) -> CriterionResult:
 
 
 def criterion_9(seed: int, scale: str = FULL) -> CriterionResult:
-    """Factorial sandwich, binomial MAD gap and its distortion floor, and
-    De Moivre agreement."""
+    """Factorial sandwich for every n <= n_max (one float64 pass, each n
+    certified only past its error budget), binomial MAD gap and its
+    distortion floor, and De Moivre agreement."""
     n_max = 10_000 if scale == FULL else 2000
     stirling_ok = bool(np.all(experiments.stirling_gosper_check(n_max)))
     mad_ok = True

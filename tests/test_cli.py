@@ -589,13 +589,15 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_import_loads_neither_scipy_nor_mpmath():
-    # these are slow to import and only kappa estimation (scipy.special and
-    # scipy.integrate), the sparse-ball distortion sweep (scipy.sparse) and
-    # the Stirling check (mpmath) need them, so they are imported inside
-    # those functions; every run's start-up pays for the rest, which
-    # qembed.cli loads whole
+    # scipy is slow to import and only kappa estimation (scipy.special and
+    # scipy.integrate) and the sparse-ball distortion sweep (scipy.sparse)
+    # need it, so it is imported inside those functions; every run's
+    # start-up pays for the rest, which qembed.cli loads whole. The Stirling
+    # check of criterion 9 runs in float64, and nothing in the package reads
+    # mpmath.
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, qembed.cli; print(sorted(m for m in sys.modules "
+                           "import sys, qembed.cli; from qembed import selftest; "
+                           "selftest.criterion_9(0, 'quick'); print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] in ('scipy', 'mpmath')))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

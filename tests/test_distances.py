@@ -218,6 +218,22 @@ def test_map_counts_are_the_m_row_slices(budget, monkeypatch):
         assert np.array_equal(counts, slices)
 
 
+def test_map_counts_hold_their_output_once():
+    # a million one-row maps of D(e1, 0): the counts are 7.6 MiB, and beside
+    # them only one block of Phi, its dither and its codes may be held
+    import tracemalloc
+
+    pair = np.array([[1.0, 0.0], [0.0, 0.0]])
+    tracemalloc.start()
+    try:
+        counts = D.map_counts(E.make_ensemble("rademacher"), 1_000_000, 1, 2, 1.0, 8, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (1_000_000, 1)
+    assert peak < counts.nbytes + 6 * 8 * E.BLOCK_ENTRIES
+
+
 def test_pair_of_different_lengths_is_rejected():
     qmap = _gaussian_map(n=8)
     x, y = np.random.default_rng(5).standard_normal((2, 8))

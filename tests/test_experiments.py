@@ -521,7 +521,7 @@ def test_lemma5_p_hat_is_the_whole_maps():
 
 def test_lemma5_holds_one_block_of_phi():
     # the p_hat maps are 100,000 x 16, 12 MiB whole; a block is 1 MiB, plus
-    # the dither of 100,000 floats and the counts of the 100,000 one-row maps
+    # its dither and the counts of the 100,000 one-row maps
     import tracemalloc
 
     rng = np.random.default_rng(6)
@@ -610,6 +610,43 @@ def test_stirling_small_and_medium():
     # n = 1: 2 pi 7/6 <= e^2 <= 2 pi 6/5, and each n's boolean does not depend on n_max
     assert X.stirling_gosper_check(1).tolist() == [True]
     assert np.array_equal(X.stirling_gosper_check(37), ok[:37])
+
+
+def _stirling_reference_margins(ns):
+    """The sandwich's log margins (lower, upper) at each n of the sorted ns,
+    from a running sum of ln n! at 40 digits."""
+    import mpmath as mp
+
+    lower, upper = [], []
+    with mp.workdps(40):
+        half_log_two_pi = mp.log(2 * mp.pi) / 2
+        log_fact = mp.mpf(0)
+        for n in range(1, ns[-1] + 1):
+            log_n = mp.log(n)
+            log_fact += log_n
+            if n in ns:
+                two_l = 2 * (log_fact - n * log_n + n - half_log_two_pi)
+                lower.append(float(two_l - mp.log(n + mp.mpf(1) / 6)))
+                upper.append(float(mp.log(n + mp.mpf(1) / 5) - two_l))
+    return np.array(lower), np.array(upper)
+
+
+def test_stirling_margins_within_their_budget_of_40_digits():
+    ns = sorted({*range(1, 201), 1000, 5000, 10_000, *range(997, 10_001, 997)})
+    ref_lower, ref_upper = _stirling_reference_margins(ns)
+    lower, upper, budget = (v[np.array(ns) - 1] for v in X.stirling_gosper_margins(10_000))
+    assert np.all(np.abs(lower - ref_lower) <= budget)
+    assert np.all(np.abs(upper - ref_upper) <= budget)
+
+
+def test_stirling_check_fails_safe_past_its_budget():
+    assert X.stirling_gosper_check(10_000).all()
+    # the lower margin, about 1/(72 n^2), falls below the budget 16 n eps near
+    # n = 15,760, and from there on every n reads False
+    ok = X.stirling_gosper_check(20_000)
+    first_false = int(np.argmin(ok))
+    assert ok[:first_false].all() and not ok[first_false:].any()
+    assert 15_000 < first_false < 16_500
 
 
 def test_section2_floor_exact_and_contrast():

@@ -78,10 +78,15 @@ DEFECTS = {
     "zero-difference-passes": (G, "anti_sparse", "sup > 0.0", "sup >= 0.0"),
     "outputs-keep-a-stale-tail": (C, "_write", "fh.truncate()", "pass"),
     "map-counts-sum-strided-rows":
-        (D, "map_counts", "reshape(*c.shape[:-2], -1, m, c.shape[-1]).sum(axis=-2)",
-         "reshape(*c.shape[:-2], m, -1, c.shape[-1]).sum(axis=-3)"),
+        (D, "map_counts", "reshape(by_map).sum(axis=-2,",
+         "reshape(by_map[:-3] + (m, -1, by_map[-1])).sum(axis=-3,"),
     "stirling-upper-constant-is-the-lower-one":
-        (X, "stirling_gosper_check", "mp.mpf(1) / 5", "mp.mpf(1) / 6"),
+        (X, "stirling_gosper_margins", "np.log(n + 1 / 5)", "np.log(n + 1 / 6)"),
+    # criterion 9 still passes under it: only the 40-digit reference sees it
+    "stirling-increment-through-log":
+        (X, "stirling_gosper_margins", "np.log1p(1.0 / k)", "np.log(1.0 + 1.0 / k)"),
+    "stirling-error-budget-zero":
+        (X, "stirling_gosper_margins", "16.0 * n * np.finfo(float).eps", "0.0 * n"),
     "width-estimate-draws-every-gaussian-at-once":
         (G, "width_estimate",
          "rows = block_rows(dim, spec.points.shape[0] if isinstance(spec, FiniteSet) else 1)",
@@ -145,6 +150,10 @@ ROWS = [
      (E.BLOCK_ENTRIES,)),
     ("stirling-upper-constant-is-the-lower-one",
      test_experiments.test_stirling_small_and_medium, ()),
+    ("stirling-increment-through-log",
+     test_experiments.test_stirling_margins_within_their_budget_of_40_digits, ()),
+    ("stirling-error-budget-zero",
+     test_experiments.test_stirling_check_fails_safe_past_its_budget, ()),
     *[("width-estimate-draws-every-gaussian-at-once",
        test_geometry.test_width_estimate_holds_one_block, (spec,))
       for spec in test_geometry.WIDTH_BLOCK_SPECS],
