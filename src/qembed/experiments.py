@@ -1,7 +1,7 @@
 """Monte Carlo experiment harness: distortion decay sweeps, consistency
-width sweeps, concentration checks, deterministic counterexamples, the
-exact binomial combinatorics, and the float64 Stirling check with its
-stated error budget.
+width sweeps, concentration checks (Lemma 5's on the exact law of a
+Gaussian row's count), deterministic counterexamples, the exact binomial
+combinatorics, and the float64 Stirling check with its stated error budget.
 
 Every trial consumes a seed derived from (master_seed, m-index, trial), so
 results are bit-identical regardless of worker count.
@@ -25,6 +25,8 @@ from .ensembles import (
     as_seedseq,
     binomial_mad,
     block_rows,
+    gaussian_count_error,
+    gaussian_count_tails,
     make_ensemble,
     mu_sg_exact_binomial,
     sample_matrix,
@@ -447,68 +449,96 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
 
 @dataclass(frozen=True)
 class Lemma5Report:
-    p_hat: float
+    p: float
+    tail: float
+    budget: float
     empirical: float
+    agreement_p: float
     chernoff_bound: float
     bound_vacuous: bool
     bound_holds: bool
-    p_lower_bound: Optional[float]
-    p_lower_holds: Optional[bool]
-    p_lower_skipped_reason: Optional[str]
+    p_lower_bound: float
+    p_lower_holds: bool
+
+
+def _binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided p-value min(1, 2 min(P[X <= k], P[X >= k])) of k
+    successes for X ~ Bin(n, p): rejecting at p-value <= alpha has a
+    false-alarm rate of at most alpha. The nearer tail is summed in log space
+    (math.lgamma), so no scipy module is loaded."""
+    if not 0.0 < p < 1.0:
+        return float(k == n * p)  # X is 0 or n surely
+    below = k <= n * p
+    log_pmf = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+               + j * math.log(p) + (n - j) * math.log1p(-p)
+               for j in (range(k + 1) if below else range(k, n + 1))]
+    near = math.fsum(map(math.exp, log_pmf))
+    at_k = math.exp(log_pmf[-1] if below else log_pmf[0])
+    return min(1.0, 2.0 * min(near, 1.0 - near + at_k))
 
 
 def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: float, m: int,
-                          r: int, trials: int, seed, p_samples: int = 100_000) -> Lemma5Report:
-    """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) by Monte Carlo.
+                          r: int, trials: int, seed) -> Lemma5Report:
+    """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) on the exact
+    law of a Gaussian map's count, where p is the chance that one row's soft
+    count is nonzero.
 
-    p is the per-coordinate nonzero probability of the soft count, estimated
-    on p_samples fresh one-row maps (map_counts); when sqrt(k0) >= 16 kappa
-    the closed-form lower bound on p is also checked. Each trial is a fresh
-    m-row map.
+    p and the tail P[sum of the m rows' counts <= r] come from
+    gaussian_count_tails: the pmf's first r + 1 entries convolved m times, by
+    squaring (at most 2 bit_length(m) convolutions). The bound holds when
+    tail + budget <= bound, budget = 4 m (r + 2) (E + eps), with
+    E = gaussian_count_error(dist, delta) the law's error per tail. To first
+    order in eps, the pmf's error moves the tail by at most
+    m (r + 1) (2E + eps), the convolutions' rounding by
+    (bit_length(m) + 1) (r + 1) eps <= 2 m (r + 1) eps, and the bound,
+    evaluated at the float p, moves by at most m (E + eps) / 2 + 2 eps; the
+    factor 4 leaves room for the higher orders.
+    The closed-form lower bound on p, which holds where sqrt(k0) >= 16 kappa
+    (always: a Gaussian's kappa is 0), is checked against p + E.
+
+    `trials` fresh m-row maps of the package's own path (map_counts) give the
+    empirical tail, and agreement_p is the exact two-sided binomial p-value of
+    their count of tail events against the exact tail.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if ensemble.kind != "gaussian":
+        raise InvalidArgument("the exact count law is Gaussian only")
     if t < 0:
         raise InvalidArgument("t must be nonnegative")
-    if trials < 1 or p_samples < 1:
-        raise InvalidArgument("trials and p_samples must be >= 1")
+    if trials < 1 or m < 1 or r < 0:
+        raise InvalidArgument("need trials >= 1, m >= 1 and r >= 0")
     w = u - v
     if not np.any(w):
         raise InvalidArgument("u and v must differ")
     if not anti_sparse(w, k0):
         raise InvalidArgument("u - v fails the anti-sparsity precondition")
     dist = float(np.linalg.norm(w))
-    n = u.size
-    uv = np.column_stack([u, v])
-    s_p, s_trials = as_seedseq(seed).spawn(2)
+    eps = np.finfo(float).eps
+    err = gaussian_count_error(dist, delta)
 
-    # per-coordinate nonzero probability
-    p_hat = int(np.count_nonzero(
-        map_counts(ensemble, p_samples, 1, n, delta, s_p, uv, t))) / p_samples
-    p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / p_samples)
+    tails = gaussian_count_tails(dist, delta, t, r + 1)
+    p = float(tails[1])
+    pmf, law = -np.diff(tails), np.array([1.0])
+    for bit in bin(m)[:1:-1]:  # m's bits, lowest first
+        if bit == "1":
+            law = np.convolve(law, pmf)[: r + 1]
+        pmf = np.convolve(pmf, pmf)[: r + 1]
+    tail = float(law.sum())
+    budget = 4.0 * m * (r + 2) * (err + eps)
 
-    # full-map left probability
-    counts = map_counts(ensemble, trials, m, n, delta, s_trials, uv, t)
-    emp = int(np.count_nonzero(counts <= r)) / trials
-    emp_se = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
+    counts = map_counts(ensemble, trials, m, u.size, delta, seed, np.column_stack([u, v]), t)
+    hits = int(np.count_nonzero(counts <= r))
 
-    mp = m * p_hat
+    mp = m * p
     vacuous = r >= mp
     bound = 1.0 if vacuous else float(math.exp(-((mp - r) ** 2) / (2.0 * mp)))
-    holds = emp <= bound + 3.0 * emp_se
-
-    lb = lb_holds = reason = None
-    if math.sqrt(max(k0, 0.0)) >= 16.0 * ensemble.kappa_sg:
-        if p_hat == 0.0:
-            reason = "p_hat is zero; lower bound not certifiable"
-        else:
-            lb = dist / (16.0 * (delta + dist)) - 2.0 * t / (delta + dist)
-            lb_holds = p_hat + 3.0 * p_se >= lb
-    else:
-        reason = "sqrt(k0) < 16 kappa"
-    return Lemma5Report(p_hat=p_hat, empirical=emp, chernoff_bound=bound,
-                        bound_vacuous=vacuous, bound_holds=holds, p_lower_bound=lb,
-                        p_lower_holds=lb_holds, p_lower_skipped_reason=reason)
+    lb = dist / (16.0 * (delta + dist)) - 2.0 * t / (delta + dist)
+    return Lemma5Report(p=p, tail=tail, budget=budget, empirical=hits / trials,
+                        agreement_p=_binomial_two_sided_p(hits, trials, tail),
+                        chernoff_bound=bound, bound_vacuous=vacuous,
+                        bound_holds=tail + budget <= bound, p_lower_bound=lb,
+                        p_lower_holds=p + err >= lb)
 
 
 # --- deterministic counterexamples and exact combinatorics ---

@@ -157,11 +157,6 @@ def test_unknown_set_kind_exits_2(capsys):
 
 def test_config_file_supplies_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "[experiment]\nseed = 9\n\n"
-        "[set]\nkind = ball\nn = 2\nradius = 1\n"
-    )
-    # radius key maps onto the d parameter of the set string
     cfg.write_text("[experiment]\nseed = 9\n\n[set]\nkind = ball\nn = 2\n")
     code, out, _ = run_cli(["width", "--draws", "2000", "--config", str(cfg)], capsys)
     assert code == 0
@@ -185,7 +180,7 @@ def test_config_set_value_with_a_comma_is_one_value(tmp_path, capsys):
     outs = []
     for name in ("a,b.txt", "ab.txt"):
         (tmp_path / name).write_text("0.3 0.1\n-0.2 0.5\n0.1 0.1\n")
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(f"[set]\nkind = finite\nfile = {tmp_path / name}\n")
         code, out, err = run_cli(["width", "--draws", "500", "--seed", "3", "--config", str(cfg)],
                                  capsys)
@@ -225,7 +220,6 @@ def test_config_key_stands_in_for_its_flag(tmp_path, monkeypatch):
     taken = {"--config"}.union(*(flags for _, flags, _ in cli.SUBCOMMANDS.values()))
     assert taken == set(cli.FLAGS)
     assert {"--set", *cli.CONFIG_KEYS.values()} <= taken
-    cfg = tmp_path / "run.cfg"
     checked = set()
     for command, (_, flags, _) in cli.SUBCOMMANDS.items():
         base = BASE_ARGV.get(command, [])
@@ -241,6 +235,9 @@ def test_config_key_stands_in_for_its_flag(tmp_path, monkeypatch):
                 text = f"[{section}]\n{key} = {CONFIG_VALUES[flag]}\n"
             else:
                 continue
+            # a fresh file per row: back-to-back rewrites of one path stalled
+            # about 55 ms each on ext4
+            cfg = tmp_path / f"{command}{flag}.cfg"
             cfg.write_text(text)
             by_flag = vars(cli.parse_args([command, *base, *argv]))
             by_key = vars(cli.parse_args([command, *base, "--config", str(cfg)]))
@@ -593,11 +590,13 @@ def test_import_loads_neither_scipy_nor_mpmath():
     # scipy.integrate) and the sparse-ball distortion sweep (scipy.sparse)
     # need it, so it is imported inside those functions; every run's
     # start-up pays for the rest, which qembed.cli loads whole. The Stirling
-    # check of criterion 9 runs in float64, and nothing in the package reads
+    # check of criterion 9 runs in float64, criterion 12's exact count law
+    # and binomial test read only math, and nothing in the package reads
     # mpmath.
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, qembed.cli; from qembed import selftest; "
-                           "selftest.criterion_9(0, 'quick'); print(sorted(m for m in sys.modules "
+                           "selftest.criterion_9(0, 'quick'); selftest.criterion_12(0, 'quick'); "
+                           "print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] in ('scipy', 'mpmath')))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

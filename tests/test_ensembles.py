@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import kstest, norm, uniform
+from scipy.stats import binom, kstest, norm, uniform
 
 from qembed import distances as D
 from qembed import ensembles as E
@@ -15,13 +17,15 @@ SQ2PI = math.sqrt(2.0 / math.pi)
 
 def test_psi2_closed_forms():
     assert E.psi2_norm("rademacher") == 1.0
-    assert E.psi2_norm("gaussian") == pytest.approx(SQ2PI, abs=1e-12)
     assert E.psi2_norm("bounded-uniform") == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+    # a Gaussian's kappa is 0 without it, so it has no closed-form moment here
+    with pytest.raises(E.InvalidArgument):
+        E.psi2_norm("gaussian")
 
 
 def test_alpha_at_least_inv_sqrt2():
     # the p = 2 grid point pins the unit-variance floor
-    for kind in E.KINDS:
+    for kind in ("rademacher", "bounded-uniform"):
         assert E.psi2_norm(kind) >= 1 / math.sqrt(2) - 1e-12
 
 
@@ -177,7 +181,7 @@ def _budget_cases() -> dict:
         "width_estimate": lambda: G.width_estimate(G.SparseBall(512, 4, 1.0), 4096, 2),
         "map_counts": lambda: D.map_counts(gauss, 1024, 4, 512, 0.5, 3, np.column_stack([u, v])),
         "lemma5_chernoff_check": lambda: X.lemma5_chernoff_check(
-            u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 256, 4, p_samples=4096),
+            u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 256, 4),
     }
 
 
@@ -276,3 +280,92 @@ def test_estimated_kappa_is_exact():
     assert E.make_ensemble("bounded-uniform", "estimated").kappa_sg == 0.15427951516112146
     assert E.make_ensemble("rademacher", "estimated").kappa_sg == 0.5353773215478798
     assert E.make_ensemble("gaussian", "estimated").kappa_sg == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+def test_tail_integral_within_its_budget_of_50_digits():
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    for c in np.linspace(0.0, 40.0, 2001).tolist() + [1e-300, 1e-8, 0.7071, 38.5]:
+        cm = mp.mpf(c)
+        exact = cm * mp.erfc(cm / mp.sqrt(2)) - mp.sqrt(2 / mp.pi) * mp.expm1(-cm * cm / 2)
+        assert abs(E._gauss_abs_tail_integral(c) - exact) <= 6 * EPS, c
+
+
+# (dist, delta, t, k_max): together their grids c_k = (2t + (k - 1) delta)/dist
+# cover [0, 40], at dist/delta from 0.05 to 25
+LAW_GRIDS = [(1.0, 1.0, 0.0, 41), (0.3, 0.7, 0.05, 18), (2.5, 0.1, 0.0, 1001),
+             (1.0, 1.0, 19.5, 3), (0.05, 1.0, 0.01, 3), (0.8, 2.0, 0.01, 17), (1.0, 0.3, 0.2, 135)]
+
+
+@pytest.mark.parametrize("dist, delta, t, k_max", LAW_GRIDS)
+def test_count_law_within_its_budget_of_50_digits(dist, delta, t, k_max):
+    import mpmath as mp
+
+    mp.mp.dps = 50
+
+    def integral(c):
+        return c * mp.erfc(c / mp.sqrt(2)) - mp.sqrt(2 / mp.pi) * mp.expm1(-c * c / 2)
+
+    s, d, tt = mp.mpf(dist), mp.mpf(delta), mp.mpf(t)
+    ints = [integral((2 * tt + k * d) / s) for k in range(k_max + 1)]
+    exact = [mp.mpf(1)] + [s / d * (b - a) for a, b in zip(ints, ints[1:])]
+    tails = E.gaussian_count_tails(dist, delta, t, k_max)
+    assert tails.shape == (k_max + 1,)
+    err = max(abs(mp.mpf(float(x)) - y) for x, y in zip(tails, exact))
+    assert err <= E.gaussian_count_error(dist, delta) == 16 * (1 + dist / delta) * EPS
+
+
+@pytest.mark.parametrize("dist, delta, t", [(0.5, 1.0, 0.0), (1.0, 0.5, 0.0), (0.8, 2.0, 0.01),
+                                            (1.3, 0.4, 0.3), (0.25, 1.0, 0.02)])
+def test_count_law_is_a_quadrature_of_the_soft_count(dist, delta, t):
+    # midpoints u of (0, 1) through the normal quantile give g, midpoints of
+    # [0, delta) the dither xi, and the pair is (dist g + xi, xi): the dither
+    # makes the lattice uniform, so one point may sit at 0. Given g, the
+    # event count >= k is one arc of xi, so the xi rule is within 1/nx of
+    # P(count >= k | g); that tail is monotone in |g|, of variation at most
+    # 2 over u, so the u rule is within 2/(2 nu) of its mean
+    nu, nx = 1000, 1000
+    g = norm.ppf((np.arange(nu) + 0.5) / nu)[:, None]
+    xi = (np.arange(nx) + 0.5) / nx * delta
+    counts = D.soft_count_array(dist * g + xi, xi + 0.0 * g, t, delta)
+    k_max = int(counts.max()) + 2
+    quad_tails = np.array([np.mean(counts >= k) for k in range(k_max + 1)])
+    tails = E.gaussian_count_tails(dist, delta, t, k_max)
+    assert np.max(np.abs(tails - quad_tails)) <= 1.0 / nx + 1.0 / nu
+
+
+def _exact_two_sided(k, n, p):
+    return min(1.0, 2.0 * min(binom.cdf(k, n, p), binom.sf(k - 1, n, p)))
+
+
+# no shrinking: a Monte Carlo failure does not shrink to a smaller one
+@settings(derandomize=True, max_examples=25, deadline=None, database=None,
+          phases=[Phase.generate])
+@given(dist=st.floats(0.05, 3.0), delta=st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
+       t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_count_law_agrees_with_map_counts(dist, delta, t, seed):
+    # 20,000 one-row Gaussian maps of the package's own path; each count
+    # value k = 0..5 and the rest is an exact two-sided binomial test at
+    # 1e-6 / 7, so an example fails by chance with probability at most 1e-6
+    # and the 25 examples at most 2.5e-5
+    maps = 20_000
+    u = np.array([0.3, -1.1, 0.4])
+    w = np.array([0.6, 0.0, -0.8])
+    xs = np.column_stack([u, u - dist * w])
+    counts = D.map_counts(E.make_ensemble("gaussian"), maps, 1, 3, delta, seed, xs, t)[:, 0]
+    dist = float(np.linalg.norm(xs[:, 0] - xs[:, 1]))
+    tails = E.gaussian_count_tails(dist, delta, t, 6)
+    probs = np.append(-np.diff(tails), tails[-1])
+    hits = np.append(np.bincount(np.minimum(counts, 6), minlength=7)[:6], np.sum(counts >= 6))
+    for k, (hit, prob) in enumerate(zip(hits, probs)):
+        assert _exact_two_sided(int(hit), maps, min(max(prob, 0.0), 1.0)) > 1e-6 / 7, k
+
+
+def test_count_law_rejects_bad_arguments():
+    for args in ((0.0, 1.0, 0.0, 3), (1.0, 0.0, 0.0, 3), (1.0, 1.0, -0.1, 3), (1.0, 1.0, 0.0, -1)):
+        with pytest.raises(E.InvalidArgument):
+            E.gaussian_count_tails(*args)

@@ -474,11 +474,52 @@ def test_lemma5_bound_and_lower_bound():
     u = rng.standard_normal(16)
     d = rng.standard_normal(16)
     v = u - 0.5 * d / np.linalg.norm(d)
-    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 64, 7, 600, 11,
-                                  p_samples=40_000)
+    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 64, 7, 600, 11)
     assert rep.bound_holds and not rep.bound_vacuous
+    assert rep.tail + rep.budget <= rep.chernoff_bound
+    assert 0.0 < rep.budget < 1e-9
     assert rep.p_lower_holds
-    assert rep.p_hat >= rep.p_lower_bound
+    assert rep.p >= rep.p_lower_bound
+    assert rep.p == E.gaussian_count_tails(float(np.linalg.norm(u - v)), 1.0, 0.0, 1)[1]
+
+
+def test_lemma5_tail_is_the_m_fold_convolution():
+    # the tail by squaring equals m - 1 plain convolutions of the pmf
+    gauss = E.make_ensemble("gaussian")
+    u = np.array([0.2, 0.9, -0.4, 0.1])
+    v = u - np.array([0.3, -0.2, 0.0, 0.1])
+    dist = float(np.linalg.norm(u - v))
+    for m, r, t in ((1, 0, 0.0), (5, 2, 0.01), (37, 9, 0.05), (64, 13, 0.0)):
+        pmf = -np.diff(E.gaussian_count_tails(dist, 0.5, t, r + 1))
+        law = pmf
+        for _ in range(m - 1):
+            law = np.convolve(law, pmf)[: r + 1]
+        rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, 0.5, m, r, 1, 0)
+        assert rep.tail == pytest.approx(float(law.sum()), rel=1e-12, abs=0.0)
+
+
+def test_lemma5_verdict_reads_the_exact_tail():
+    # one trial that lands in the tail puts the empirical tail at 1, above
+    # the bound, while the exact tail stays below it
+    gauss = E.make_ensemble("gaussian")
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    v = u - np.array([0.5, 0.5, 0.5, 0.5])
+    hits = [X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 1, seed) for seed in range(8)]
+    rep = next(rep for rep in hits if rep.empirical == 1.0)
+    assert rep.tail + rep.budget < rep.chernoff_bound < rep.empirical
+    assert rep.bound_holds
+
+
+def test_binomial_two_sided_p_is_exact():
+    from scipy.stats import binom
+
+    for k, n, p in ((0, 1500, 9.3e-4), (4, 1500, 9.3e-4), (3, 1500, 7e-8), (700, 1500, 0.45),
+                    (10, 20, 0.5), (20, 20, 0.5), (0, 1, 0.3), (1490, 1500, 0.999)):
+        exact = min(1.0, 2.0 * min(binom.cdf(k, n, p), binom.sf(k - 1, n, p)))
+        assert X._binomial_two_sided_p(k, n, p) == pytest.approx(exact, rel=1e-9, abs=1e-300)
+    assert X._binomial_two_sided_p(0, 1500, 0.0) == 1.0
+    assert X._binomial_two_sided_p(1, 1500, 0.0) == 0.0
+    assert X._binomial_two_sided_p(1500, 1500, 1.0) == 1.0
 
 
 def test_lemma5_trials_are_the_m_row_slices_of_one_map():
@@ -492,36 +533,19 @@ def test_lemma5_trials_are_the_m_row_slices_of_one_map():
     n, m, trials, delta, t, seed = 16, 96, 300, 1.0, 0.01, 21
     u = rng.standard_normal(n)
     v = u - 0.4 * rng.standard_normal(n)
-    qmap = Q.make_map(gauss, trials * m, n, delta, np.random.SeedSequence(seed).spawn(2)[1])
+    qmap = Q.make_map(gauss, trials * m, n, delta, seed)
     z = qmap.project_many(np.column_stack([u, v]))
     counts = D.soft_count_array(z[:, 0], z[:, 1], t, delta)
     sums = np.array([piece.sum() for piece in np.split(counts, trials)])
     r = int(np.median(sums))
-    rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, delta, m, r, trials, seed,
-                                  p_samples=2000)
+    rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, delta, m, r, trials, seed)
     assert 0 < rep.empirical < 1
     assert rep.empirical == np.count_nonzero(sums <= r) / trials
 
 
-def test_lemma5_p_hat_is_the_whole_maps():
-    # 100,000 rows at n = 16: 12 blocks of 8192 rows and a partial one
-    from qembed import distances as D
-    from qembed import quantizer as Q
-
-    gauss = E.make_ensemble("gaussian")
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(16)
-    v = u - 0.3 * rng.standard_normal(16)
-    qmap = Q.make_map(gauss, 100_000, 16, 0.5, np.random.SeedSequence(9).spawn(2)[0])
-    z = qmap.project_many(np.column_stack([u, v]))
-    p_hat = float(np.mean(D.soft_count_array(z[:, 0], z[:, 1], 0.02, 0.5) != 0))
-    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.02, gauss, 0.5, 64, 7, 20, 9)
-    assert rep.p_hat == p_hat
-
-
 def test_lemma5_holds_one_block_of_phi():
-    # the p_hat maps are 100,000 x 16, 12 MiB whole; a block is 1 MiB, plus
-    # its dither and the counts of the 100,000 one-row maps
+    # the trials' maps are 2000 x 64 rows of 16, 16 MiB whole; a block is
+    # 1 MiB, plus its dither and the counts of the 2000 maps
     import tracemalloc
 
     rng = np.random.default_rng(6)
@@ -529,8 +553,8 @@ def test_lemma5_holds_one_block_of_phi():
     v = u - 0.4 * rng.standard_normal(16)
     tracemalloc.start()
     try:
-        X.lemma5_chernoff_check(u, v, 1.0, 0.0, E.make_ensemble("gaussian"), 1.0, 64, 7, 50,
-                                11, p_samples=100_000)
+        X.lemma5_chernoff_check(u, v, 1.0, 0.0, E.make_ensemble("gaussian"), 1.0, 64, 7, 2000,
+                                11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,15 +565,13 @@ def test_lemma5_vacuous_and_skips():
     gauss = E.make_ensemble("gaussian")
     u = np.array([1.0, 0.0])
     v = np.array([0.999, 0.0])
-    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 8, 8, 50, 0,
-                                  p_samples=2000)
+    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 8, 8, 50, 0)
     assert rep.bound_vacuous and rep.chernoff_bound == 1.0
-    # large t kills the count probability entirely
-    rep2 = X.lemma5_chernoff_check(u, v, 1.0, 50.0, gauss, 1.0, 8, 0, 50, 0,
-                                   p_samples=2000)
-    assert rep2.p_hat == 0.0
-    assert rep2.p_lower_holds is None
-    assert "zero" in rep2.p_lower_skipped_reason
+    # large t takes the count's law below the float range: p is 0, the
+    # bound vacuous, and the lower bound on p negative
+    rep2 = X.lemma5_chernoff_check(u, v, 1.0, 50.0, gauss, 1.0, 8, 0, 50, 0)
+    assert rep2.p == 0.0 and rep2.bound_vacuous
+    assert rep2.p_lower_bound < 0 and rep2.p_lower_holds
 
 
 def test_lemma5_validation():
@@ -559,10 +581,13 @@ def test_lemma5_validation():
         X.lemma5_chernoff_check(u, u, 1.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
     with pytest.raises(E.InvalidArgument):
         X.lemma5_chernoff_check(u, 0.5 * u, 16.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
-    for trials, p_samples in ((0, 10), (10, 0)):
+    for m, r, trials in ((8, 0, 0), (0, 0, 10), (8, -1, 10)):
         with pytest.raises(E.InvalidArgument):
-            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, gauss, 1.0, 8, 0, trials, 0,
-                                    p_samples=p_samples)
+            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, gauss, 1.0, m, r, trials, 0)
+    # the exact count law is a Gaussian row's; no other ensemble has one here
+    for kind in ("rademacher", "bounded-uniform"):
+        with pytest.raises(E.InvalidArgument):
+            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, E.make_ensemble(kind), 1.0, 8, 0, 10, 0)
 
 
 def test_no_dither_counterexample():

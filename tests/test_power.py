@@ -91,6 +91,13 @@ DEFECTS = {
         (G, "width_estimate",
          "rows = block_rows(dim, spec.points.shape[0] if isinstance(spec, FiniteSet) else 1)",
          "rows = draws"),
+    "count-law-softens-by-t-not-2t":
+        (E, "gaussian_count_tails", "(2.0 * t + k * delta) / dist", "(t + k * delta) / dist"),
+    "count-law-k-off-by-one":
+        (E, "gaussian_count_tails", "for k in range(k_max + 1)]", "for k in range(1, k_max + 2)]"),
+    "chernoff-bound-against-the-monte-carlo-tail":
+        (X, "lemma5_chernoff_check", "bound_holds=tail + budget <= bound",
+         "bound_holds=hits / trials <= bound"),
     "soft-count-counts-the-upper-threshold":
         (D, "soft_count_array", "hi1 = np.ceil((a - t) / delta) - 1.0",
          "hi1 = np.ceil((a - t) / delta)"),
@@ -154,6 +161,14 @@ ROWS = [
      test_experiments.test_stirling_margins_within_their_budget_of_40_digits, ()),
     ("stirling-error-budget-zero",
      test_experiments.test_stirling_check_fails_safe_past_its_budget, ()),
+    ("count-law-softens-by-t-not-2t",
+     test_ensembles.test_count_law_is_a_quadrature_of_the_soft_count, (1.3, 0.4, 0.3)),
+    ("count-law-softens-by-t-not-2t", test_ensembles.test_count_law_agrees_with_map_counts, ()),
+    ("count-law-k-off-by-one",
+     test_ensembles.test_count_law_is_a_quadrature_of_the_soft_count, (0.5, 1.0, 0.0)),
+    ("count-law-k-off-by-one", test_ensembles.test_count_law_agrees_with_map_counts, ()),
+    ("chernoff-bound-against-the-monte-carlo-tail",
+     test_experiments.test_lemma5_verdict_reads_the_exact_tail, ()),
     *[("width-estimate-draws-every-gaussian-at-once",
        test_geometry.test_width_estimate_holds_one_block, (spec,))
       for spec in test_geometry.WIDTH_BLOCK_SPECS],
