@@ -75,8 +75,8 @@ def pair_counts(block: QuantizedMap, xs, t=None) -> np.ndarray:
     """The one per-row count that every D and D^t sums: for each row of the
     sub-map `block` and each pair of columns x0, y0, x1, y1, ... of xs,
     |code difference|, shape (rows, pairs), or given t, the soft count at each
-    of its values, shape t.shape + (rows, pairs). xs may be a scipy sparse
-    array, which the block projects through its nonzeros (see as_batch)."""
+    of its values, shape t.shape + (rows, pairs). xs may be SparseColumns,
+    which the block projects through its slots (see quantizer.product)."""
     xs = as_batch(xs)
     if xs.ndim != 2 or xs.shape[1] % 2:
         raise InvalidArgument(f"expected pairs of columns, shape (n, 2 * pairs), got {xs.shape}")

@@ -43,7 +43,7 @@ from .geometry import (
     sample_point,
     sparse_ball_point,
 )
-from .quantizer import apply_many, map_blocks, quantize_array
+from .quantizer import SparseColumns, apply_many, map_blocks, product, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
@@ -131,21 +131,12 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
 
-def _sparse_columns(xs: np.ndarray, supports: np.ndarray):
-    """xs as a CSC array built from its columns' supports (one row of
-    supports per column of xs), without scanning xs: the same indptr,
-    indices and data as csc_array(xs). Each column's indices are sorted,
-    since the sparse kernel sums in that order; explicit zeros are dropped;
-    int32 supports give the int32 indices csc_array picks. scipy.sparse is
-    imported here, so other runs do not pay for it."""
-    from scipy.sparse import csc_array
-
-    count, k = supports.shape
-    rows = np.sort(supports, axis=1).ravel()
-    batch = csc_array((xs[rows, np.repeat(np.arange(count), k)], rows,
-                       np.arange(0, count * k + 1, k, dtype=rows.dtype)), shape=xs.shape)
-    batch.eliminate_zeros()
-    return batch
+def _sparse_columns(xs: np.ndarray, supports: np.ndarray) -> SparseColumns:
+    """xs as SparseColumns built from its columns' supports (one row of
+    supports per column of xs), without scanning xs. Each column's rows are
+    sorted, the order in which csc_array(xs) would sum them."""
+    rows = np.sort(supports, axis=1).T
+    return SparseColumns(rows, xs[rows, np.arange(xs.shape[1])], xs.shape[0])
 
 
 def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult]:
@@ -221,12 +212,12 @@ class _Distortion:
                  for _ in range(plan.pairs_per_m)]
         xs = np.column_stack([v for x, y, _, _ in pairs for v in (x, y)])
         self.dists = np.array([np.linalg.norm(x - y) for x, y, _, _ in pairs])
-        # on a sparse ball each block's Phi @ batch runs over the K nonzeros of
+        # on a sparse ball each block's Phi @ batch runs over the K slots of
         # a column alone, summing in another order than the dense product: a
         # code can move only where Phi x + xi is within an ulp of a threshold
         sparse = isinstance(plan.set_spec, SparseBall)
         supports = [s for *_, sx, sy in pairs for s in (sx, sy)] if sparse else None
-        self.batch = _sparse_columns(xs, np.array(supports, np.int32)) if sparse else xs
+        self.batch = _sparse_columns(xs, np.array(supports)) if sparse else xs
         self.delta, self.allowance, self.columns = plan.delta, _allowance(plan), xs.shape[1]
         self.counts = self.m = 0
 
@@ -268,46 +259,66 @@ def _radial_cap(x: np.ndarray, u: np.ndarray, radius: float) -> float:
     return -xu + math.sqrt(disc)
 
 
-def _consistent_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray,
-                      delta: float) -> np.ndarray:
-    """Per ray j, the supremum of r in [0, caps[j]] with
-    Q(z[:, j] + r dz[:, j]) == Q(z[:, j]) for bin width delta.
+def _chord_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray, delta: float) -> np.ndarray:
+    """Per ray j, how far the code Q(z[:, j]) holds ahead and behind: the
+    suprema of r in [0, caps[0, j]] with Q(z[:, j] + r dz[:, j]) == Q(z[:, j])
+    and of r in [0, caps[1, j]] with Q(z[:, j] - r dz[:, j]) == Q(z[:, j]),
+    for bin width delta, shape (2, rays).
 
     A code's cell is the intersection of the slabs k delta <= z < (k+1) delta
-    that quantize_array brackets exactly, so it is convex: along a ray the
-    code holds until the first wall ahead, (k+1) delta where a coordinate
-    rises and k delta where it falls.
+    that quantize_array brackets exactly, so it is convex: along a line the
+    code holds between the nearest wall ahead, (k+1) delta where a coordinate
+    rises and k delta where it falls, and the nearest wall behind, the other
+    wall of each slab. Rows with dz = 0 bound neither end.
     """
-    # in place: fewer temporaries of the (rows, rays) arrays
     k = quantize_array(z, delta)
-    k += dz > 0  # index of the wall ahead
-    gap = k * delta
-    del k
-    gap -= z
-    moving = dz != 0
-    np.divide(gap, dz, out=gap, where=moving)
-    gap[~moving] = np.inf
-    return np.minimum(caps, gap.min(axis=0))
+    rising, falling = dz > 0, dz < 0
+    moving = rising | falling
+    still = ~moving
+    reach = np.empty_like(caps)
+    r = np.empty(z.shape)  # one buffer for both ends: fewer (rows, rays) temporaries
+    for end, upper in enumerate((rising, falling)):  # the wall ahead, then the wall behind
+        np.add(k, upper, out=r)
+        r *= delta
+        r -= z
+        np.divide(r, dz, out=r, where=moving)  # where the line through z meets the wall
+        if end == 0:
+            r[still] = np.inf
+            reach[0] = r.min(axis=0)
+        else:
+            r[still] = -np.inf
+            reach[1] = -r.max(axis=0)
+    return np.minimum(caps, reach)
 
 
 class _Rays:
-    """The consistency width of the rays anchors[:, j] + r dirs[:, j], r <= caps[j],
-    as a fold: a cell is an intersection of per-row slabs, so each block's
-    _consistent_radii cap the next block's; the width is the largest radius."""
+    """The consistency width of the chords anchors[:, j] + r dirs[:, j],
+    -caps[1, j] <= r <= caps[0, j], as a fold: a cell is an intersection of
+    per-row slabs, so each block's _chord_radii cap the next block's; the
+    width is the longest chord, r ahead + r behind.
 
-    def __init__(self, anchors: np.ndarray, dirs: np.ndarray, caps: np.ndarray):
-        self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, anchors.shape[1]
+    rays is the pair (anchors, dirs), projected densely, or on a sparse ball
+    SparseColumns of the anchors followed by the directions: each direction
+    lies on its anchor's support, so one product per block projects both.
+    """
+
+    def __init__(self, rays, caps: np.ndarray):
+        self.rays, self.radii, self.columns = rays, caps, caps.shape[1]
 
     def step(self, block) -> bool:
-        # dense even on a sparse ball: a radius is a float ratio of two
-        # projections, so a sparse product would move it in the last digits
-        self.radii = _consistent_radii(block.project_many(self.anchors), block.phi @ self.dirs,
-                                       self.radii, block.delta)
+        if isinstance(self.rays, SparseColumns):
+            z = product(block.phi, self.rays)
+            z, dz = z[:, :self.columns], z[:, self.columns:]
+            z += block.xi[:, None]
+        else:
+            anchors, dirs = self.rays
+            z, dz = block.project_many(anchors), product(block.phi, dirs)
+        self.radii = _chord_radii(z, dz, self.radii, block.delta)
         return True
 
     def finish(self) -> float:
         # max(0.0, ...) records a censored width as 0.0, never -0.0
-        return max(0.0, float(np.max(self.radii)))
+        return max(0.0, float(np.max(self.radii.sum(axis=0))))
 
 
 def _max_filtered_distance(points: np.ndarray, k0: float) -> float:
@@ -354,12 +365,16 @@ def _consistency_width(plan: TrialPlan, rng):
     if isinstance(plan.set_spec, FiniteSet):
         return _SharedCodes(plan.set_spec.points, plan.k0)
     n, p, d = ambient_dim(plan.set_spec), plan.pairs_per_m, diameter(plan.set_spec)
-    anchors, dirs, caps = np.empty((n, p)), np.empty((n, p)), np.empty(p)
+    anchors, dirs, caps, supports = np.empty((n, p)), np.empty((n, p)), np.empty((2, p)), []
     for j in range(p):
         x, support = _point_and_support(plan.set_spec, rng)
         u = _direction_for(plan.set_spec, x, support, plan.k0, rng)
-        anchors[:, j], dirs[:, j], caps[j] = x, u, _radial_cap(x, u, d)
-    return _Rays(anchors, dirs, caps)
+        anchors[:, j], dirs[:, j] = x, u
+        caps[:, j] = _radial_cap(x, u, d), _radial_cap(x, -u, d)
+        supports.append(support)
+    if isinstance(plan.set_spec, SparseBall):
+        return _Rays(_sparse_columns(np.hstack([anchors, dirs]), np.array(supports * 2)), caps)
+    return _Rays((anchors, dirs), caps)
 
 
 # the decay sweeps by experiment name, each with the start of its statistic's fold

@@ -11,7 +11,6 @@ when distances are computed, so code comparisons stay exact.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +66,63 @@ def quantize_array(t, delta: float) -> np.ndarray:
     return _floor_index(t, delta)
 
 
+@dataclass(frozen=True)
+class SparseColumns:
+    """A batch of count column vectors of length n with K >= 1 slots each:
+    column j is the sum over k of values[k, j] times the unit vector at row
+    rows[k, j] (a slot may hold 0.0). product sums the slots in order, so
+    rows sorted within each column give scipy's bits. The rows are checked
+    once, here, so product's gathers never clamp."""
+
+    rows: np.ndarray    # (K, count) intp
+    values: np.ndarray  # (K, count) float64
+    n: int
+
+    ndim = 2
+
+    def __post_init__(self):
+        rows = np.ascontiguousarray(self.rows, dtype=np.intp)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape != values.shape or len(rows) < 1:
+            raise InvalidArgument(f"rows and values must be (K, count) arrays of one shape with "
+                                  f"K >= 1, got {rows.shape} and {values.shape}")
+        if rows.size and not (0 <= rows.min() and rows.max() < self.n):
+            raise InvalidArgument(f"support rows must lie in [0, {self.n})")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.rows.shape[1]
+
+
 def as_batch(xs):
     """A batch of column vectors as a float64 ndarray, or unchanged when it
-    is a scipy sparse array: Phi @ xs then runs over its nonzeros only and
-    still gives a dense ndarray. A sparse array exists only once
-    scipy.sparse is imported, so this check imports nothing."""
-    sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(xs):
-        return xs
-    return np.asarray(xs, dtype=np.float64)
+    is SparseColumns."""
+    return xs if isinstance(xs, SparseColumns) else np.asarray(xs, dtype=np.float64)
+
+
+def product(phi: np.ndarray, xs, shift=0.0) -> np.ndarray:
+    """phi @ xs + shift as a dense (rows, count) array, for shift >= +0.0 (a
+    dither xi[:, None] or 0.0). A SparseColumns batch costs K gathers of phi's
+    columns: slot by slot, each column's terms are added to a sum that starts
+    at +0.0 in the order of its sorted rows, which is the order and so the
+    bits of scipy's sparse product (csr_matvecs). An entry depends on one row
+    of phi and one column of xs alone, so its bits do not depend on the batch
+    or the row block (dense BLAS products do)."""
+    if not isinstance(xs, SparseColumns):
+        out = phi @ xs
+    else:
+        out = np.take(phi, xs.rows[0], axis=1, mode="clip")
+        out *= xs.values[0]
+        term = np.empty_like(out)
+        for rows, values in zip(xs.rows[1:], xs.values[1:]):
+            np.take(phi, rows, axis=1, out=term, mode="clip")
+            term *= values
+            out += term
+    # also turns a sum of -0.0 terms into +0.0, as when it starts at +0.0
+    out += shift
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,11 +155,11 @@ class QuantizedMap:
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
         """Phi x + xi for a batch of column vectors, (n, count) -> (m, count);
-        xs may be a scipy sparse array (see as_batch)."""
+        xs may be SparseColumns (see product)."""
         xs = as_batch(xs)
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
-        return self.phi @ xs + self.xi[:, None]
+        return product(self.phi, xs, self.xi[:, None])
 
 
 def dither(m: int, delta: float, seed, dithered: bool = True, variant: str = "floor") -> np.ndarray:

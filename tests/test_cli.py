@@ -587,9 +587,9 @@ def test_console_entry_point_runs(tmp_path):
 
 def test_import_loads_neither_scipy_nor_mpmath():
     # scipy is slow to import and only kappa estimation (scipy.special and
-    # scipy.integrate) and the sparse-ball distortion sweep (scipy.sparse)
-    # need it, so it is imported inside those functions; every run's
-    # start-up pays for the rest, which qembed.cli loads whole. The Stirling
+    # scipy.integrate) needs it, so it is imported inside those functions;
+    # every run's start-up pays for the rest, which qembed.cli loads whole.
+    # Both sweeps project a sparse ball with numpy alone. The Stirling
     # check of criterion 9 runs in float64, criterion 12's exact count law
     # and binomial test read only math, and nothing in the package reads
     # mpmath.
@@ -604,13 +604,13 @@ def test_import_loads_neither_scipy_nor_mpmath():
 
 
 # Runs argv lists through cli.main in one fresh process and prints each exit
-# code, then whether scipy.special got loaded.
+# code, then whether scipy.special and whether any scipy module got loaded.
 RUN_AND_REPORT_SPECIAL = """
 import contextlib, io, json, sys
 from qembed import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(codes, 'scipy.special' in sys.modules)
+print(codes, 'scipy.special' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))
 """
 
 
@@ -626,7 +626,8 @@ def test_gaussian_runs_never_load_scipy_special(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT_SPECIAL, json.dumps(runs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
+    # the sparse-ball sweeps, embed and distance load no scipy module at all
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False False"
     # the estimated kappa of a non-Gaussian kind is where scipy.special is read
     estimated = [["quasi-isometry", "--ensemble", "rademacher", "--kappa", "estimated",
                   "--set", "lowrank:n1=8,n2=8,r=2,d=1", "--m-grid", "4,8,16", "--pairs", "30",
@@ -634,7 +635,7 @@ def test_gaussian_runs_never_load_scipy_special(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT_SPECIAL, json.dumps(estimated)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0] True"
+    assert proc.stdout.strip() == "[0] True True"
 
 
 # value pools of the argv contract test, by flag, then by type; TMP is the

@@ -247,7 +247,7 @@ def test_pair_distances_sparse_batch_equals_dense():
     # 200 sparse-ball pairs in dimension 512, as the quasi-isometry sweep
     # samples them: blocks of 256 rows, and M = 3 blocks + 5 rows
     from qembed import geometry as G
-    from scipy.sparse import csc_array
+    from test_quantizer import csc_columns
 
     spec = G.SparseBall(n=512, k=4, radius=1.0)
     rng = np.random.default_rng(8)
@@ -256,7 +256,7 @@ def test_pair_distances_sparse_batch_equals_dense():
     m = 3 * rows + 5
     ens = E.make_ensemble("gaussian")
     dense = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), xs)
-    sparse = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), csc_array(xs))
+    sparse = D.pair_distances(Q.map_blocks(ens, m, 512, 0.5, 9, rows), csc_columns(xs))
     assert np.count_nonzero(dense) > 190
     assert np.array_equal(sparse, dense)
 

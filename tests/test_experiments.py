@@ -105,16 +105,15 @@ def test_fit_points_are_the_worst_uncensored_statistics():
 
 
 def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
-    """A sparse-ball sweep projects its pairs as a sparse array, and its rows
+    """A sparse-ball sweep projects its pairs as SparseColumns, and its rows
     equal those of the same sweep with the batch forced dense."""
-    import scipy.sparse
     from qembed import quantizer as Q
 
     seen = []
     project = Q.QuantizedMap.project_many
 
     def spy(self, xs):
-        seen.append(scipy.sparse.issparse(xs))
+        seen.append(isinstance(xs, Q.SparseColumns))
         return project(self, xs)
 
     monkeypatch.setattr(Q.QuantizedMap, "project_many", spy)
@@ -128,11 +127,9 @@ def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
     assert sparse.rows == dense.rows
 
 
-def test_sparse_columns_equal_csc_array_of_the_dense_batch():
-    """The batch built from the supports is csc_array(xs) entry for entry,
-    also where a column has zero coefficients (explicit zeros dropped)."""
-    from scipy.sparse import csc_array
-
+def _sparse_ball_batch():
+    """400 points of the 4-sparse unit ball in dimension 512, their drawn
+    supports, a zero column and a column with one nonzero coefficient."""
     spec = G.SparseBall(n=512, k=4, radius=1.0)
     rng = np.random.default_rng(17)
     points = [G.sparse_ball_point(spec, rng) for _ in range(400)]
@@ -140,22 +137,55 @@ def test_sparse_columns_equal_csc_array_of_the_dense_batch():
     supports = np.array([support for _, support in points], dtype=np.int32)
     xs[:, 3] = 0.0  # rng.random() returned 0.0
     xs[supports[5, 1:], 5] = 0.0  # the norm-0 fallback keeps one coefficient
+    return xs, supports
+
+
+def test_sparse_columns_equal_csc_array_of_the_dense_batch():
+    """The batch built from the supports holds csc_array(xs)'s entries in its
+    order, plus the zeros that csc_array drops, and its product is
+    Phi @ csc_array(xs) bit for bit, on the zero and the one-nonzero column too."""
+    from qembed import quantizer as Q
+    from scipy.sparse import csc_array
+
+    xs, supports = _sparse_ball_batch()
     built, reference = X._sparse_columns(xs, supports), csc_array(xs)
-    for attr in ("indptr", "indices", "data"):
-        a, b = getattr(built, attr), getattr(reference, attr)
-        assert a.dtype == b.dtype and np.array_equal(a, b), attr
-    assert built.nnz == 400 * 4 - 4 - 3
+    assert built.shape == xs.shape and built.rows.shape == (4, 400)
+    stored = built.values.T != 0.0  # column by column, as csc_array stores them
+    assert np.count_nonzero(stored) == reference.nnz == 400 * 4 - 4 - 3
+    assert np.array_equal(built.rows.T[stored], reference.indices)
+    assert np.array_equal(built.values.T[stored], reference.data)
+    phi = np.random.default_rng(18).standard_normal((256, 512))
+    expected = phi @ reference
+    assert np.array_equal(Q.product(phi, built).view(np.uint64), expected.view(np.uint64))
+    assert not np.any(np.signbit(expected[:, 3]))
+
+
+def test_sparse_product_is_a_function_of_the_column():
+    """A column projected alone, and the map in row blocks of 1, 3, 5 and 256
+    rows, give the bits of the whole batch through the whole map."""
+    from qembed import quantizer as Q
+
+    xs, supports = _sparse_ball_batch()
+    batch = X._sparse_columns(xs, supports)
+    phi = np.random.default_rng(19).standard_normal((3 * 256 + 5, 512))
+    whole = Q.product(phi, batch).view(np.uint64)
+    for j in range(400):
+        alone = Q.SparseColumns(batch.rows[:, [j]], batch.values[:, [j]], 512)
+        assert np.array_equal(Q.product(phi, alone).view(np.uint64)[:, 0], whole[:, j])
+    for rows in (1, 3, 5, 256):
+        blocked = np.vstack([Q.product(phi[i:i + rows], batch) for i in range(0, len(phi), rows)])
+        assert np.array_equal(blocked.view(np.uint64), whole)
 
 
 def test_quasi_isometry_sparse_batch_from_supports_matches_csc_array(monkeypatch):
     """Building the batch from the supports gives the rows of building it
-    with csc_array from the dense points."""
-    from scipy.sparse import csc_array
+    from csc_array of the dense points."""
+    from test_quantizer import csc_columns
 
     plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(16, 64, 256),
                  pairs_per_m=50, trials_per_m=2)
     from_supports = X.quasi_isometry_sweep(plan)
-    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: csc_array(xs))
+    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: csc_columns(xs))
     assert from_supports.rows == X.quasi_isometry_sweep(plan).rows
 
 
@@ -274,8 +304,8 @@ def test_direction_lies_on_the_drawn_support():
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("m", [16, 256, 4096])
 def test_consistent_radius_is_tight(kind, m):
-    # the radius is the supremum: codes hold just inside it and change just
-    # outside it, unless the ray ends at the set boundary first
+    # each end of the chord is a supremum: codes hold just inside it and
+    # change just outside it, unless the chord ends at the set boundary first
     from qembed import quantizer as Q
 
     spec = G.SparseBall(n=64, k=4, radius=1.0)
@@ -287,26 +317,71 @@ def test_consistent_radius_is_tight(kind, m):
         u = X._direction_for(spec, x, support, 1.0, rng)
         anchors.append(x)
         dirs.append(u)
-        # every other ray gets a short cap, which binds at small m
-        caps.append(X._radial_cap(x, u, 1.0) if j % 2 else 1e-3)
-    anchors, dirs = np.array(anchors).T, np.array(dirs).T
-    radii = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, np.array(caps),
-                                qmap.delta)
+        # every other ray gets short caps, which bind at small m
+        caps.append((X._radial_cap(x, u, 1.0), X._radial_cap(x, -u, 1.0)) if j % 2
+                    else (1e-3, 1e-3))
+    anchors, dirs, caps = np.array(anchors).T, np.array(dirs).T, np.array(caps).T
+    radii = X._chord_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
     codes = Q.apply_many(qmap, anchors)
-    for j, r in enumerate(radii):
-        assert 0.0 < r <= caps[j]
-        inside = Q.apply_many(qmap, anchors[:, [j]] + r * (1 - 1e-9) * dirs[:, [j]])
-        assert np.array_equal(inside[:, 0], codes[:, j])
-        if r < caps[j]:
-            outside = Q.apply_many(qmap, anchors[:, [j]] + r * (1 + 1e-9) * dirs[:, [j]])
-            assert not np.array_equal(outside[:, 0], codes[:, j])
+    for end, sign in enumerate((1.0, -1.0)):
+        for j, r in enumerate(radii[end]):
+            assert 0.0 < r <= caps[end, j]
+            inside = Q.apply_many(qmap, anchors[:, [j]] + sign * r * (1 - 1e-9) * dirs[:, [j]])
+            assert np.array_equal(inside[:, 0], codes[:, j])
+            if r < caps[end, j]:
+                outside = Q.apply_many(qmap,
+                                       anchors[:, [j]] + sign * r * (1 + 1e-9) * dirs[:, [j]])
+                assert not np.array_equal(outside[:, 0], codes[:, j])
+
+
+def _dense_rays(fold):
+    """The anchors and directions of a _Rays fold as two dense arrays."""
+    from qembed import quantizer as Q
+
+    if not isinstance(fold.rays, Q.SparseColumns):
+        return fold.rays
+    rays = np.zeros(fold.rays.shape)
+    rays[fold.rays.rows, np.arange(rays.shape[1])] = fold.rays.values
+    return rays[:, :fold.columns], rays[:, fold.columns:]
+
+
+@pytest.mark.parametrize("m, pull", [(16, 1e-12), (256, 1e-9)])
+@pytest.mark.parametrize("spec", [G.SparseBall(n=64, k=4, radius=1.0),
+                                  G.LowRankBall(n1=8, n2=8, r=2, radius=1.0)],
+                         ids=["sparse", "lowrank"])
+def test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set(spec, m, pull):
+    # both ends of each chord, pulled in by a relative `pull`, keep the
+    # anchor's codes and lie in the set, and the chord is at least as long
+    # as its part ahead. At M = 256 the shortest ends are a few 1e-6, where
+    # a relative 1e-12 moves an end by less than an ulp of its coordinates.
+    from qembed import quantizer as Q
+
+    plan = _plan(set_spec=spec, pairs_per_m=50)
+    fold = X._consistency_width(plan, np.random.default_rng(m))
+    qmap = Q.make_map(plan.ensemble, m, 64, plan.delta, m)
+    assert fold.step(qmap)
+    anchors, dirs = _dense_rays(fold)
+    ahead, behind = fold.radii
+    assert np.all(ahead > 0.0) and np.all(ahead + behind >= ahead)
+    codes = Q.apply_many(qmap, anchors)
+    for end in (anchors + ahead * (1 - pull) * dirs, anchors - behind * (1 - pull) * dirs):
+        assert np.array_equal(Q.apply_many(qmap, end), codes)
+        assert np.all(np.linalg.norm(end, axis=0) <= 1.0)
+        if isinstance(spec, G.SparseBall):
+            support = np.zeros(anchors.shape, bool)
+            support[fold.rays.rows[:, :fold.columns], np.arange(fold.columns)] = True
+            assert not np.any(end[~support])
+        else:
+            mats = end.T.reshape(-1, spec.n1, spec.n2)
+            assert np.all(np.linalg.matrix_rank(mats) <= spec.r)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 def test_ray_radii_blocked_equals_whole(kind):
     # 1024 rays: blocks of BLOCK_ENTRIES // 1024 rows, and M = 3 blocks + 5
     # rows leaves a partial last block, which holds the nearest wall of
-    # about 1 ray in 80
+    # about 1 ray in 80 at each end; through a sparse ball's one product and
+    # through the dense products of other sets
     from qembed import quantizer as Q
 
     rays, n = 1024, 64
@@ -317,18 +392,25 @@ def test_ray_radii_blocked_equals_whole(kind):
     spec = G.SparseBall(n=n, k=4, radius=1.0)
     qmap = Q.make_map(ens, m, n, 0.5, 7)
     rng = np.random.default_rng(7)
-    anchors, dirs, caps = np.empty((n, rays)), np.empty((n, rays)), np.empty(rays)
+    anchors, dirs, caps = np.empty((n, rays)), np.empty((n, rays)), np.empty((2, rays))
+    supports = []
     for j in range(rays):
         anchors[:, j], support = G.sparse_ball_point(spec, rng)
         dirs[:, j] = X._direction_for(spec, anchors[:, j], support, 1.0, rng)
-        caps[j] = X._radial_cap(anchors[:, j], dirs[:, j], 1.0)
-    whole = X._consistent_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
-    for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):
-        fold = X._Rays(anchors, dirs, caps)
-        assert fold.columns == rays
-        assert all([fold.step(block) for block in blocks])
-        assert np.array_equal(fold.radii, whole)
-        assert fold.finish() == float(whole.max()) > 0.0
+        caps[:, j] = [X._radial_cap(anchors[:, j], sign * dirs[:, j], 1.0) for sign in (1, -1)]
+        supports.append(support)
+    batch = X._sparse_columns(np.hstack([anchors, dirs]), np.array(supports * 2))
+    projected = Q.product(qmap.phi, batch)
+    for fold_rays, z, dz in ((batch, projected[:, :rays] + qmap.xi[:, None], projected[:, rays:]),
+                             ((anchors, dirs), qmap.project_many(anchors), qmap.phi @ dirs)):
+        whole = X._chord_radii(z, dz, caps, qmap.delta)
+        assert np.all(whole < caps)
+        for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):
+            fold = X._Rays(fold_rays, caps)
+            assert fold.columns == rays
+            assert all([fold.step(block) for block in blocks])
+            assert np.array_equal(fold.radii, whole)
+            assert fold.finish() == float(whole.sum(axis=0).max()) > 0.0
 
 
 @pytest.mark.parametrize("sweep", [X.quasi_isometry_sweep, X.consistency_width_sweep])
@@ -349,14 +431,15 @@ def test_sweep_holds_one_block_of_phi(sweep):
 
 
 def test_consistent_radius_on_a_wall_and_without_motion():
-    # column 0 starts on the wall 0.5 and falls: no room; column 1 does not
-    # move: the cap; column 2 rises from 0.7 to the wall at 1.0
+    # column 0 starts on the wall 0.5 and falls: no room ahead, the wall 1.0
+    # behind; column 1 does not move: the caps; column 2 rises from 0.7: the
+    # wall 1.0 ahead and 0.5 behind
     z = np.array([[0.5, 0.5, 0.5], [0.7, 0.7, 0.7]])
     dz = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    radii = X._consistent_radii(z, dz, np.full(3, 2.0), 0.5)
-    assert radii[0] == 0.0
-    assert radii[1] == 2.0
-    assert radii[2] == pytest.approx(0.3, abs=1e-15)
+    radii = X._chord_radii(z, dz, np.full((2, 3), 2.0), 0.5)
+    assert radii[0, 0] == 0.0 and radii[1, 0] == 0.5
+    assert radii[0, 1] == radii[1, 1] == 2.0
+    assert radii[:, 2] == pytest.approx([0.3, 0.2], abs=1e-15)
 
 
 @pytest.mark.parametrize("k0", [1.0, 2.0])

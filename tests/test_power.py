@@ -32,7 +32,9 @@ DEFECTS = {
     "floor-without-downward-fixup":
         (Q, "_floor_index", "down = k * delta > t", "down = np.zeros(k.shape, bool)"),
     "radius-to-the-wall-behind":
-        (X, "_consistent_radii", "k += dz > 0", "k += dz < 0"),
+        (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((falling, rising))"),
+    "backward-walls-from-the-forward-rule":
+        (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((rising, rising))"),
     "row-blocks-drop-the-partial-block":
         (E, "_row_blocks", "range(0, m, rows)", "range(0, m - m % rows, rows)"),
     # the sweeps call map_blocks through experiments' own binding of it
@@ -111,6 +113,11 @@ ROWS = [
      (0.1,)),
     ("radius-to-the-wall-behind", test_experiments.test_consistent_radius_is_tight,
      ("gaussian", 256)),
+    ("backward-walls-from-the-forward-rule", test_experiments.test_consistent_radius_is_tight,
+     ("gaussian", 256)),
+    ("backward-walls-from-the-forward-rule",
+     test_experiments.test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set,
+     (G.LowRankBall(n1=8, n2=8, r=2, radius=1.0), 16, 1e-12)),
     ("row-blocks-drop-the-partial-block", test_distances.test_pair_distances_blocked_equals_whole,
      ("gaussian",)),
     ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,

@@ -121,21 +121,54 @@ def test_apply_dimension_mismatch():
         Q.apply_many(qmap, np.zeros((5, 1)))
 
 
+def csc_columns(xs) -> Q.SparseColumns:
+    """xs as SparseColumns laid out from scipy's csc_array(xs): each column's
+    stored rows and values in scipy's order, padded at the end with 0.0 at
+    row 0 up to the most stored entries of any column."""
+    from scipy.sparse import csc_array
+
+    ref = csc_array(np.asarray(xs, dtype=np.float64))
+    k = max(1, int(np.diff(ref.indptr).max(initial=0)))
+    rows, values = np.zeros((k, ref.shape[1]), np.intp), np.zeros((k, ref.shape[1]))
+    for j in range(ref.shape[1]):
+        stored = slice(ref.indptr[j], ref.indptr[j + 1])
+        rows[: stored.stop - stored.start, j] = ref.indices[stored]
+        values[: stored.stop - stored.start, j] = ref.data[stored]
+    return Q.SparseColumns(rows, values, ref.shape[0])
+
+
 def test_project_many_takes_a_sparse_batch():
     # the sparse product sums each column's terms in another order than
-    # BLAS, so it agrees to a few ulps of the terms' magnitudes
+    # BLAS, so it agrees to a few ulps of the terms' magnitudes; with
+    # columns of 1 to 8 stored entries padded with zeros, it keeps the bits
+    # of scipy's sparse product
     from scipy.sparse import csc_array
 
     qmap = Q.make_map(E.make_ensemble("gaussian"), 64, 40, 0.5, 2)
     xs = np.random.default_rng(3).standard_normal((40, 30))
     xs[np.random.default_rng(4).random(xs.shape) < 0.9] = 0.0
     dense = qmap.project_many(xs)
-    sparse = qmap.project_many(csc_array(xs))
+    sparse = qmap.project_many(csc_columns(xs))
     assert type(sparse) is np.ndarray and sparse.shape == dense.shape == (64, 30)
     scale = np.abs(qmap.phi) @ np.abs(xs) + np.abs(qmap.xi)[:, None]
     assert np.all(np.abs(sparse - dense) <= 4 * np.finfo(float).eps * scale)
+    reference = qmap.phi @ csc_array(xs) + qmap.xi[:, None]
+    assert np.array_equal(sparse.view(np.uint64), reference.view(np.uint64))
     with pytest.raises(E.InvalidArgument):
-        qmap.project_many(csc_array(np.ones((41, 2))))
+        qmap.project_many(csc_columns(np.ones((41, 2))))
+
+
+def test_sparse_columns_reject_rows_outside_the_vector():
+    for rows in ([[0, 5]], [[-1, 2]]):
+        with pytest.raises(E.InvalidArgument, match="support rows"):
+            Q.SparseColumns(rows, np.ones((1, 2)), 5)
+    assert Q.SparseColumns([[0, 4]], np.ones((1, 2)), 5).shape == (5, 2)
+
+
+def test_sparse_columns_need_one_shape_and_a_slot():
+    for rows, values in (([[0], [1]], np.ones((1, 2))), (np.zeros((0, 2)), np.zeros((0, 2)))):
+        with pytest.raises(E.InvalidArgument, match="one shape"):
+            Q.SparseColumns(rows, values, 5)
 
 
 def test_dither_length_validation():
