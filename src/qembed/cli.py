@@ -363,10 +363,6 @@ def _parsers():
     return p, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     """Resolve the flags: an explicit flag, else the config file, else the
     built-in default (for --seed, QEMBED_SEED, else 0).

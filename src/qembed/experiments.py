@@ -131,10 +131,16 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
 
 
-def _sparse_columns(xs: np.ndarray, supports: np.ndarray) -> SparseColumns:
-    """xs as SparseColumns built from its columns' supports (one row of
-    supports per column of xs), without scanning xs. Each column's rows are
-    sorted, the order in which csc_array(xs) would sum them."""
+def _batch(spec: SetSpec, xs: np.ndarray, supports):
+    """The batch a fold projects: on a sparse ball xs as SparseColumns built
+    from its columns' drawn supports (one per column), without scanning xs,
+    and xs itself on other sets. Each column's rows are sorted, the order in
+    which csc_array(xs) would sum them, so each block's Phi @ batch runs over
+    the K slots of a column alone, summing in another order than the dense
+    product: a code can move only where Phi x + xi is within an ulp of a
+    threshold."""
+    if not isinstance(spec, SparseBall):
+        return xs
     rows = np.sort(supports, axis=1).T
     return SparseColumns(rows, xs[rows, np.arange(xs.shape[1])], xs.shape[0])
 
@@ -212,12 +218,7 @@ class _Distortion:
                  for _ in range(plan.pairs_per_m)]
         xs = np.column_stack([v for x, y, _, _ in pairs for v in (x, y)])
         self.dists = np.array([np.linalg.norm(x - y) for x, y, _, _ in pairs])
-        # on a sparse ball each block's Phi @ batch runs over the K slots of
-        # a column alone, summing in another order than the dense product: a
-        # code can move only where Phi x + xi is within an ulp of a threshold
-        sparse = isinstance(plan.set_spec, SparseBall)
-        supports = [s for *_, sx, sy in pairs for s in (sx, sy)] if sparse else None
-        self.batch = _sparse_columns(xs, np.array(supports)) if sparse else xs
+        self.batch = _batch(plan.set_spec, xs, [s for *_, sx, sy in pairs for s in (sx, sy)])
         self.delta, self.allowance, self.columns = plan.delta, _allowance(plan), xs.shape[1]
         self.counts = self.m = 0
 
@@ -295,25 +296,15 @@ class _Rays:
     """The consistency width of the chords anchors[:, j] + r dirs[:, j],
     -caps[1, j] <= r <= caps[0, j], as a fold: a cell is an intersection of
     per-row slabs, so each block's _chord_radii cap the next block's; the
-    width is the longest chord, r ahead + r behind.
+    width is the longest chord, r ahead + r behind. The anchors are projected
+    with the dither and the directions without it."""
 
-    rays is the pair (anchors, dirs), projected densely, or on a sparse ball
-    SparseColumns of the anchors followed by the directions: each direction
-    lies on its anchor's support, so one product per block projects both.
-    """
-
-    def __init__(self, rays, caps: np.ndarray):
-        self.rays, self.radii, self.columns = rays, caps, caps.shape[1]
+    def __init__(self, anchors, dirs, caps: np.ndarray):
+        self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, caps.shape[1]
 
     def step(self, block) -> bool:
-        if isinstance(self.rays, SparseColumns):
-            z = product(block.phi, self.rays)
-            z, dz = z[:, :self.columns], z[:, self.columns:]
-            z += block.xi[:, None]
-        else:
-            anchors, dirs = self.rays
-            z, dz = block.project_many(anchors), product(block.phi, dirs)
-        self.radii = _chord_radii(z, dz, self.radii, block.delta)
+        self.radii = _chord_radii(block.project_many(self.anchors), product(block.phi, self.dirs),
+                                  self.radii, block.delta)
         return True
 
     def finish(self) -> float:
@@ -372,9 +363,8 @@ def _consistency_width(plan: TrialPlan, rng):
         anchors[:, j], dirs[:, j] = x, u
         caps[:, j] = _radial_cap(x, u, d), _radial_cap(x, -u, d)
         supports.append(support)
-    if isinstance(plan.set_spec, SparseBall):
-        return _Rays(_sparse_columns(np.hstack([anchors, dirs]), np.array(supports * 2)), caps)
-    return _Rays((anchors, dirs), caps)
+    return _Rays(_batch(plan.set_spec, anchors, supports), _batch(plan.set_spec, dirs, supports),
+                 caps)
 
 
 # the decay sweeps by experiment name, each with the start of its statistic's fold
@@ -434,21 +424,18 @@ def _sample_local_set(spec: SetSpec, eta: float, rng) -> np.ndarray:
 
 
 def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
-                          trials: int, seed, margin: float = 1.0) -> np.ndarray:
+                          trials: int, seed) -> np.ndarray:
     """Projection stability of the local set (K - K) inter eta B: the
     per-trial pass flags.
 
-    Per trial: fresh matrix, a sampled local-set point v, check
-    ||Phi v|| <= sqrt(m) * eta. Points sitting exactly on the eta sphere fail
-    about half the time by the CLT; the guarantee has slack only over the
-    interior, so margin < 1 restricts sampling to (K - K) inter margin*eta B
-    (still a subset of the local set) when a clean exponential pass rate is
-    wanted.
+    Per trial: fresh matrix, a sampled point v of (K - K) inter (eta/2) B,
+    check ||Phi v|| <= sqrt(m) * eta. Points sitting exactly on the eta
+    sphere fail about half the time by the CLT; the guarantee has slack only
+    over the interior, so sampling within half of eta (still a subset of the
+    local set) gives a clean exponential pass rate.
     """
     if not (eta > 0):
         raise InvalidArgument("eta must be positive")
-    if not (0 < margin <= 1):
-        raise InvalidArgument("margin must lie in (0, 1]")
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
     n = ambient_dim(spec)
@@ -456,7 +443,7 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
     passed = np.empty(trials, dtype=bool)
     for i, sub in enumerate(root.spawn(trials)):
         rng = np.random.default_rng(sub)
-        v = _sample_local_set(spec, margin * eta, rng)
+        v = _sample_local_set(spec, 0.5 * eta, rng)
         [mat] = sample_matrix(ensemble, m, n, rng)
         passed[i] = np.linalg.norm(mat @ v) <= math.sqrt(m) * eta * (1 + 1e-12)
     return passed

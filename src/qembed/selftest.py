@@ -352,7 +352,7 @@ def criterion_16(seed: int, scale: str = FULL) -> CriterionResult:
     passed = experiments.lemma4_diameter_check(
         geometry.SparseBall(n=32, k=3, radius=1.0), eta=0.5,
         ensemble=ensembles.make_ensemble("gaussian"), m=128, trials=trials,
-        seed=_seed(seed, 16), margin=0.5)
+        seed=_seed(seed, 16))
     failures = int(np.count_nonzero(~passed))
     return CriterionResult(16, "projection-stability", failures == 0,
                            {"trials": trials, "failures": failures})

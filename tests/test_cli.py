@@ -118,7 +118,7 @@ UNREAD_FLAGS = {
                                            for f in flags])
 def test_flag_the_computation_does_not_read_exits_2(command, flag, capsys):
     """A subcommand takes no flag that its computation would ignore."""
-    cli.build_parser().parse_args([command, *BASE_ARGV[command]])
+    cli._parsers()[0].parse_args([command, *BASE_ARGV[command]])
     code, _, err = run_cli([command, *BASE_ARGV[command], flag, *FLAG_VALUES[flag]], capsys)
     assert code == 2
     assert f"unrecognized arguments: {flag}" in err
@@ -689,14 +689,12 @@ def _value_pool(flag: str, action: argparse.Action):
 
 
 def _subparsers() -> dict:
-    parser = cli.build_parser()
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: sp for name, sp in action.choices.items() if name != "selftest"}
+    return {name: sp for name, sp in cli._parsers()[1].items() if name != "selftest"}
 
 
 @st.composite
 def argvs(draw):
-    """An argv built from build_parser()'s own subcommands and flags."""
+    """An argv built from the CLI's own subcommands and flags."""
     subparsers = _subparsers()
     command = draw(st.sampled_from(sorted(subparsers)))
     argv = [command]

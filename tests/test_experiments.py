@@ -121,18 +121,20 @@ def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
     sparse = X.quasi_isometry_sweep(plan)
     assert seen and all(seen)
     seen.clear()
-    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: xs)
+    monkeypatch.setattr(X, "_batch", lambda spec, xs, supports: xs)
     dense = X.quasi_isometry_sweep(plan)
     assert seen and not any(seen)
     assert sparse.rows == dense.rows
 
 
+SPARSE_512 = G.SparseBall(n=512, k=4, radius=1.0)
+
+
 def _sparse_ball_batch():
     """400 points of the 4-sparse unit ball in dimension 512, their drawn
     supports, a zero column and a column with one nonzero coefficient."""
-    spec = G.SparseBall(n=512, k=4, radius=1.0)
     rng = np.random.default_rng(17)
-    points = [G.sparse_ball_point(spec, rng) for _ in range(400)]
+    points = [G.sparse_ball_point(SPARSE_512, rng) for _ in range(400)]
     xs = np.column_stack([x for x, _ in points])
     supports = np.array([support for _, support in points], dtype=np.int32)
     xs[:, 3] = 0.0  # rng.random() returned 0.0
@@ -148,7 +150,7 @@ def test_sparse_columns_equal_csc_array_of_the_dense_batch():
     from scipy.sparse import csc_array
 
     xs, supports = _sparse_ball_batch()
-    built, reference = X._sparse_columns(xs, supports), csc_array(xs)
+    built, reference = X._batch(SPARSE_512, xs, supports), csc_array(xs)
     assert built.shape == xs.shape and built.rows.shape == (4, 400)
     stored = built.values.T != 0.0  # column by column, as csc_array stores them
     assert np.count_nonzero(stored) == reference.nnz == 400 * 4 - 4 - 3
@@ -166,7 +168,7 @@ def test_sparse_product_is_a_function_of_the_column():
     from qembed import quantizer as Q
 
     xs, supports = _sparse_ball_batch()
-    batch = X._sparse_columns(xs, supports)
+    batch = X._batch(SPARSE_512, xs, supports)
     phi = np.random.default_rng(19).standard_normal((3 * 256 + 5, 512))
     whole = Q.product(phi, batch).view(np.uint64)
     for j in range(400):
@@ -185,7 +187,7 @@ def test_quasi_isometry_sparse_batch_from_supports_matches_csc_array(monkeypatch
     plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(16, 64, 256),
                  pairs_per_m=50, trials_per_m=2)
     from_supports = X.quasi_isometry_sweep(plan)
-    monkeypatch.setattr(X, "_sparse_columns", lambda xs, supports: csc_columns(xs))
+    monkeypatch.setattr(X, "_batch", lambda spec, xs, supports: csc_columns(xs))
     assert from_supports.rows == X.quasi_isometry_sweep(plan).rows
 
 
@@ -334,15 +336,15 @@ def test_consistent_radius_is_tight(kind, m):
                 assert not np.array_equal(outside[:, 0], codes[:, j])
 
 
-def _dense_rays(fold):
-    """The anchors and directions of a _Rays fold as two dense arrays."""
+def _dense(batch):
+    """A batch of column vectors as a dense array."""
     from qembed import quantizer as Q
 
-    if not isinstance(fold.rays, Q.SparseColumns):
-        return fold.rays
-    rays = np.zeros(fold.rays.shape)
-    rays[fold.rays.rows, np.arange(rays.shape[1])] = fold.rays.values
-    return rays[:, :fold.columns], rays[:, fold.columns:]
+    if not isinstance(batch, Q.SparseColumns):
+        return batch
+    dense = np.zeros(batch.shape)
+    dense[batch.rows, np.arange(dense.shape[1])] = batch.values
+    return dense
 
 
 @pytest.mark.parametrize("m, pull", [(16, 1e-12), (256, 1e-9)])
@@ -360,7 +362,7 @@ def test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set(spec, m, pull):
     fold = X._consistency_width(plan, np.random.default_rng(m))
     qmap = Q.make_map(plan.ensemble, m, 64, plan.delta, m)
     assert fold.step(qmap)
-    anchors, dirs = _dense_rays(fold)
+    anchors, dirs = _dense(fold.anchors), _dense(fold.dirs)
     ahead, behind = fold.radii
     assert np.all(ahead > 0.0) and np.all(ahead + behind >= ahead)
     codes = Q.apply_many(qmap, anchors)
@@ -369,7 +371,7 @@ def test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set(spec, m, pull):
         assert np.all(np.linalg.norm(end, axis=0) <= 1.0)
         if isinstance(spec, G.SparseBall):
             support = np.zeros(anchors.shape, bool)
-            support[fold.rays.rows[:, :fold.columns], np.arange(fold.columns)] = True
+            support[fold.anchors.rows, np.arange(fold.columns)] = True
             assert not np.any(end[~support])
         else:
             mats = end.T.reshape(-1, spec.n1, spec.n2)
@@ -380,8 +382,8 @@ def test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set(spec, m, pull):
 def test_ray_radii_blocked_equals_whole(kind):
     # 1024 rays: blocks of BLOCK_ENTRIES // 1024 rows, and M = 3 blocks + 5
     # rows leaves a partial last block, which holds the nearest wall of
-    # about 1 ray in 80 at each end; through a sparse ball's one product and
-    # through the dense products of other sets
+    # about 1 ray in 80 at each end; through a sparse ball's sparse products
+    # and through the dense products of other sets
     from qembed import quantizer as Q
 
     rays, n = 1024, 64
@@ -399,14 +401,12 @@ def test_ray_radii_blocked_equals_whole(kind):
         dirs[:, j] = X._direction_for(spec, anchors[:, j], support, 1.0, rng)
         caps[:, j] = [X._radial_cap(anchors[:, j], sign * dirs[:, j], 1.0) for sign in (1, -1)]
         supports.append(support)
-    batch = X._sparse_columns(np.hstack([anchors, dirs]), np.array(supports * 2))
-    projected = Q.product(qmap.phi, batch)
-    for fold_rays, z, dz in ((batch, projected[:, :rays] + qmap.xi[:, None], projected[:, rays:]),
-                             ((anchors, dirs), qmap.project_many(anchors), qmap.phi @ dirs)):
-        whole = X._chord_radii(z, dz, caps, qmap.delta)
+    sparse = X._batch(spec, anchors, supports), X._batch(spec, dirs, supports)
+    for xs, us in (sparse, (anchors, dirs)):
+        whole = X._chord_radii(qmap.project_many(xs), Q.product(qmap.phi, us), caps, qmap.delta)
         assert np.all(whole < caps)
         for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):
-            fold = X._Rays(fold_rays, caps)
+            fold = X._Rays(xs, us, caps)
             assert fold.columns == rays
             assert all([fold.step(block) for block in blocks])
             assert np.array_equal(fold.radii, whole)
@@ -428,6 +428,29 @@ def test_sweep_holds_one_block_of_phi(sweep):
     finally:
         tracemalloc.stop()
     assert peak < 4096 * 512 * 8 / 4
+
+
+def test_ray_projections_hold_one_block_budget(monkeypatch):
+    # 200 rays on a 4-sparse ball in R^64 at M = 4096: blocks of 655 rows,
+    # so each projection of anchors or directions is (655, 200), within
+    # BLOCK_ENTRIES; one (655, 400) product of both would hold twice that
+    from qembed import quantizer as Q
+
+    sizes = []
+
+    def spy(product):
+        def spied(phi, xs, shift=0.0):
+            out = product(phi, xs, shift)
+            sizes.append(out.size)
+            return out
+        return spied
+
+    monkeypatch.setattr(X, "product", spy(X.product))  # the directions' product
+    monkeypatch.setattr(Q, "product", spy(Q.product))  # project_many's, for the anchors
+    plan = _plan(set_spec=G.SparseBall(n=64, k=4, radius=1.0), m_grid=(4096,),
+                 pairs_per_m=200, trials_per_m=1)
+    X.consistency_width_sweep(plan)
+    assert max(sizes) == E.block_rows(64, 200) * 200 <= E.BLOCK_ENTRIES
 
 
 def test_consistent_radius_on_a_wall_and_without_motion():
@@ -537,8 +560,7 @@ def test_lemma4_zero_vector_always_passes():
 
 def test_lemma4_interior_margin_zero_failures():
     passed = X.lemma4_diameter_check(G.EuclideanBall(n=8, radius=1.0), 0.7,
-                                     E.make_ensemble("gaussian"), 128, 1000, 1,
-                                     margin=0.5)
+                                     E.make_ensemble("gaussian"), 128, 1000, 1)
     assert passed.all()
 
 
@@ -546,8 +568,8 @@ def test_lemma4_scale_invariance():
     # same draws: doubling eta rescales sampled points and thresholds alike
     spec = G.EuclideanBall(n=6, radius=1.0)
     g = E.make_ensemble("gaussian")
-    r1 = X.lemma4_diameter_check(spec, 0.2, g, 64, 200, 3, margin=0.5)
-    r2 = X.lemma4_diameter_check(spec, 0.4, g, 64, 200, 3, margin=0.5)
+    r1 = X.lemma4_diameter_check(spec, 0.2, g, 64, 200, 3)
+    r2 = X.lemma4_diameter_check(spec, 0.4, g, 64, 200, 3)
     assert np.array_equal(r1, r2)
 
 

@@ -35,6 +35,9 @@ DEFECTS = {
         (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((falling, rising))"),
     "backward-walls-from-the-forward-rule":
         (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((rising, rising))"),
+    # only the anchors carry the dither: Phi u + xi is no direction
+    "directions-take-the-dither":
+        (X._Rays, "step", "product(block.phi, self.dirs)", "block.project_many(self.dirs)"),
     "row-blocks-drop-the-partial-block":
         (E, "_row_blocks", "range(0, m, rows)", "range(0, m - m % rows, rows)"),
     # the sweeps call map_blocks through experiments' own binding of it
@@ -118,6 +121,11 @@ ROWS = [
     ("backward-walls-from-the-forward-rule",
      test_experiments.test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set,
      (G.LowRankBall(n1=8, n2=8, r=2, radius=1.0), 16, 1e-12)),
+    ("directions-take-the-dither", test_experiments.test_ray_radii_blocked_equals_whole,
+     ("gaussian",)),
+    ("directions-take-the-dither",
+     test_experiments.test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set,
+     (G.SparseBall(n=64, k=4, radius=1.0), 16, 1e-12)),
     ("row-blocks-drop-the-partial-block", test_distances.test_pair_distances_blocked_equals_whole,
      ("gaussian",)),
     ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,
