@@ -134,13 +134,14 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
 def _batch(spec: SetSpec, xs: np.ndarray, supports):
     """The batch a fold projects: on a sparse ball xs as SparseColumns built
     from its columns' drawn supports (one per column), without scanning xs,
-    and xs itself on other sets. Each column's rows are sorted, the order in
+    and xs in C order on other sets (a dense product's bits depend on its
+    layout: ROADMAP item 8). Each column's rows are sorted, the order in
     which csc_array(xs) would sum them, so each block's Phi @ batch runs over
     the K slots of a column alone, summing in another order than the dense
     product: a code can move only where Phi x + xi is within an ulp of a
     threshold."""
     if not isinstance(spec, SparseBall):
-        return xs
+        return np.ascontiguousarray(xs)
     rows = np.sort(supports, axis=1).T
     return SparseColumns(rows, xs[rows, np.arange(xs.shape[1])], xs.shape[0])
 
@@ -232,32 +233,32 @@ class _Distortion:
         return float(np.max(errs / (self.dists + self.delta))) - self.allowance
 
 
-def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng):
-    """Unit direction u of a continuum set with x + r*u staying in the set
-    for small r > 0 and u passing the anti-sparsity filter; on a sparse ball
-    u lies on x's drawn support (see _point_and_support), in sorted order."""
+def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
+    """Writes into u (zeros on a sparse ball) a direction that passes the
+    anti-sparsity filter with x + r*u in the set for small r > 0, not yet of
+    unit norm; on a sparse ball it lies on x's drawn support (see
+    _point_and_support), in sorted order."""
     for _ in range(100):
         if isinstance(spec, SparseBall):
-            u = np.zeros(spec.n)
             u[np.sort(support)] = rng.standard_normal(spec.k)
         elif isinstance(spec, LowRankBall):
             mat = x.reshape(spec.n1, spec.n2)
             uu, _, _ = np.linalg.svd(mat, full_matrices=False)
-            u = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
+            u[:] = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
         else:
-            u = rng.standard_normal(spec.n)
+            rng.standard_normal(out=u)
         if anti_sparse(u, k0):
-            return u / np.linalg.norm(u)
+            return
     raise SetFilterError(f"no direction passed the k0={k0} anti-sparsity filter")
 
 
-def _radial_cap(x: np.ndarray, u: np.ndarray, radius: float) -> float:
-    """Largest r >= 0 with ||x + r u|| <= radius (u unit)."""
-    xu = float(np.dot(x, u))
-    disc = xu * xu + radius * radius - float(np.dot(x, x))
-    if disc <= 0:
-        return 0.0
-    return -xu + math.sqrt(disc)
+def _radial_caps(xs: np.ndarray, us: np.ndarray, radius: float) -> np.ndarray:
+    """Per row j, the largest r >= 0 with ||xs[j] + r us[j]|| <= radius, then
+    with ||xs[j] - r us[j]|| <= radius (us unit rows): shape (2, rows)."""
+    xu = np.vecdot(xs, us)
+    disc = xu * xu + radius * radius - np.vecdot(xs, xs)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return np.where(disc > 0, [root - xu, root + xu], 0.0)
 
 
 def _chord_radii(z: np.ndarray, dz: np.ndarray, caps: np.ndarray, delta: float) -> np.ndarray:
@@ -352,19 +353,18 @@ class _SharedCodes:
 
 def _consistency_width(plan: TrialPlan, rng):
     """The consistency width statistic's fold: _SharedCodes of a finite set's
-    points, or _Rays from pairs_per_m anchors with admissible directions."""
+    points, or _Rays of pairs_per_m anchors and admissible directions as rows."""
     if isinstance(plan.set_spec, FiniteSet):
         return _SharedCodes(plan.set_spec.points, plan.k0)
-    n, p, d = ambient_dim(plan.set_spec), plan.pairs_per_m, diameter(plan.set_spec)
-    anchors, dirs, caps, supports = np.empty((n, p)), np.empty((n, p)), np.empty((2, p)), []
-    for j in range(p):
-        x, support = _point_and_support(plan.set_spec, rng)
-        u = _direction_for(plan.set_spec, x, support, plan.k0, rng)
-        anchors[:, j], dirs[:, j] = x, u
-        caps[:, j] = _radial_cap(x, u, d), _radial_cap(x, -u, d)
+    spec, p, n = plan.set_spec, plan.pairs_per_m, ambient_dim(plan.set_spec)
+    anchors, dirs, supports = np.empty((p, n)), np.zeros((p, n)), []
+    for x, u in zip(anchors, dirs):  # one ray at a time: the draws keep their order
+        x[:], support = _point_and_support(spec, rng)
+        _direction_for(spec, x, support, plan.k0, rng, u)
         supports.append(support)
-    return _Rays(_batch(plan.set_spec, anchors, supports), _batch(plan.set_spec, dirs, supports),
-                 caps)
+    dirs /= np.sqrt(np.vecdot(dirs, dirs))[:, None]
+    return _Rays(_batch(spec, anchors.T, supports), _batch(spec, dirs.T, supports),
+                 _radial_caps(anchors, dirs, diameter(spec)))
 
 
 # the decay sweeps by experiment name, each with the start of its statistic's fold

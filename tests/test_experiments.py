@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,12 +296,121 @@ def test_direction_lies_on_the_drawn_support():
         x, support = G.sparse_ball_point(spec, rng)
         unsorted += bool(np.any(np.diff(support) < 0))
         state = rng.bit_generator.state
-        u = X._direction_for(spec, x, support, 3.0, rng)
+        u, again = np.zeros(spec.n), np.zeros(spec.n)
+        X._direction_for(spec, x, support, 3.0, rng, u)
         assert np.array_equal(np.flatnonzero(u), np.sort(support))
         rng.bit_generator.state = state
         recovered = np.flatnonzero(np.abs(x) > 1e-12)
-        assert np.array_equal(X._direction_for(spec, x, recovered, 3.0, rng), u)
+        X._direction_for(spec, x, recovered, 3.0, rng, again)
+        assert np.array_equal(again, u)
     assert unsorted > 0
+
+
+def _rays_one_at_a_time(spec, count: int, k0: float, rng):
+    """The reference sampler: per ray an anchor, then up to 100 directions,
+    each in a fresh array, until one passes the filter, its np.linalg.norm,
+    and the scalar cap formula along u and -u. Returns anchors, unit
+    directions and caps as columns, the drawn supports and the number of
+    rejected directions."""
+    d = G.diameter(spec)
+    anchors, dirs, caps, supports, rejected = [], [], [], [], 0
+    for _ in range(count):
+        x, support = X._point_and_support(spec, rng)
+        for _ in range(100):
+            if isinstance(spec, G.SparseBall):
+                u = np.zeros(spec.n)
+                u[np.sort(support)] = rng.standard_normal(spec.k)
+            elif isinstance(spec, G.LowRankBall):
+                uu, _, _ = np.linalg.svd(x.reshape(spec.n1, spec.n2), full_matrices=False)
+                u = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
+            else:
+                u = rng.standard_normal(spec.n)
+            if G.anti_sparse(u, k0):
+                break
+            rejected += 1
+        else:
+            raise X.SetFilterError("no direction passed")
+        u = u / np.linalg.norm(u)
+        ends = []
+        for v in (u, -u):
+            xu = float(np.dot(x, v))
+            disc = xu * xu + d * d - float(np.dot(x, x))
+            ends.append(0.0 if disc <= 0 else -xu + math.sqrt(disc))
+        anchors.append(x)
+        dirs.append(u)
+        caps.append(ends)
+        supports.append(support)
+    return np.array(anchors).T, np.array(dirs).T, np.array(caps).T, supports, rejected
+
+
+@pytest.mark.parametrize("k0", [1.0, 3.0])
+@pytest.mark.parametrize("spec", [G.SparseBall(n=64, k=4, radius=1.0),
+                                  G.LowRankBall(n1=8, n2=8, r=2, radius=1.0),
+                                  G.EuclideanBall(n=16, radius=1.0)],
+                         ids=["sparse", "lowrank", "ball"])
+def test_ray_rows_equal_the_rays_drawn_one_at_a_time(spec, k0):
+    # the sweep draws its rays into row batches, with every norm and cap
+    # from one vecdot per row; anchors, unit directions, caps and supports
+    # equal the per-ray reference bit for bit, also where the filter redraws
+    # (at k0 = 3, on every set). There a 4-sparse direction passes about 1
+    # draw in 93, so the 100 tries give out on about a third of the rays:
+    # each of 30 seeds draws 2 rays, and where the tries give out both
+    # samplers raise having drawn the same numbers
+    rare = k0 > 1.0 and isinstance(spec, G.SparseBall)
+    rays, seeds = (2, range(30)) if rare else (200, [29])
+    drawn = rejected = 0
+    for seed in seeds:
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=rays, k0=k0), rng)
+        except X.SetFilterError:
+            with pytest.raises(X.SetFilterError):
+                _rays_one_at_a_time(spec, rays, k0, reference_rng)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            continue
+        anchors, dirs, caps, supports, more = _rays_one_at_a_time(spec, rays, k0, reference_rng)
+        drawn, rejected = drawn + 1, rejected + more
+        for got, want in ((_dense(fold.anchors), anchors), (_dense(fold.dirs), dirs),
+                          (fold.radii, caps)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if isinstance(spec, G.SparseBall):
+            rows = np.sort(supports, axis=1).T
+            assert np.array_equal(fold.anchors.rows, rows)
+            assert np.array_equal(fold.dirs.rows, rows)
+        else:  # a dense product's bits depend on its layout
+            assert fold.anchors.flags.c_contiguous and fold.dirs.flags.c_contiguous
+    assert drawn > 0 and (rejected > 0) == (k0 > 1.0)
+
+
+def test_radial_caps_at_the_sphere_without_a_warning():
+    # an anchor on the unit sphere moving outward has no room ahead and the
+    # diameter behind; a point of the sphere whose float norm exceeds 1, moving
+    # outward all but tangentially, gives a negative discriminant: 0.0 both
+    # ways, and no square root of it (a RuntimeWarning)
+    x = np.array([-0.8288355951220819, 0.5594922307401815])  # a unit vector, rounded
+    u = np.array([x[1], -x[0]]) + 1e-9 * x
+    u /= np.linalg.norm(u)
+    assert np.vecdot(x, x) > 1.0 and np.vecdot(x, u) ** 2 + 1.0 - np.vecdot(x, x) < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        caps = X._radial_caps(np.array([[1.0, 0.0], x]), np.array([[1.0, 0.0], u]), 1.0)
+    assert caps.shape == (2, 2)
+    assert caps[0, 0] == 0.0 and not np.signbit(caps[0, 0]) and caps[1, 0] == 2.0
+    assert np.array_equal(caps[:, 1], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", [G.SparseBall(n=64, k=4, radius=1.0),
+                                  G.EuclideanBall(n=16, radius=1.0)], ids=["sparse", "ball"])
+def test_cap_behind_is_the_cap_ahead_of_the_reversed_ray(spec):
+    # bit for bit: the cap behind along u is the cap ahead along -u
+    rng = np.random.default_rng(30)
+    xs = np.array([G.sample_point(spec, rng) for _ in range(500)])
+    us = rng.standard_normal(xs.shape)
+    us /= np.sqrt(np.vecdot(us, us))[:, None]
+    caps, reversed_caps = X._radial_caps(xs, us, 1.0), X._radial_caps(xs, -us, 1.0)
+    assert np.all(caps > 0.0)
+    assert np.array_equal(caps[::-1].view(np.uint64), reversed_caps.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
@@ -312,17 +422,9 @@ def test_consistent_radius_is_tight(kind, m):
 
     spec = G.SparseBall(n=64, k=4, radius=1.0)
     qmap = Q.make_map(E.make_ensemble(kind), m, 64, 0.5, m)
-    rng = np.random.default_rng(m)
-    anchors, dirs, caps = [], [], []
-    for j in range(10):
-        x, support = G.sparse_ball_point(spec, rng)
-        u = X._direction_for(spec, x, support, 1.0, rng)
-        anchors.append(x)
-        dirs.append(u)
-        # every other ray gets short caps, which bind at small m
-        caps.append((X._radial_cap(x, u, 1.0), X._radial_cap(x, -u, 1.0)) if j % 2
-                    else (1e-3, 1e-3))
-    anchors, dirs, caps = np.array(anchors).T, np.array(dirs).T, np.array(caps).T
+    fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=10), np.random.default_rng(m))
+    anchors, dirs, caps = _dense(fold.anchors), _dense(fold.dirs), fold.radii.copy()
+    caps[:, ::2] = 1e-3  # every other ray gets short caps, which bind at small m
     radii = X._chord_radii(qmap.project_many(anchors), qmap.phi @ dirs, caps, qmap.delta)
     codes = Q.apply_many(qmap, anchors)
     for end, sign in enumerate((1.0, -1.0)):
@@ -393,16 +495,10 @@ def test_ray_radii_blocked_equals_whole(kind):
     ens = E.make_ensemble(kind)
     spec = G.SparseBall(n=n, k=4, radius=1.0)
     qmap = Q.make_map(ens, m, n, 0.5, 7)
-    rng = np.random.default_rng(7)
-    anchors, dirs, caps = np.empty((n, rays)), np.empty((n, rays)), np.empty((2, rays))
-    supports = []
-    for j in range(rays):
-        anchors[:, j], support = G.sparse_ball_point(spec, rng)
-        dirs[:, j] = X._direction_for(spec, anchors[:, j], support, 1.0, rng)
-        caps[:, j] = [X._radial_cap(anchors[:, j], sign * dirs[:, j], 1.0) for sign in (1, -1)]
-        supports.append(support)
-    sparse = X._batch(spec, anchors, supports), X._batch(spec, dirs, supports)
-    for xs, us in (sparse, (anchors, dirs)):
+    rays_fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=rays),
+                                     np.random.default_rng(7))
+    sparse, caps = (rays_fold.anchors, rays_fold.dirs), rays_fold.radii
+    for xs, us in (sparse, tuple(map(_dense, sparse))):
         whole = X._chord_radii(qmap.project_many(xs), Q.product(qmap.phi, us), caps, qmap.delta)
         assert np.all(whole < caps)
         for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):

@@ -38,6 +38,8 @@ DEFECTS = {
     # only the anchors carry the dither: Phi u + xi is no direction
     "directions-take-the-dither":
         (X._Rays, "step", "product(block.phi, self.dirs)", "block.project_many(self.dirs)"),
+    # the cap behind along u read as the cap ahead
+    "cap-behind-is-the-cap-ahead": (X, "_radial_caps", "root + xu", "root - xu"),
     "row-blocks-drop-the-partial-block":
         (E, "_row_blocks", "range(0, m, rows)", "range(0, m - m % rows, rows)"),
     # the sweeps call map_blocks through experiments' own binding of it
@@ -126,6 +128,17 @@ ROWS = [
     ("directions-take-the-dither",
      test_experiments.test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set,
      (G.SparseBall(n=64, k=4, radius=1.0), 16, 1e-12)),
+    ("cap-behind-is-the-cap-ahead",
+     test_experiments.test_ray_rows_equal_the_rays_drawn_one_at_a_time,
+     (G.SparseBall(n=64, k=4, radius=1.0), 1.0)),
+    ("cap-behind-is-the-cap-ahead",
+     test_experiments.test_ray_rows_equal_the_rays_drawn_one_at_a_time,
+     (G.LowRankBall(n1=8, n2=8, r=2, radius=1.0), 3.0)),
+    ("cap-behind-is-the-cap-ahead",
+     test_experiments.test_radial_caps_at_the_sphere_without_a_warning, ()),
+    ("cap-behind-is-the-cap-ahead",
+     test_experiments.test_cap_behind_is_the_cap_ahead_of_the_reversed_ray,
+     (G.EuclideanBall(n=16, radius=1.0),)),
     ("row-blocks-drop-the-partial-block", test_distances.test_pair_distances_blocked_equals_whole,
      ("gaussian",)),
     ("row-blocks-drop-the-partial-block", test_experiments.test_ray_radii_blocked_equals_whole,
