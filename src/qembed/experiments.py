@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -146,6 +147,26 @@ def _batch(spec: SetSpec, xs: np.ndarray, supports):
     return SparseColumns(rows, xs[rows, np.arange(xs.shape[1])], xs.shape[0])
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or os.cpu_count()
+    where the platform keeps none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drawn_ahead(blocks, helpers: ThreadPoolExecutor):
+    """The blocks in order, each drawn on a helper thread while the caller
+    folds the one before it. A draw is submitted only once the one before it
+    has returned, so one thread at a time advances blocks and every block
+    keeps its bits."""
+    drawn = helpers.submit(next, blocks, None)
+    while (block := drawn.result()) is not None:
+        drawn = helpers.submit(next, blocks, None)
+        yield block
+
+
 def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult]:
     """Each statistic's result, by experiment, from one trial per (m, trial)
     task: rows, per-m fit points and the log-log fit.
@@ -155,10 +176,17 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     pairs or rays from a Generator of its own on the sample seed and returns
     a fold over the map's row blocks: it projects fold.columns vectors,
     fold.step(block) folds in one sub-map and returns False once no later
-    block can change the statistic, and fold.finish() gives it. The map is
-    drawn once, in blocks of block_rows(n, the most columns) rows, until no
-    fold can change. A statistic <= 0 is censored: it stays out of the fit
-    points. A slope band on a grid too short to fit is a usage error.
+    block can change the statistic (never, unless fold.may_stop), and
+    fold.finish() gives it. The map is drawn once, in blocks of
+    block_rows(n, the most columns) rows, until no fold can change. A
+    statistic <= 0 is censored: it stays out of the fit points. A slope band
+    on a grid too short to fit is a usage error.
+
+    jobs trials run at once. When no fold of a trial may stop and the CPUs
+    number at least twice the workers, a helper thread draws each trial's
+    next block while the trial folds the current one (_drawn_ahead), so a
+    sweep may hold two blocks of Phi per worker. Neither changes an output;
+    every helper is joined before the sweep returns or raises.
     """
     if any(band is not None for *_, band in statistics) and len(plan.m_grid) < MIN_FIT_POINTS:
         raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
@@ -170,8 +198,11 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
         map_seed, sample_seed = ss.spawn(2)
         folds = [start(plan, np.random.default_rng(sample_seed)) for _, start, _ in statistics]
         columns = max(fold.columns for fold in folds)
+        blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns))
+        if draw_ahead and not any(fold.may_stop for fold in folds):
+            blocks = _drawn_ahead(blocks, helpers)
         changing = folds
-        for block in map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns)):
+        for block in blocks:
             changing = [fold for fold in changing if fold.step(block)]
             if not changing:
                 break
@@ -180,11 +211,15 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     if jobs < 1:
         raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
-    if jobs == 1:
-        trials = [one(*task) for task in tasks]
-    else:  # pool.map keeps the order of the tasks, whatever the workers
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(lambda task: one(*task), tasks))
+    workers = max(1, min(jobs, len(tasks)))
+    # drawing ahead pays only on an idle CPU: on busy ones it slows the folds
+    draw_ahead = 2 * workers <= _cpus()
+    with ThreadPoolExecutor(max_workers=workers) as helpers:
+        if jobs == 1:
+            trials = [one(*task) for task in tasks]
+        else:  # pool.map keeps the order of the tasks, whatever the workers
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                trials = list(pool.map(lambda task: one(*task), tasks))
     results = {}
     for i, (experiment, _, slope_band) in enumerate(statistics):
         rows = [TrialRow(experiment, m, t, stats[i], stats[i] <= 0, fingerprint)
@@ -213,6 +248,8 @@ class _Distortion:
     """The distortion statistic's fold: on pairs_per_m filtered pairs, each
     pair's code difference summed over the rows so far (pair_counts), then the
     largest |D - sqrt(2/pi) ||x - y||| / (||x - y|| + delta), less the allowance."""
+
+    may_stop = False
 
     def __init__(self, plan: TrialPlan, rng):
         pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng)
@@ -300,6 +337,8 @@ class _Rays:
     width is the longest chord, r ahead + r behind. The anchors are projected
     with the dither and the directions without it."""
 
+    may_stop = False
+
     def __init__(self, anchors, dirs, caps: np.ndarray):
         self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, caps.shape[1]
 
@@ -333,6 +372,8 @@ class _SharedCodes:
     row so far. Once every point is alone no later row can merge two, so the
     fold stops at width 0; else the width is the largest k0-filtered distance
     within a group."""
+
+    may_stop = True
 
     def __init__(self, points: np.ndarray, k0: float):
         self.points, self.k0, self.columns = points, k0, len(points)

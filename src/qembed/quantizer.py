@@ -184,8 +184,10 @@ def map_blocks(ensemble: Ensemble, m: int, n: int, delta: float, seed, rows: int
 
     Each block of Phi is drawn only when the next sub-map is asked for, so a
     caller that reduces over rows (every row is quantized on its own) holds
-    one block of Phi and xi, never all M rows. Each block's dither is the next
-    slice of the whole dither, drawn by dither from one Generator.
+    one block of Phi and xi, never all M rows; a sweep that asks for the next
+    block while it folds the current one (experiments._drawn_ahead) holds
+    two. Each block's dither is the next slice of the whole dither, drawn by
+    dither from one Generator.
     """
     mat_seed, dither_seed = as_seedseq(seed).spawn(2)
     rng = np.random.default_rng(dither_seed)

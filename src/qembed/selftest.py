@@ -315,7 +315,9 @@ def criterion_13(seed: int, scale: str = FULL) -> CriterionResult:
 
 
 def criterion_14(seed: int, scale: str = FULL) -> CriterionResult:
-    """Worker-count independence: paired decay sweep CSVs agree for jobs 1 vs 8."""
+    """Worker-count independence: paired decay sweep CSVs agree for jobs 1 vs 8.
+    On 2 to 15 CPUs the jobs-1 run draws each next block ahead and the jobs-8
+    run does not (experiments._sweep), so this also checks the draw-ahead."""
     bands = dict.fromkeys(experiments.STATISTICS)
     csv_1, csv_8 = ([experiments.rows_to_csv(res.rows) for res in
                      experiments.decay_sweeps(_embed_plan(seed, QUICK), bands, jobs).values()]

@@ -509,6 +509,58 @@ def test_sweep_writes_byte_identical_csvs_across_jobs(tmp_path, capsys):
     assert all(len(line.split()) == 2 for line in dat.strip().splitlines())
 
 
+# each set with an M grid whose largest map spans several blocks for every fold
+DRAW_AHEAD_SETS = [("sparse:N=512,K=4,d=1", "64,300,700"),
+                   ("lowrank:n1=16,n2=16,r=2,d=1", "64,300,1200"),
+                   ("mesh:N=3,h=0.3", "64,2000,9000")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("which", ["quasi-isometry", "consistency-width"])
+def test_sweep_outputs_do_not_depend_on_the_draw_ahead(which, jobs, tmp_path, capsys,
+                                                       monkeypatch):
+    from qembed import experiments
+
+    for i, (spec, grid) in enumerate(DRAW_AHEAD_SETS):
+        # consistency-width measures every point of a mesh: no --pairs there
+        pairs = [] if (which, spec[:4]) == ("consistency-width", "mesh") else ["--pairs", "8"]
+        argv = [which, "--set", spec, "--m-grid", grid, "--trials", "2", "--seed", "4",
+                "--jobs", jobs, *pairs]
+        files = []
+        for cpus in (1, 64):  # draws on demand, then ahead
+            monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+            out = tmp_path / f"{i}-{cpus}"
+            code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+            assert code == 0
+            files.append(_files(out))
+        assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_a_fold_that_fails_mid_map_exits_as_before(cpus, tmp_path, capsys, monkeypatch):
+    # an InvalidArgument from the second block's fold exits 2 whether the
+    # block was drawn ahead or not, and leaves no helper thread running
+    import threading
+
+    from qembed import experiments
+
+    monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+    step = experiments._Distortion.step
+
+    def failing(self, block):
+        if self.m:
+            raise experiments.InvalidArgument("fold failed mid-map")
+        return step(self, block)
+
+    monkeypatch.setattr(experiments._Distortion, "step", failing)
+    before = threading.active_count()
+    code, _, err = run_cli(["quasi-isometry", "--set", "sparse:N=32,K=4,d=1", "--m-grid",
+                            "16,6000", "--pairs", "24", "--jobs", "2",
+                            "--out", str(tmp_path)], capsys)
+    assert (code, err) == (2, "error: fold failed mid-map\n")
+    assert threading.active_count() == before
+
+
 def _record_opens(monkeypatch) -> list:
     """Wrap os.open, as cli calls it, to record the (path, flags) of each call."""
     calls = []

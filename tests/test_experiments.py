@@ -619,6 +619,78 @@ def test_shared_code_widths_stops_once_every_point_is_alone(monkeypatch):
     assert all(r.censored and repr(r.statistic) == "0.0" for r in res.rows)
 
 
+def _draw_ahead(monkeypatch, on: bool):
+    """Forces _sweep's draw-ahead on or off through the CPU count its rule reads."""
+    monkeypatch.setattr(X, "_cpus", lambda: 64 if on else 1)
+
+
+# each set with an M grid whose largest map spans several blocks for every fold
+DRAW_AHEAD_PLANS = {
+    "sparse": (G.SparseBall(n=512, k=4, radius=1.0), (64, 300, 700)),
+    "lowrank": (G.LowRankBall(n1=16, n2=16, r=2, radius=1.0), (64, 300, 1200)),
+    "mesh": (G.ball_mesh(3, 0.3), (64, 2000, 9000)),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", list(DRAW_AHEAD_PLANS))
+def test_drawing_ahead_keeps_every_row(kind, jobs, monkeypatch):
+    # the paired sweep (on a mesh the finite-set fold may stop, so it draws on
+    # demand) and the distortion sweep alone, which draws ahead on every set
+    spec, grid = DRAW_AHEAD_PLANS[kind]
+    plan = _plan(set_spec=spec, m_grid=grid, pairs_per_m=8, trials_per_m=2)
+    rows = {}
+    for on in (False, True):
+        _draw_ahead(monkeypatch, on)
+        rows[on] = [X.rows_to_csv(res.rows) for bands in
+                    (dict.fromkeys(X.STATISTICS), {"quasi-isometry": None})
+                    for res in X.decay_sweeps(plan, bands, jobs).values()]
+    assert rows[True] == rows[False]
+
+
+@pytest.mark.parametrize("sweep", [X.quasi_isometry_sweep, X.consistency_width_sweep])
+def test_sweep_drawing_ahead_holds_one_block_of_phi(sweep, monkeypatch):
+    # the block drawn ahead fits under the same bound
+    _draw_ahead(monkeypatch, True)
+    test_sweep_holds_one_block_of_phi(sweep)
+
+
+def test_finite_refinement_beside_a_draw_ahead_stops_once_every_point_is_alone(monkeypatch):
+    _draw_ahead(monkeypatch, True)
+    test_shared_code_widths_stops_once_every_point_is_alone(monkeypatch)
+
+
+class _FoldFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_helper_thread_outlives_its_sweep(on, jobs, monkeypatch):
+    # a sweep that ends, one whose finite-set fold stops early, and one whose
+    # fold raises on the second block of a map: the same exception each way
+    import threading
+
+    _draw_ahead(monkeypatch, on)
+    before = threading.active_count()
+    X.decay_sweeps(_plan(m_grid=(16, 6000), trials_per_m=2), dict.fromkeys(X.STATISTICS), jobs)
+    assert threading.active_count() == before
+    mesh = _plan(set_spec=G.ball_mesh(3, 0.3), m_grid=(16, 4096), trials_per_m=2)
+    assert X.consistency_width_sweep(mesh, jobs=jobs).censored_total == 4
+    assert threading.active_count() == before
+    step = X._Distortion.step
+
+    def failing(self, block):
+        if self.m:
+            raise _FoldFailed("mid-map")
+        return step(self, block)
+
+    monkeypatch.setattr(X._Distortion, "step", failing)
+    with pytest.raises(_FoldFailed, match="mid-map"):
+        X.quasi_isometry_sweep(_plan(m_grid=(16, 6000), trials_per_m=2), jobs=jobs)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("m, radius", [(4096, 1.0), (2, 0.02)])
 def test_finite_sweep_holds_one_block_of_codes(m, radius):
     # 400 points in R^64: at M = 4096 the codes are drawn block by block and

@@ -49,9 +49,13 @@ DEFECTS = {
     # the sweep's one block loop feeds the finite-set label refinement
     "finite-refinement-drops-the-last-block":
         (X, "_sweep",
-         "map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns)):",
-         "list(map_blocks(plan.ensemble, m, n, plan.delta, map_seed,"
-         " block_rows(n, columns)))[:-1]:"),
+         "map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns))",
+         "iter(list(map_blocks(plan.ensemble, m, n, plan.delta, map_seed,"
+         " block_rows(n, columns)))[:-1])"),
+    # the fold waits for the block being drawn, so it never sees the first
+    # block and sees the last one twice
+    "draw-ahead-hands-the-block-being-drawn":
+        (X, "_drawn_ahead", "yield block", "yield drawn.result() or block"),
     "both-statistics-share-one-generator":
         (X, "_sweep", "start(plan, np.random.default_rng(sample_seed)) for",
          "start(plan, rng) for rng in [np.random.default_rng(sample_seed)] for"),
@@ -153,6 +157,9 @@ ROWS = [
      test_experiments.test_finite_sweep_holds_one_block_of_codes, (4096, 1.0)),
     ("finite-refinement-drops-the-last-block",
      test_experiments.test_shared_code_widths_streamed_equals_whole, (1.0,)),
+    *[("draw-ahead-hands-the-block-being-drawn",
+       test_experiments.test_drawing_ahead_keeps_every_row, (kind, 1))
+      for kind in test_experiments.DRAW_AHEAD_PLANS],
     ("enumerator-ignores-the-block-budget",
      test_distances.test_enumerator_stays_within_the_block_budget, ()),
     ("width-search-compares-256-points-at-once",
