@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .ensembles import Ensemble, InvalidArgument, block_rows
-from .quantizer import QuantizedMap, apply_many, as_batch, map_blocks
+from .quantizer import QuantizedMap, Workspace, apply_many, as_batch, lend, map_blocks
 
 
 def soft_count_array(a, b, t, delta: float) -> np.ndarray:
@@ -71,18 +71,22 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     return out
 
 
-def pair_counts(block: QuantizedMap, xs, t=None) -> np.ndarray:
+def pair_counts(block: QuantizedMap, xs, t=None, work: Workspace | None = None) -> np.ndarray:
     """The one per-row count that every D and D^t sums: for each row of the
     sub-map `block` and each pair of columns x0, y0, x1, y1, ... of xs,
     |code difference|, shape (rows, pairs), or given t, the soft count at each
     of its values, shape t.shape + (rows, pairs). xs may be SparseColumns,
-    which the block projects through its slots (see quantizer.product)."""
+    which the block projects through its slots (see quantizer.product). The
+    code difference, its projection and its codes are lent by work
+    (quantizer.lend), so a caller that folds many blocks allocates them once."""
     xs = as_batch(xs)
     if xs.ndim != 2 or xs.shape[1] % 2:
         raise InvalidArgument(f"expected pairs of columns, shape (n, 2 * pairs), got {xs.shape}")
     if t is None:
-        codes = apply_many(block, xs)
-        return np.abs(codes[:, 0::2] - codes[:, 1::2])
+        codes = apply_many(block, xs, work)
+        diff = lend(work, "diff", (len(codes), xs.shape[1] // 2), np.int64)
+        np.subtract(codes[:, 0::2], codes[:, 1::2], out=diff)
+        return np.abs(diff, out=diff)
     z = block.project_many(xs)
     return soft_count_array(z[:, 0::2], z[:, 1::2], np.expand_dims(t, (-2, -1)), block.delta)
 

@@ -13,9 +13,10 @@ import io
 import csv
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,15 +44,21 @@ from .geometry import (
     diameter,
     sample_point,
     sparse_ball_point,
+    sparse_ball_slots,
 )
-from .quantizer import SparseColumns, apply_many, map_blocks, product, quantize_array
+from .quantizer import SparseColumns, Workspace, apply_many, map_blocks, product, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
+# a sweep's pairs and rays are drawn until they pass the k0 filter; it runs
+# only where the filter passes at least 1 in MAX_FILTER_DRAWS draws, a share
+# that is exact where it is known and else estimated from RATE_DRAWS draws
+MAX_FILTER_DRAWS = 1000
+RATE_DRAWS = 4000
 
 
 class SetFilterError(RuntimeError):
-    """The anti-sparsity filter rejected every sampled pair."""
+    """The anti-sparsity filter passes too few of a plan's pairs or rays."""
 
 
 @dataclass(frozen=True)
@@ -122,14 +129,40 @@ def _point_and_support(spec: SetSpec, rng):
     return sample_point(spec, rng), None
 
 
+def _pair_draw(spec: SetSpec, k0: float, rng):
+    """Points x, y of the set, whether their difference passes the
+    anti-sparsity filter, and its norm. On a sparse ball a point is its slots
+    (support, values) from sparse_ball_slots, and the dense difference is
+    built from them with the bits of subtracting the dense points; its norm
+    is np.linalg.norm's formula sqrt(d . d)."""
+    point = sparse_ball_slots if isinstance(spec, SparseBall) else sample_point
+    x, y = point(spec, rng), point(spec, rng)
+    if isinstance(spec, SparseBall):
+        d = np.zeros(spec.n)
+        d[x[0]] = x[1]
+        d[y[0]] -= y[1]
+    else:
+        d = x - y
+    return x, y, anti_sparse(d, k0), math.sqrt(d.dot(d))
+
+
 def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     """Points x, y of the set whose difference passes the anti-sparsity
-    filter, and their supports on a sparse ball (None on other sets)."""
-    for _ in range(200):
-        (x, sx), (y, sy) = _point_and_support(spec, rng), _point_and_support(spec, rng)
-        if anti_sparse(x - y, k0):
-            return x, y, sx, sy
-    raise SetFilterError(f"no pair passed the k0={k0} anti-sparsity filter")
+    filter, drawn until a pair passes (decay_sweeps has checked that pairs
+    do), and the difference's norm."""
+    while True:
+        x, y, passes, dist = _pair_draw(spec, k0, rng)
+        if passes:
+            return x, y, dist
+
+
+def _slot_columns(supports, values, n: int) -> SparseColumns:
+    """Columns given by their (count, K) slots as SparseColumns, each
+    column's rows sorted with their values: the order in which csc_array of
+    the dense columns would sum them (see _batch)."""
+    order = np.argsort(supports, axis=1)
+    return SparseColumns(np.take_along_axis(supports, order, axis=1).T,
+                         np.take_along_axis(values, order, axis=1).T, n)
 
 
 def _batch(spec: SetSpec, xs: np.ndarray, supports):
@@ -143,8 +176,18 @@ def _batch(spec: SetSpec, xs: np.ndarray, supports):
     threshold."""
     if not isinstance(spec, SparseBall):
         return np.ascontiguousarray(xs)
-    rows = np.sort(supports, axis=1).T
-    return SparseColumns(rows, xs[rows, np.arange(xs.shape[1])], xs.shape[0])
+    supports = np.asarray(supports)
+    return _slot_columns(supports, xs[supports, np.arange(xs.shape[1])[:, None]], xs.shape[0])
+
+
+def _pairs_batch(spec: SetSpec, points):
+    """The batch of pair points x0, y0, x1, y1, ... (see _pair_draw) as
+    columns: as _batch would build it from the dense points, but on a sparse
+    ball straight from their slots."""
+    if not isinstance(spec, SparseBall):
+        return np.column_stack(points)
+    supports, values = map(np.array, zip(*points))
+    return _slot_columns(supports, values, spec.n)
 
 
 def _cpus() -> int:
@@ -158,49 +201,71 @@ def _cpus() -> int:
 
 def _drawn_ahead(blocks, helpers: ThreadPoolExecutor):
     """The blocks in order, each drawn on a helper thread while the caller
-    folds the one before it. A draw is submitted only once the one before it
-    has returned, so one thread at a time advances blocks and every block
-    keeps its bits."""
+    folds the one before it; the first is submitted before this returns, so
+    it is drawn while the caller prepares its folds. A draw is submitted only
+    once the one before it has returned, so one thread at a time advances
+    blocks and every block keeps its bits."""
     drawn = helpers.submit(next, blocks, None)
-    while (block := drawn.result()) is not None:
-        drawn = helpers.submit(next, blocks, None)
-        yield block
+
+    def handed():
+        nonlocal drawn
+        while (block := drawn.result()) is not None:
+            drawn = helpers.submit(next, blocks, None)
+            yield block
+
+    return handed()
+
+
+class _Statistic(NamedTuple):
+    """A decay statistic of _sweep. start(plan, rng, work) draws a trial's
+    pairs or rays from rng and returns their fold, which may lend its arrays
+    from the workspace work (quantizer.lend); projects(plan) gives, from the
+    plan alone, the columns that fold projects and whether it may stop."""
+
+    start: Callable
+    projects: Callable
 
 
 def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult]:
     """Each statistic's result, by experiment, from one trial per (m, trial)
     task: rows, per-m fit points and the log-log fit.
 
-    statistics are (experiment, start, slope band) triples. A trial splits
-    its seed into a map seed and a sample seed. Each start(plan, rng) draws
-    pairs or rays from a Generator of its own on the sample seed and returns
-    a fold over the map's row blocks: it projects fold.columns vectors,
-    fold.step(block) folds in one sub-map and returns False once no later
-    block can change the statistic (never, unless fold.may_stop), and
-    fold.finish() gives it. The map is drawn once, in blocks of
-    block_rows(n, the most columns) rows, until no fold can change. A
-    statistic <= 0 is censored: it stays out of the fit points. A slope band
-    on a grid too short to fit is a usage error.
+    statistics are (experiment, _Statistic, slope band) triples. A trial
+    splits its seed into a map seed and a sample seed. Each start draws pairs
+    or rays from a Generator of its own on the sample seed and returns a fold
+    over the map's row blocks: fold.step(block) folds in one sub-map and
+    returns False once no later block can change the statistic (never,
+    unless projects says the fold may stop), and fold.finish() gives it. The
+    map is drawn once, in blocks of block_rows(n, the most columns) rows,
+    until no fold can change. A statistic <= 0 is censored: it stays out of
+    the fit points. A slope band on a grid too short to fit is a usage error.
 
-    jobs trials run at once. When no fold of a trial may stop and the CPUs
-    number at least twice the workers, a helper thread draws each trial's
-    next block while the trial folds the current one (_drawn_ahead), so a
-    sweep may hold two blocks of Phi per worker. Neither changes an output;
-    every helper is joined before the sweep returns or raises.
+    jobs trials run at once, each worker with one Workspace that its trials'
+    folds reuse. When no fold may stop and the CPUs number at least twice the
+    workers, a helper thread draws each trial's next block while the trial
+    folds the current one, and its first block while the folds draw their
+    pairs or rays (_drawn_ahead), so a sweep may hold two blocks of Phi per
+    worker. Neither changes an output; every helper is joined before the
+    sweep returns or raises.
     """
     if any(band is not None for *_, band in statistics) and len(plan.m_grid) < MIN_FIT_POINTS:
         raise InvalidArgument(f"a slope band needs at least {MIN_FIT_POINTS} M values to fit, "
                               f"got {len(plan.m_grid)}")
     n = ambient_dim(plan.set_spec)
+    columns, stops = zip(*(stat.projects(plan) for _, stat, _ in statistics))
+    rows = block_rows(n, max(columns))
+    workspaces = threading.local()  # one per worker thread, for this sweep alone
 
     def one(m_index: int, m: int, trial: int):
         ss = np.random.SeedSequence(plan.master_seed, spawn_key=(m_index, trial))
         map_seed, sample_seed = ss.spawn(2)
-        folds = [start(plan, np.random.default_rng(sample_seed)) for _, start, _ in statistics]
-        columns = max(fold.columns for fold in folds)
-        blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns))
-        if draw_ahead and not any(fold.may_stop for fold in folds):
+        blocks = map_blocks(plan.ensemble, m, n, plan.delta, map_seed, rows)
+        if draw_ahead:
             blocks = _drawn_ahead(blocks, helpers)
+        if not hasattr(workspaces, "work"):
+            workspaces.work = Workspace()
+        folds = [stat.start(plan, np.random.default_rng(sample_seed), workspaces.work)
+                 for _, stat, _ in statistics]
         changing = folds
         for block in blocks:
             changing = [fold for fold in changing if fold.step(block)]
@@ -213,7 +278,7 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     tasks = [(mi, m, t) for mi, m in enumerate(plan.m_grid) for t in range(plan.trials_per_m)]
     workers = max(1, min(jobs, len(tasks)))
     # drawing ahead pays only on an idle CPU: on busy ones it slows the folds
-    draw_ahead = 2 * workers <= _cpus()
+    draw_ahead = 2 * workers <= _cpus() and not any(stops)
     with ThreadPoolExecutor(max_workers=workers) as helpers:
         if jobs == 1:
             trials = [one(*task) for task in tasks]
@@ -246,22 +311,20 @@ def _allowance(plan: TrialPlan) -> float:
 
 class _Distortion:
     """The distortion statistic's fold: on pairs_per_m filtered pairs, each
-    pair's code difference summed over the rows so far (pair_counts), then the
-    largest |D - sqrt(2/pi) ||x - y||| / (||x - y|| + delta), less the allowance."""
+    pair's code difference summed over the rows so far (pair_counts, with its
+    arrays lent by work), then the largest
+    |D - sqrt(2/pi) ||x - y||| / (||x - y|| + delta), less the allowance."""
 
-    may_stop = False
-
-    def __init__(self, plan: TrialPlan, rng):
+    def __init__(self, plan: TrialPlan, rng, work: Optional[Workspace] = None):
         pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng)
                  for _ in range(plan.pairs_per_m)]
-        xs = np.column_stack([v for x, y, _, _ in pairs for v in (x, y)])
-        self.dists = np.array([np.linalg.norm(x - y) for x, y, _, _ in pairs])
-        self.batch = _batch(plan.set_spec, xs, [s for *_, sx, sy in pairs for s in (sx, sy)])
-        self.delta, self.allowance, self.columns = plan.delta, _allowance(plan), xs.shape[1]
+        self.dists = np.array([dist for *_, dist in pairs])
+        self.batch = _pairs_batch(plan.set_spec, [p for x, y, _ in pairs for p in (x, y)])
+        self.delta, self.allowance, self.work = plan.delta, _allowance(plan), work
         self.counts = self.m = 0
 
     def step(self, block) -> bool:
-        self.counts = self.counts + pair_counts(block, self.batch).sum(axis=0)
+        self.counts = self.counts + pair_counts(block, self.batch, work=self.work).sum(axis=0)
         self.m += block.m
         return True
 
@@ -270,23 +333,27 @@ class _Distortion:
         return float(np.max(errs / (self.dists + self.delta))) - self.allowance
 
 
+def _direction_draw(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
+    """Writes into u (zeros on a sparse ball) one draw of a direction with
+    x + r*u in the set for small r > 0, not yet of unit norm, and returns
+    whether it passes the anti-sparsity filter; on a sparse ball it lies on
+    x's drawn support (see _point_and_support), in sorted order."""
+    if isinstance(spec, SparseBall):
+        u[np.sort(support)] = rng.standard_normal(spec.k)
+    elif isinstance(spec, LowRankBall):
+        mat = x.reshape(spec.n1, spec.n2)
+        uu, _, _ = np.linalg.svd(mat, full_matrices=False)
+        u[:] = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
+    else:
+        rng.standard_normal(out=u)
+    return anti_sparse(u, k0)
+
+
 def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
-    """Writes into u (zeros on a sparse ball) a direction that passes the
-    anti-sparsity filter with x + r*u in the set for small r > 0, not yet of
-    unit norm; on a sparse ball it lies on x's drawn support (see
-    _point_and_support), in sorted order."""
-    for _ in range(100):
-        if isinstance(spec, SparseBall):
-            u[np.sort(support)] = rng.standard_normal(spec.k)
-        elif isinstance(spec, LowRankBall):
-            mat = x.reshape(spec.n1, spec.n2)
-            uu, _, _ = np.linalg.svd(mat, full_matrices=False)
-            u[:] = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
-        else:
-            rng.standard_normal(out=u)
-        if anti_sparse(u, k0):
-            return
-    raise SetFilterError(f"no direction passed the k0={k0} anti-sparsity filter")
+    """Writes into u the first of _direction_draw's directions that passes
+    the filter (decay_sweeps has checked that directions do)."""
+    while not _direction_draw(spec, x, support, k0, rng, u):
+        pass
 
 
 def _radial_caps(xs: np.ndarray, us: np.ndarray, radius: float) -> np.ndarray:
@@ -337,8 +404,6 @@ class _Rays:
     width is the longest chord, r ahead + r behind. The anchors are projected
     with the dither and the directions without it."""
 
-    may_stop = False
-
     def __init__(self, anchors, dirs, caps: np.ndarray):
         self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, caps.shape[1]
 
@@ -373,10 +438,8 @@ class _SharedCodes:
     fold stops at width 0; else the width is the largest k0-filtered distance
     within a group."""
 
-    may_stop = True
-
     def __init__(self, points: np.ndarray, k0: float):
-        self.points, self.k0, self.columns = points, k0, len(points)
+        self.points, self.k0 = points, k0
         self.label = np.zeros(len(points), dtype=np.int64)
 
     def step(self, block) -> bool:
@@ -408,16 +471,66 @@ def _consistency_width(plan: TrialPlan, rng):
                  _radial_caps(anchors, dirs, diameter(spec)))
 
 
-# the decay sweeps by experiment name, each with the start of its statistic's fold
-STATISTICS = {"quasi-isometry": _Distortion, "consistency-width": _consistency_width}
+def _width_projects(plan: TrialPlan) -> tuple[int, bool]:
+    """A finite set's points, which its fold may stop refining, or the rays."""
+    if isinstance(plan.set_spec, FiniteSet):
+        return len(plan.set_spec.points), True
+    return plan.pairs_per_m, False
+
+
+# the decay sweeps by experiment name
+STATISTICS = {
+    "quasi-isometry": _Statistic(_Distortion, lambda plan: (2 * plan.pairs_per_m, False)),
+    "consistency-width": _Statistic(lambda plan, rng, work: _consistency_width(plan, rng),
+                                    _width_projects),
+}
+
+
+def _check_filter(plan: TrialPlan, what: str, nonzeros: int, passes) -> None:
+    """SetFilterError unless the k0 filter passes at least 1 in
+    MAX_FILTER_DRAWS of the plan's `what` draws, so that each can be drawn
+    until it passes. At k0 <= 1 every nonzero vector passes: the share is 1
+    off a finite set, where a draw is nonzero almost surely, and for a
+    finite set's pairs the share of ordered pairs of unequal points. It is 0
+    where k0 exceeds the `nonzeros` a draw can have at most
+    (||u||^2 <= nnz(u) ||u||_inf^2), and else the share of RATE_DRAWS calls
+    passes(rng) that return True, on a seed of the plan's own."""
+    spec = plan.set_spec
+    if plan.k0 > nonzeros:
+        rate = 0.0
+    elif plan.k0 > 1.0:
+        # a one-word spawn key: no trial's (m index, trial) key
+        rng = np.random.default_rng(np.random.SeedSequence(plan.master_seed, spawn_key=(0,)))
+        rate = sum(passes(rng) for _ in range(RATE_DRAWS)) / RATE_DRAWS
+    elif isinstance(spec, FiniteSet):
+        _, counts = np.unique(spec.points, axis=0, return_counts=True)
+        rate = 1.0 - float(np.sum((counts / len(spec.points)) ** 2))
+    else:
+        return
+    if rate * MAX_FILTER_DRAWS < 1.0:
+        raise SetFilterError(
+            f"the k0={plan.k0:g} anti-sparsity filter passes {rate:.3g} of the {what} draws, "
+            f"fewer than 1 in {MAX_FILTER_DRAWS}; lower k0 (--k0)")
 
 
 def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str, ExperimentResult]:
     """The sweeps named by slope_bands, each against its band (None: no verdict),
     from one draw of each trial's map (see _sweep). A positive allowance that
-    censors every distortion trial makes the plan vacuous: InvalidArgument."""
-    if "consistency-width" in slope_bands and diameter(plan.set_spec) > 1.0 + 1e-9:
+    censors every distortion trial makes the plan vacuous: InvalidArgument,
+    and one whose pairs or directions the k0 filter passes too rarely
+    SetFilterError, before any trial runs (_check_filter)."""
+    spec, n = plan.set_spec, ambient_dim(plan.set_spec)
+    sparse = isinstance(spec, SparseBall)
+    if "consistency-width" in slope_bands and diameter(spec) > 1.0 + 1e-9:
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
+    if "quasi-isometry" in slope_bands:  # two K-sparse points differ on at most 2K coordinates
+        _check_filter(plan, "pair", min(2 * spec.k, n) if sparse else n,
+                      lambda rng: _pair_draw(spec, plan.k0, rng)[2])
+    if "consistency-width" in slope_bands and not isinstance(spec, FiniteSet):
+        # each direction drawn for an anchor of its own
+        _check_filter(plan, "direction", spec.k if sparse else n,
+                      lambda rng: _direction_draw(spec, *_point_and_support(spec, rng), plan.k0,
+                                                  rng, np.zeros(n)))
     results = _sweep(plan, [(name, STATISTICS[name], band) for name, band in slope_bands.items()],
                      jobs)
     qi = results.get("quasi-isometry")

@@ -123,19 +123,27 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
     raise InvalidArgument(f"unknown set spec: {spec!r}")
 
 
-def sparse_ball_point(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
-    """sample_point on a sparse ball together with the K indices it drew as
-    the support, in draw order: the point can be nonzero only there."""
+def sparse_ball_slots(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A point of a sparse ball as its K slots: the indices it drew as the
+    support, in draw order, and its coefficients there (the point is zero
+    elsewhere). sparse_ball_point is the same draw as a dense vector."""
     rng = np.random.default_rng(seed)
     support = rng.choice(spec.n, size=spec.k, replace=False)
     coeffs = rng.standard_normal(spec.k)
-    norm = np.linalg.norm(coeffs)
+    norm = math.sqrt(coeffs.dot(coeffs))  # np.linalg.norm's own formula, without its overhead
     if norm == 0.0:
         coeffs[0] = 1.0
         norm = 1.0
     target = spec.radius * rng.random()
+    return support, coeffs * (target / norm)
+
+
+def sparse_ball_point(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
+    """sample_point on a sparse ball together with the K indices it drew as
+    the support, in draw order: the point can be nonzero only there."""
+    support, values = sparse_ball_slots(spec, seed)
     c = np.zeros(spec.n)
-    c[support] = coeffs * (target / norm)
+    c[support] = values
     return c, support
 
 

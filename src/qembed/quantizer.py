@@ -20,28 +20,56 @@ from .ensembles import Ensemble, InvalidArgument, as_seedseq, sample_matrix
 VARIANTS = ("floor", "round")
 
 
-def _floor_index(t: np.ndarray, delta: float) -> np.ndarray:
+class Workspace(dict):
+    """Arrays by name that the calls handed this workspace write into through
+    out= (see lend): a caller that steps through many row blocks, of one map
+    or of many, allocates each of their (rows, count) arrays once. An array
+    that a call returns stays valid until the next call that lends its name;
+    the others are free once the call returns. A workspace serves one thread."""
+
+
+def lend(work: Workspace | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An array of shape (rows, ...): the first rows of work's array `name`,
+    which is replaced by a fresh one only when it is too short or of another
+    shape or dtype, or a fresh array where work is None."""
+    if work is None:
+        return np.empty(shape, dtype)
+    held = work.get(name)
+    if held is None or held.dtype != dtype or held.shape[1:] != shape[1:] or len(held) < shape[0]:
+        held = work[name] = np.empty(shape, dtype)
+    return held[:shape[0]]
+
+
+def _floor_index(t: np.ndarray, delta: float, work: Workspace | None = None) -> np.ndarray:
     """Largest integer k with k*delta <= t, exact on representable lattice points.
 
     A bare floor(t/delta) can land one bin off when t/delta rounds across an
     integer (delta = 0.1 exhibits this); the fix-up loops restore the bracket
-    k*delta <= t < (k+1)*delta using correctly rounded products.
+    k*delta <= t < (k+1)*delta using correctly rounded products. The
+    temporaries and the int64 result are lent by work (see lend).
     """
-    k = np.floor(t / delta)
+    k = np.divide(t, delta, out=lend(work, "floor", t.shape))
+    np.floor(k, out=k)
+    wall = lend(work, "scratch", t.shape)
+    moved = lend(work, "moved", t.shape, bool)
     for _ in range(3):
-        up = (k + 1.0) * delta <= t
-        if not np.any(up):
+        np.add(k, 1.0, out=wall)
+        wall *= delta
+        if not np.less_equal(wall, t, out=moved).any():
             break
-        k = np.where(up, k + 1.0, k)
+        np.add(k, 1.0, out=k, where=moved)
     for _ in range(3):
-        down = k * delta > t
-        if not np.any(down):
+        np.multiply(k, delta, out=wall)
+        if not np.greater(wall, t, out=moved).any():
             break
-        k = np.where(down, k - 1.0, k)
-    return k.astype(np.int64)
+        np.subtract(k, 1.0, out=k, where=moved)
+    del wall, moved  # without a workspace they are freed before the codes are allocated
+    codes = lend(work, "codes", t.shape, np.int64)
+    np.copyto(codes, k, casting="unsafe")
+    return codes
 
 
-def quantize_array(t, delta: float) -> np.ndarray:
+def quantize_array(t, delta: float, work: Workspace | None = None) -> np.ndarray:
     """Bin indices k with fl(k*delta) <= t < fl((k+1)*delta) for an array of
     inputs with |t| < 2^52 delta (value = delta * index).
 
@@ -55,7 +83,8 @@ def quantize_array(t, delta: float) -> np.ndarray:
     From 2^52 delta on, neighbouring floats of t lie half a bin or more
     apart (a whole bin at delta = 1). The range check also rejects NaN (min
     and max propagate it) and infinities, and it allocates nothing: these
-    arrays can be a trial's largest.
+    arrays can be a trial's largest. The codes and the temporaries are lent
+    by work (see lend).
     """
     if not (delta > 0):
         raise InvalidArgument("delta must be positive")
@@ -63,7 +92,7 @@ def quantize_array(t, delta: float) -> np.ndarray:
     lim = 2.0**52 * delta
     if not (-lim < t.min(initial=0.0) and t.max(initial=0.0) < lim):
         raise InvalidArgument("quantizer input must be finite with |t| < 2^52 delta")
-    return _floor_index(t, delta)
+    return _floor_index(t, delta, work)
 
 
 @dataclass(frozen=True)
@@ -102,20 +131,21 @@ def as_batch(xs):
     return xs if isinstance(xs, SparseColumns) else np.asarray(xs, dtype=np.float64)
 
 
-def product(phi: np.ndarray, xs, shift=0.0) -> np.ndarray:
+def product(phi: np.ndarray, xs, shift=0.0, work: Workspace | None = None) -> np.ndarray:
     """phi @ xs + shift as a dense (rows, count) array, for shift >= +0.0 (a
-    dither xi[:, None] or 0.0). A SparseColumns batch costs K gathers of phi's
-    columns: slot by slot, each column's terms are added to a sum that starts
-    at +0.0 in the order of its sorted rows, which is the order and so the
-    bits of scipy's sparse product (csr_matvecs). An entry depends on one row
-    of phi and one column of xs alone, so its bits do not depend on the batch
-    or the row block (dense BLAS products do)."""
+    dither xi[:, None] or 0.0), lent by work (see lend). A SparseColumns batch
+    costs K gathers of phi's columns: slot by slot, each column's terms are
+    added to a sum that starts at +0.0 in the order of its sorted rows, which
+    is the order and so the bits of scipy's sparse product (csr_matvecs). An
+    entry depends on one row of phi and one column of xs alone, so its bits
+    do not depend on the batch or the row block (dense BLAS products do)."""
+    out = lend(work, "product", (len(phi), xs.shape[1]))
     if not isinstance(xs, SparseColumns):
-        out = phi @ xs
+        np.matmul(phi, xs, out=out)
     else:
-        out = np.take(phi, xs.rows[0], axis=1, mode="clip")
+        np.take(phi, xs.rows[0], axis=1, out=out, mode="clip")
         out *= xs.values[0]
-        term = np.empty_like(out)
+        term = lend(work, "scratch", out.shape)
         for rows, values in zip(xs.rows[1:], xs.values[1:]):
             np.take(phi, rows, axis=1, out=term, mode="clip")
             term *= values
@@ -153,13 +183,13 @@ class QuantizedMap:
     def n(self) -> int:
         return self.phi.shape[1]
 
-    def project_many(self, xs: np.ndarray) -> np.ndarray:
+    def project_many(self, xs: np.ndarray, work: Workspace | None = None) -> np.ndarray:
         """Phi x + xi for a batch of column vectors, (n, count) -> (m, count);
-        xs may be SparseColumns (see product)."""
+        xs may be SparseColumns, and work lends the output (see product)."""
         xs = as_batch(xs)
         if xs.ndim != 2 or xs.shape[0] != self.n:
             raise InvalidArgument(f"expected shape ({self.n}, count), got {xs.shape}")
-        return product(self.phi, xs, self.xi[:, None])
+        return product(self.phi, xs, self.xi[:, None], work)
 
 
 def dither(m: int, delta: float, seed, dithered: bool = True, variant: str = "floor") -> np.ndarray:
@@ -203,9 +233,10 @@ def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
     return qmap
 
 
-def apply_many(qmap: QuantizedMap, xs: np.ndarray) -> np.ndarray:
-    """A(x)/delta as integer codes for a batch of column vectors, shape (m, count)."""
-    return quantize_array(qmap.project_many(xs), qmap.delta)
+def apply_many(qmap: QuantizedMap, xs: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """A(x)/delta as integer codes for a batch of column vectors, shape (m, count),
+    with the projection and the codes lent by work (see lend)."""
+    return quantize_array(qmap.project_many(xs, work), qmap.delta, work)
 
 
 def dithered_floor_exact(x: float, y: float) -> float:

@@ -561,6 +561,33 @@ def test_a_fold_that_fails_mid_map_exits_as_before(cpus, tmp_path, capsys, monke
     assert threading.active_count() == before
 
 
+def test_a_ray_that_takes_many_draws_completes_the_sweep(tmp_path, capsys):
+    # a 4-sparse direction passes k0 = 2.5 about 1 draw in 14: one of this
+    # run's 2400 rays took more than 100 draws, where the sweep used to exit 2
+    code, out, err = run_cli(["consistency-width", "--set", "sparse:N=64,K=4,d=1", "--k0", "2.5",
+                              "--seed", "7", "--trials", "4", "--m-grid", "128,256,512",
+                              "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert len((tmp_path / "consistency-width.csv").read_text().splitlines()) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("command, k0", [("quasi-isometry", "6"), ("consistency-width", "3.8"),
+                                         ("consistency-width", "5")])
+def test_a_plan_the_filter_starves_exits_2_before_any_trial(command, k0, tmp_path, capsys,
+                                                            monkeypatch):
+    # estimated: a difference of two 4-sparse points passes k0 = 6 about 3
+    # times in 1e5 draws, and a direction k0 = 3.8 about 2.5 times; exact: no
+    # 4-sparse direction passes k0 = 5
+    from qembed import experiments
+
+    started = []
+    monkeypatch.setattr(experiments, "map_blocks", lambda *args: started.append(args))
+    code, _, err = run_cli([command, "--set", "sparse:N=64,K=4,d=1", "--k0", k0, "--seed", "7",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"the k0={k0} anti-sparsity filter passes" in err
+    assert started == [] and not any(tmp_path.iterdir())
+
+
 def _record_opens(monkeypatch) -> list:
     """Wrap os.open, as cli calls it, to record the (path, flags) of each call."""
     calls = []

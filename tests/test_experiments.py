@@ -113,19 +113,28 @@ def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
     seen = []
     project = Q.QuantizedMap.project_many
 
-    def spy(self, xs):
+    def spy(self, xs, work=None):
         seen.append(isinstance(xs, Q.SparseColumns))
-        return project(self, xs)
+        return project(self, xs, work)
 
     monkeypatch.setattr(Q.QuantizedMap, "project_many", spy)
     plan = _plan(set_spec=G.SparseBall(n=128, k=4, radius=1.0), m_grid=(16, 64, 512))
     sparse = X.quasi_isometry_sweep(plan)
     assert seen and all(seen)
     seen.clear()
-    monkeypatch.setattr(X, "_batch", lambda spec, xs, supports: xs)
+    monkeypatch.setattr(X, "_pairs_batch", _dense_points)
     dense = X.quasi_isometry_sweep(plan)
     assert seen and not any(seen)
     assert sparse.rows == dense.rows
+
+
+def _dense_points(spec, points):
+    """Pair points, slots (support, values) on a sparse ball, as the dense
+    columns that sample_point draws."""
+    xs = np.zeros((spec.n, len(points)))
+    for j, (support, values) in enumerate(points):
+        xs[support, j] = values
+    return xs
 
 
 SPARSE_512 = G.SparseBall(n=512, k=4, radius=1.0)
@@ -188,8 +197,43 @@ def test_quasi_isometry_sparse_batch_from_supports_matches_csc_array(monkeypatch
     plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(16, 64, 256),
                  pairs_per_m=50, trials_per_m=2)
     from_supports = X.quasi_isometry_sweep(plan)
-    monkeypatch.setattr(X, "_batch", lambda spec, xs, supports: csc_columns(xs))
+    monkeypatch.setattr(X, "_pairs_batch",
+                        lambda spec, points: csc_columns(_dense_points(spec, points)))
     assert from_supports.rows == X.quasi_isometry_sweep(plan).rows
+
+
+@pytest.mark.parametrize("k, k0", [(1, 1.0), (4, 1.5), (16, 1.5)])
+def test_pair_batch_from_slots_equals_csc_array_of_the_dense_pairs(k, k0):
+    """The distortion fold's batch, built from its pairs' slots, holds
+    csc_array's entries of the dense pairs that sample_point draws, in its
+    order, and is _batch's of those pairs; each pair's distance is
+    np.linalg.norm(x - y), bit for bit. In dimension 24 a pair's supports
+    often overlap (at K = 1 every pair passes, so one may share its index),
+    and at k0 = 1.5 some pairs are redrawn."""
+    from scipy.sparse import csc_array
+
+    spec = G.SparseBall(n=24, k=k, radius=1.0)
+    fold = X._Distortion(_plan(set_spec=spec, pairs_per_m=200, k0=k0), np.random.default_rng(k))
+    rng = np.random.default_rng(k)  # the reference draws dense pairs until one passes
+    points, supports, dists, overlapping = [], [], [], 0
+    while len(dists) < 200:
+        (x, sx), (y, sy) = G.sparse_ball_point(spec, rng), G.sparse_ball_point(spec, rng)
+        if G.anti_sparse(x - y, k0):
+            points += [x, y]
+            supports += [sx, sy]
+            dists.append(np.linalg.norm(x - y))
+            overlapping += bool(set(sx) & set(sy))
+    assert overlapping > 0
+    assert np.array_equal(fold.dists.view(np.uint64), np.array(dists).view(np.uint64))
+    xs = np.column_stack(points)
+    reference, built = csc_array(xs), X._batch(spec, xs, supports)
+    assert np.array_equal(fold.batch.rows, built.rows)
+    assert np.array_equal(fold.batch.values.view(np.uint64), built.values.view(np.uint64))
+    stored = fold.batch.values.T != 0.0
+    assert np.count_nonzero(stored) == reference.nnz
+    assert np.array_equal(fold.batch.rows.T[stored], reference.indices)
+    assert np.array_equal(fold.batch.values.T[stored].view(np.uint64),
+                          reference.data.view(np.uint64))
 
 
 def test_quasi_isometry_filter_error():
@@ -307,8 +351,8 @@ def test_direction_lies_on_the_drawn_support():
 
 
 def _rays_one_at_a_time(spec, count: int, k0: float, rng):
-    """The reference sampler: per ray an anchor, then up to 100 directions,
-    each in a fresh array, until one passes the filter, its np.linalg.norm,
+    """The reference sampler: per ray an anchor, then directions, each in a
+    fresh array, until one passes the filter, its np.linalg.norm,
     and the scalar cap formula along u and -u. Returns anchors, unit
     directions and caps as columns, the drawn supports and the number of
     rejected directions."""
@@ -316,7 +360,7 @@ def _rays_one_at_a_time(spec, count: int, k0: float, rng):
     anchors, dirs, caps, supports, rejected = [], [], [], [], 0
     for _ in range(count):
         x, support = X._point_and_support(spec, rng)
-        for _ in range(100):
+        while True:
             if isinstance(spec, G.SparseBall):
                 u = np.zeros(spec.n)
                 u[np.sort(support)] = rng.standard_normal(spec.k)
@@ -328,8 +372,6 @@ def _rays_one_at_a_time(spec, count: int, k0: float, rng):
             if G.anti_sparse(u, k0):
                 break
             rejected += 1
-        else:
-            raise X.SetFilterError("no direction passed")
         u = u / np.linalg.norm(u)
         ends = []
         for v in (u, -u):
@@ -353,22 +395,16 @@ def test_ray_rows_equal_the_rays_drawn_one_at_a_time(spec, k0):
     # from one vecdot per row; anchors, unit directions, caps and supports
     # equal the per-ray reference bit for bit, also where the filter redraws
     # (at k0 = 3, on every set). There a 4-sparse direction passes about 1
-    # draw in 93, so the 100 tries give out on about a third of the rays:
-    # each of 30 seeds draws 2 rays, and where the tries give out both
-    # samplers raise having drawn the same numbers
+    # draw in 93, so a ray may take hundreds of draws: each of 30 seeds draws
+    # 2 rays, and both samplers end having drawn the same numbers
     rare = k0 > 1.0 and isinstance(spec, G.SparseBall)
     rays, seeds = (2, range(30)) if rare else (200, [29])
     drawn = rejected = 0
     for seed in seeds:
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=rays, k0=k0), rng)
-        except X.SetFilterError:
-            with pytest.raises(X.SetFilterError):
-                _rays_one_at_a_time(spec, rays, k0, reference_rng)
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
-            continue
+        fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=rays, k0=k0), rng)
         anchors, dirs, caps, supports, more = _rays_one_at_a_time(spec, rays, k0, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
         drawn, rejected = drawn + 1, rejected + more
         for got, want in ((_dense(fold.anchors), anchors), (_dense(fold.dirs), dirs),
                           (fold.radii, caps)):
@@ -526,6 +562,90 @@ def test_sweep_holds_one_block_of_phi(sweep):
     assert peak < 4096 * 512 * 8 / 4
 
 
+@pytest.mark.parametrize("spec", [G.SparseBall(n=512, k=4, radius=1.0),
+                                  G.LowRankBall(n1=16, n2=16, r=2, radius=1.0)],
+                         ids=["sparse", "lowrank"])
+def test_distortion_folds_on_one_workspace_equal_pair_distances(spec):
+    # one worker's consecutive trials fold on one workspace; M = 3 blocks + 5
+    # rows leaves a partial last block, whose arrays are the first 5 rows of
+    # those the full blocks filled. Through a sparse ball's sparse products
+    # and the dense products of other sets
+    from qembed import distances as D
+    from qembed import quantizer as Q
+
+    plan, n = _plan(set_spec=spec, pairs_per_m=200), G.ambient_dim(spec)
+    rows = E.block_rows(n, 400)
+    m = 3 * rows + 5
+    work = Q.Workspace()
+    for seed in range(3):
+        fold = X._Distortion(plan, np.random.default_rng(seed), work)
+        assert all([fold.step(block)
+                    for block in Q.map_blocks(plan.ensemble, m, n, plan.delta, seed, rows)])
+        whole = D.pair_distances(Q.map_blocks(plan.ensemble, m, n, plan.delta, seed, rows),
+                                 _dense(fold.batch))
+        assert fold.m == m
+        assert np.array_equal(fold.delta * fold.counts / fold.m, whole)
+
+
+@pytest.mark.parametrize("spec", [G.SparseBall(n=512, k=4, radius=1.0),
+                                  G.LowRankBall(n1=16, n2=16, r=2, radius=1.0)],
+                         ids=["sparse", "lowrank"])
+def test_distortion_steps_after_the_first_allocate_no_block_array(spec):
+    # the first step lends the fold's (rows, columns) arrays from its
+    # workspace; the later ones, the partial last block's too, reuse them
+    import tracemalloc
+
+    from qembed import quantizer as Q
+
+    plan, n = _plan(set_spec=spec, pairs_per_m=200), G.ambient_dim(spec)
+    rows = E.block_rows(n, 400)
+    blocks = list(Q.map_blocks(plan.ensemble, 3 * rows + 5, n, plan.delta, 1, rows))
+    fold = X._Distortion(plan, np.random.default_rng(1), Q.Workspace())
+    fold.step(blocks[0])
+    tracemalloc.start()
+    try:
+        for block in blocks[1:]:
+            fold.step(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 200 * 8  # less than one (rows, pairs) array
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_worker_folds_its_trials_on_one_workspace(jobs, monkeypatch):
+    from qembed import quantizer as Q
+
+    made = []
+
+    class Counted(Q.Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(X, "Workspace", Counted)
+    X.quasi_isometry_sweep(_plan(), jobs=jobs)
+    assert 1 <= len(made) <= jobs
+
+
+def test_filter_rates_known_exactly_draw_nothing():
+    # every nonzero vector passes k0 <= 1, so a finite set's pair passes
+    # unless both draws pick equal points (4 of 9 ordered pairs of a, a, b
+    # do, none of a one-point set's), and none with at most 4 nonzeros passes
+    # k0 = 4.5: no rate is estimated
+    def never(rng):
+        raise AssertionError("an exact rate was estimated")
+
+    spec = G.SparseBall(n=64, k=4, radius=1.0)
+    X._check_filter(_plan(set_spec=spec, k0=1.0), "pair", 8, never)
+    with pytest.raises(X.SetFilterError, match="passes 0 of the direction draws"):
+        X._check_filter(_plan(set_spec=spec, k0=4.5), "direction", 4, never)
+    points = np.array([[0.5, -0.0], [0.5, 0.0], [0.0, 0.5]])
+    X._check_filter(_plan(set_spec=G.FiniteSet(points=points), k0=1.0), "pair", 2, never)
+    with pytest.raises(X.SetFilterError, match="passes 0 of the pair draws"):
+        X._check_filter(_plan(set_spec=G.FiniteSet(points=points[:2]), k0=1.0), "pair", 2, never)
+
+
 def test_ray_projections_hold_one_block_budget(monkeypatch):
     # 200 rays on a 4-sparse ball in R^64 at M = 4096: blocks of 655 rows,
     # so each projection of anchors or directions is (655, 200), within
@@ -535,8 +655,8 @@ def test_ray_projections_hold_one_block_budget(monkeypatch):
     sizes = []
 
     def spy(product):
-        def spied(phi, xs, shift=0.0):
-            out = product(phi, xs, shift)
+        def spied(phi, xs, shift=0.0, work=None):
+            out = product(phi, xs, shift, work)
             sizes.append(out.size)
             return out
         return spied
@@ -586,7 +706,8 @@ def test_shared_code_widths_streamed_equals_whole(k0):
             return super().step(block)
 
     fold = Counted(pts, k0)
-    res = X._sweep(plan, [("finite", lambda plan, rng: fold, None)], jobs=1)["finite"]
+    statistic = X._Statistic(lambda plan, rng, work: fold, X._width_projects)
+    res = X._sweep(plan, [("finite", statistic, None)], jobs=1)["finite"]
     assert read == [rows] * 3 + [5]
     assert np.array_equal(fold.label, inverse)
     assert res.rows[0].statistic == max(whole)
@@ -658,6 +779,34 @@ def test_sweep_drawing_ahead_holds_one_block_of_phi(sweep, monkeypatch):
 def test_finite_refinement_beside_a_draw_ahead_stops_once_every_point_is_alone(monkeypatch):
     _draw_ahead(monkeypatch, True)
     test_shared_code_widths_stops_once_every_point_is_alone(monkeypatch)
+
+
+def test_drawing_ahead_asks_for_the_first_block_before_it_returns():
+    # the first block is drawn while the trial's folds draw their pairs or
+    # rays, so the helper is handed it before any next(); here the helper
+    # runs each call as it is submitted
+    import threading
+    from concurrent.futures import Future
+
+    asked = threading.Event()
+
+    class Blocks:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            asked.set()
+            raise StopIteration
+
+    class Inline:
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    blocks = X._drawn_ahead(Blocks(), Inline())
+    assert asked.is_set()
+    assert list(blocks) == []
 
 
 class _FoldFailed(RuntimeError):

@@ -27,10 +27,13 @@ from qembed import quantizer as Q
 
 # name: (owner, function, anchor, replacement)
 DEFECTS = {
+    # the fix-up's mask of moved indices comes back all False
     "floor-without-upward-fixup":
-        (Q, "_floor_index", "up = (k + 1.0) * delta <= t", "up = np.zeros(k.shape, bool)"),
+        (Q, "_floor_index", "np.less_equal(wall, t, out=moved)",
+         "np.logical_and(moved, False, out=moved)"),
     "floor-without-downward-fixup":
-        (Q, "_floor_index", "down = k * delta > t", "down = np.zeros(k.shape, bool)"),
+        (Q, "_floor_index", "np.greater(wall, t, out=moved)",
+         "np.logical_and(moved, False, out=moved)"),
     "radius-to-the-wall-behind":
         (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((falling, rising))"),
     "backward-walls-from-the-forward-rule":
@@ -48,17 +51,29 @@ DEFECTS = {
          "sample_matrix(ensemble, m, n, mat_seed, m)"),
     # the sweep's one block loop feeds the finite-set label refinement
     "finite-refinement-drops-the-last-block":
-        (X, "_sweep",
-         "map_blocks(plan.ensemble, m, n, plan.delta, map_seed, block_rows(n, columns))",
-         "iter(list(map_blocks(plan.ensemble, m, n, plan.delta, map_seed,"
-         " block_rows(n, columns)))[:-1])"),
+        (X, "_sweep", "map_blocks(plan.ensemble, m, n, plan.delta, map_seed, rows)",
+         "iter(list(map_blocks(plan.ensemble, m, n, plan.delta, map_seed, rows))[:-1])"),
     # the fold waits for the block being drawn, so it never sees the first
     # block and sees the last one twice
     "draw-ahead-hands-the-block-being-drawn":
         (X, "_drawn_ahead", "yield block", "yield drawn.result() or block"),
+    # the first draw is submitted at the first next(), after the folds drew
+    # their pairs or rays
+    "draw-ahead-waits-for-the-first-next":
+        (X, "_drawn_ahead",
+         "drawn = helpers.submit(next, blocks, None)\n\n"
+         "    def handed():\n        nonlocal drawn\n",
+         "def handed():\n        drawn = helpers.submit(next, blocks, None)\n"),
     "both-statistics-share-one-generator":
-        (X, "_sweep", "start(plan, np.random.default_rng(sample_seed)) for",
-         "start(plan, rng) for rng in [np.random.default_rng(sample_seed)] for"),
+        (X, "_sweep", "stat.start(plan, np.random.default_rng(sample_seed), workspaces.work)",
+         "stat.start(plan, rng, workspaces.work) for rng in [np.random.default_rng(sample_seed)]"),
+    # a partial last block sums the workspace's whole code difference, whose
+    # rows past the block's are the previous block's
+    "fold-buffer-reads-stale-rows":
+        (X._Distortion, "step", "pair_counts(block, self.batch, work=self.work).sum(axis=0)",
+         "pair_counts(block, self.batch, work=self.work).base.sum(axis=0)"),
+    "slots-sorted-without-their-values":
+        (X, "_slot_columns", "np.take_along_axis(values, order, axis=1).T", "values.T"),
     "enumerator-ignores-the-block-budget":
         (D, "soft_count_enumerated", "chunk = block_rows(len(ks), 1)", "chunk = 4000"),
     "width-search-compares-256-points-at-once":
@@ -160,6 +175,16 @@ ROWS = [
     *[("draw-ahead-hands-the-block-being-drawn",
        test_experiments.test_drawing_ahead_keeps_every_row, (kind, 1))
       for kind in test_experiments.DRAW_AHEAD_PLANS],
+    ("draw-ahead-waits-for-the-first-next",
+     test_experiments.test_drawing_ahead_asks_for_the_first_block_before_it_returns, ()),
+    *[("fold-buffer-reads-stale-rows",
+       test_experiments.test_distortion_folds_on_one_workspace_equal_pair_distances, (spec,))
+      for spec in (G.SparseBall(n=512, k=4, radius=1.0),
+                   G.LowRankBall(n1=16, n2=16, r=2, radius=1.0))],
+    ("slots-sorted-without-their-values",
+     test_experiments.test_pair_batch_from_slots_equals_csc_array_of_the_dense_pairs, (4, 1.5)),
+    ("slots-sorted-without-their-values",
+     test_experiments.test_sparse_columns_equal_csc_array_of_the_dense_batch, ()),
     ("enumerator-ignores-the-block-budget",
      test_distances.test_enumerator_stays_within_the_block_budget, ()),
     ("width-search-compares-256-points-at-once",
