@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .ensembles import Ensemble, InvalidArgument, block_rows
-from .quantizer import QuantizedMap, Workspace, apply_many, as_batch, lend, map_blocks
+from .quantizer import QuantizedMap, apply_many, as_batch, lend, map_blocks
 
 
 def soft_count_array(a, b, t, delta: float) -> np.ndarray:
@@ -71,7 +71,7 @@ def soft_count_enumerated(a, b, t, delta: float) -> np.ndarray:
     return out
 
 
-def pair_counts(block: QuantizedMap, xs, t=None, work: Workspace | None = None) -> np.ndarray:
+def pair_counts(block: QuantizedMap, xs, t=None, work: dict | None = None) -> np.ndarray:
     """The one per-row count that every D and D^t sums: for each row of the
     sub-map `block` and each pair of columns x0, y0, x1, y1, ... of xs,
     |code difference|, shape (rows, pairs), or given t, the soft count at each

@@ -46,15 +46,19 @@ from .geometry import (
     sparse_ball_point,
     sparse_ball_slots,
 )
-from .quantizer import SparseColumns, Workspace, apply_many, map_blocks, product, quantize_array
+from .quantizer import SparseColumns, apply_many, map_blocks, product, quantize_array
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
 # a sweep's pairs and rays are drawn until they pass the k0 filter; it runs
 # only where the filter passes at least 1 in MAX_FILTER_DRAWS draws, a share
-# that is exact where it is known and else estimated from RATE_DRAWS draws
+# that is exact where it is known and else estimated from RATE_DRAWS draws.
+# A low-rank ray's share depends on its anchor, and some anchors pass no
+# direction, so each pair or ray gives up after MAX_DRAWS draws: one whose
+# own share is 1 in MAX_FILTER_DRAWS reaches it with probability about e^-100
 MAX_FILTER_DRAWS = 1000
 RATE_DRAWS = 4000
+MAX_DRAWS = 100 * MAX_FILTER_DRAWS
 
 
 class SetFilterError(RuntimeError):
@@ -146,14 +150,21 @@ def _pair_draw(spec: SetSpec, k0: float, rng):
     return x, y, anti_sparse(d, k0), math.sqrt(d.dot(d))
 
 
+def _starved(what: str, k0: float) -> SetFilterError:
+    """The error of a pair or ray that none of MAX_DRAWS draws passed."""
+    return SetFilterError(f"no {what} passed the k0={k0:g} anti-sparsity filter in {MAX_DRAWS} "
+                          "draws; lower k0 (--k0)")
+
+
 def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     """Points x, y of the set whose difference passes the anti-sparsity
     filter, drawn until a pair passes (decay_sweeps has checked that pairs
-    do), and the difference's norm."""
-    while True:
+    do) or MAX_DRAWS have not (SetFilterError), and the difference's norm."""
+    for _ in range(MAX_DRAWS):
         x, y, passes, dist = _pair_draw(spec, k0, rng)
         if passes:
             return x, y, dist
+    raise _starved("pair", k0)
 
 
 def _slot_columns(supports, values, n: int) -> SparseColumns:
@@ -220,7 +231,8 @@ class _Statistic(NamedTuple):
     """A decay statistic of _sweep. start(plan, rng, work) draws a trial's
     pairs or rays from rng and returns their fold, which may lend its arrays
     from the workspace work (quantizer.lend); projects(plan) gives, from the
-    plan alone, the columns that fold projects and whether it may stop."""
+    plan alone, the columns that fold projects and whether it may stop, and
+    start takes both from it."""
 
     start: Callable
     projects: Callable
@@ -240,7 +252,7 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     until no fold can change. A statistic <= 0 is censored: it stays out of
     the fit points. A slope band on a grid too short to fit is a usage error.
 
-    jobs trials run at once, each worker with one Workspace that its trials'
+    jobs trials run at once, each worker with one workspace that its trials'
     folds reuse. When no fold may stop and the CPUs number at least twice the
     workers, a helper thread draws each trial's next block while the trial
     folds the current one, and its first block while the folds draw their
@@ -263,7 +275,7 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
         if draw_ahead:
             blocks = _drawn_ahead(blocks, helpers)
         if not hasattr(workspaces, "work"):
-            workspaces.work = Workspace()
+            workspaces.work = {}
         folds = [stat.start(plan, np.random.default_rng(sample_seed), workspaces.work)
                  for _, stat, _ in statistics]
         changing = folds
@@ -309,15 +321,20 @@ def _allowance(plan: TrialPlan) -> float:
     return plan.ensemble.kappa_sg / math.sqrt(max(plan.k0, 1.0))
 
 
+def _distortion_projects(plan: TrialPlan) -> tuple[int, bool]:
+    """The points x, y of each of pairs_per_m pairs; every row counts."""
+    return 2 * plan.pairs_per_m, False
+
+
 class _Distortion:
     """The distortion statistic's fold: on pairs_per_m filtered pairs, each
     pair's code difference summed over the rows so far (pair_counts, with its
     arrays lent by work), then the largest
     |D - sqrt(2/pi) ||x - y||| / (||x - y|| + delta), less the allowance."""
 
-    def __init__(self, plan: TrialPlan, rng, work: Optional[Workspace] = None):
-        pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng)
-                 for _ in range(plan.pairs_per_m)]
+    def __init__(self, plan: TrialPlan, rng, work: Optional[dict] = None):
+        columns, _ = _distortion_projects(plan)
+        pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng) for _ in range(columns // 2)]
         self.dists = np.array([dist for *_, dist in pairs])
         self.batch = _pairs_batch(plan.set_spec, [p for x, y, _ in pairs for p in (x, y)])
         self.delta, self.allowance, self.work = plan.delta, _allowance(plan), work
@@ -333,27 +350,41 @@ class _Distortion:
         return float(np.max(errs / (self.dists + self.delta))) - self.allowance
 
 
-def _direction_draw(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
-    """Writes into u (zeros on a sparse ball) one draw of a direction with
-    x + r*u in the set for small r > 0, not yet of unit norm, and returns
-    whether it passes the anti-sparsity filter; on a sparse ball it lies on
-    x's drawn support (see _point_and_support), in sorted order."""
+def _direction_basis(spec: SetSpec, x: np.ndarray, support):
+    """What every direction draw for the anchor x reads: on a sparse ball
+    x's drawn support (see _point_and_support) in sorted order, on a
+    low-rank ball the first r left singular vectors of x as a matrix."""
     if isinstance(spec, SparseBall):
-        u[np.sort(support)] = rng.standard_normal(spec.k)
+        return np.sort(support)
+    if isinstance(spec, LowRankBall):
+        uu, _, _ = np.linalg.svd(x.reshape(spec.n1, spec.n2), full_matrices=False)
+        return uu[:, : spec.r]
+    return None
+
+
+def _direction_draw(spec: SetSpec, basis, k0: float, rng, u: np.ndarray):
+    """Writes into u (zeros on a sparse ball) one draw of a direction with
+    x + r*u in the set for small r > 0, not yet of unit norm, from x's
+    _direction_basis, and returns whether it passes the anti-sparsity filter."""
+    if isinstance(spec, SparseBall):
+        u[basis] = rng.standard_normal(spec.k)
     elif isinstance(spec, LowRankBall):
-        mat = x.reshape(spec.n1, spec.n2)
-        uu, _, _ = np.linalg.svd(mat, full_matrices=False)
-        u[:] = (uu[:, : spec.r] @ rng.standard_normal((spec.r, spec.n2))).ravel()
+        u[:] = (basis @ rng.standard_normal((spec.r, spec.n2))).ravel()
     else:
         rng.standard_normal(out=u)
     return anti_sparse(u, k0)
 
 
 def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
-    """Writes into u the first of _direction_draw's directions that passes
-    the filter (decay_sweeps has checked that directions do)."""
-    while not _direction_draw(spec, x, support, k0, rng, u):
-        pass
+    """Writes into u the first of _direction_draw's directions for the
+    anchor x that passes the filter (decay_sweeps has checked that
+    directions do, on average over anchors), or SetFilterError after
+    MAX_DRAWS that do not."""
+    basis = _direction_basis(spec, x, support)
+    for _ in range(MAX_DRAWS):
+        if _direction_draw(spec, basis, k0, rng, u):
+            return
+    raise _starved("direction", k0)
 
 
 def _radial_caps(xs: np.ndarray, us: np.ndarray, radius: float) -> np.ndarray:
@@ -405,7 +436,7 @@ class _Rays:
     with the dither and the directions without it."""
 
     def __init__(self, anchors, dirs, caps: np.ndarray):
-        self.anchors, self.dirs, self.radii, self.columns = anchors, dirs, caps, caps.shape[1]
+        self.anchors, self.dirs, self.radii = anchors, dirs, caps
 
     def step(self, block) -> bool:
         self.radii = _chord_radii(block.project_many(self.anchors), product(block.phi, self.dirs),
@@ -455,13 +486,23 @@ class _SharedCodes:
                           for g in range(groups)))
 
 
-def _consistency_width(plan: TrialPlan, rng):
-    """The consistency width statistic's fold: _SharedCodes of a finite set's
-    points, or _Rays of pairs_per_m anchors and admissible directions as rows."""
+def _width_projects(plan: TrialPlan) -> tuple[int, bool]:
+    """A finite set's points, which its fold may stop refining, or the
+    pairs_per_m rays."""
     if isinstance(plan.set_spec, FiniteSet):
+        return len(plan.set_spec.points), True
+    return plan.pairs_per_m, False
+
+
+def _consistency_width(plan: TrialPlan, rng, work: Optional[dict] = None):
+    """The consistency width statistic's fold, which lends no arrays from
+    work: _SharedCodes of a finite set's points, or _Rays of anchors and
+    admissible directions as rows."""
+    columns, refines = _width_projects(plan)
+    if refines:
         return _SharedCodes(plan.set_spec.points, plan.k0)
-    spec, p, n = plan.set_spec, plan.pairs_per_m, ambient_dim(plan.set_spec)
-    anchors, dirs, supports = np.empty((p, n)), np.zeros((p, n)), []
+    spec, n = plan.set_spec, ambient_dim(plan.set_spec)
+    anchors, dirs, supports = np.empty((columns, n)), np.zeros((columns, n)), []
     for x, u in zip(anchors, dirs):  # one ray at a time: the draws keep their order
         x[:], support = _point_and_support(spec, rng)
         _direction_for(spec, x, support, plan.k0, rng, u)
@@ -471,18 +512,10 @@ def _consistency_width(plan: TrialPlan, rng):
                  _radial_caps(anchors, dirs, diameter(spec)))
 
 
-def _width_projects(plan: TrialPlan) -> tuple[int, bool]:
-    """A finite set's points, which its fold may stop refining, or the rays."""
-    if isinstance(plan.set_spec, FiniteSet):
-        return len(plan.set_spec.points), True
-    return plan.pairs_per_m, False
-
-
 # the decay sweeps by experiment name
 STATISTICS = {
-    "quasi-isometry": _Statistic(_Distortion, lambda plan: (2 * plan.pairs_per_m, False)),
-    "consistency-width": _Statistic(lambda plan, rng, work: _consistency_width(plan, rng),
-                                    _width_projects),
+    "quasi-isometry": _Statistic(_Distortion, _distortion_projects),
+    "consistency-width": _Statistic(_consistency_width, _width_projects),
 }
 
 
@@ -527,10 +560,11 @@ def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str,
         _check_filter(plan, "pair", min(2 * spec.k, n) if sparse else n,
                       lambda rng: _pair_draw(spec, plan.k0, rng)[2])
     if "consistency-width" in slope_bands and not isinstance(spec, FiniteSet):
-        # each direction drawn for an anchor of its own
-        _check_filter(plan, "direction", spec.k if sparse else n,
-                      lambda rng: _direction_draw(spec, *_point_and_support(spec, rng), plan.k0,
-                                                  rng, np.zeros(n)))
+        def passes(rng):  # each direction drawn for an anchor of its own
+            basis = _direction_basis(spec, *_point_and_support(spec, rng))
+            return _direction_draw(spec, basis, plan.k0, rng, np.zeros(n))
+
+        _check_filter(plan, "direction", spec.k if sparse else n, passes)
     results = _sweep(plan, [(name, STATISTICS[name], band) for name, band in slope_bands.items()],
                      jobs)
     qi = results.get("quasi-isometry")

@@ -20,18 +20,17 @@ from .ensembles import Ensemble, InvalidArgument, as_seedseq, sample_matrix
 VARIANTS = ("floor", "round")
 
 
-class Workspace(dict):
-    """Arrays by name that the calls handed this workspace write into through
-    out= (see lend): a caller that steps through many row blocks, of one map
-    or of many, allocates each of their (rows, count) arrays once. An array
-    that a call returns stays valid until the next call that lends its name;
-    the others are free once the call returns. A workspace serves one thread."""
+def lend(work: dict[str, np.ndarray] | None, name: str, shape: tuple,
+         dtype=np.float64) -> np.ndarray:
+    """An array of shape (rows, ...): the first rows of the workspace work's
+    array `name`, which is replaced by a fresh one only when it is too short
+    or of another shape or dtype, or a fresh array where work is None.
 
-
-def lend(work: Workspace | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An array of shape (rows, ...): the first rows of work's array `name`,
-    which is replaced by a fresh one only when it is too short or of another
-    shape or dtype, or a fresh array where work is None."""
+    The calls handed a workspace write into its arrays through out=, so a
+    caller that steps through many row blocks, of one map or of many,
+    allocates each of their (rows, count) arrays once. An array that a call
+    returns stays valid until the next call that lends its name; the others
+    are free once the call returns. A workspace serves one thread."""
     if work is None:
         return np.empty(shape, dtype)
     held = work.get(name)
@@ -40,7 +39,7 @@ def lend(work: Workspace | None, name: str, shape: tuple, dtype=np.float64) -> n
     return held[:shape[0]]
 
 
-def _floor_index(t: np.ndarray, delta: float, work: Workspace | None = None) -> np.ndarray:
+def _floor_index(t: np.ndarray, delta: float, work: dict | None = None) -> np.ndarray:
     """Largest integer k with k*delta <= t, exact on representable lattice points.
 
     A bare floor(t/delta) can land one bin off when t/delta rounds across an
@@ -69,7 +68,7 @@ def _floor_index(t: np.ndarray, delta: float, work: Workspace | None = None) -> 
     return codes
 
 
-def quantize_array(t, delta: float, work: Workspace | None = None) -> np.ndarray:
+def quantize_array(t, delta: float, work: dict | None = None) -> np.ndarray:
     """Bin indices k with fl(k*delta) <= t < fl((k+1)*delta) for an array of
     inputs with |t| < 2^52 delta (value = delta * index).
 
@@ -131,7 +130,7 @@ def as_batch(xs):
     return xs if isinstance(xs, SparseColumns) else np.asarray(xs, dtype=np.float64)
 
 
-def product(phi: np.ndarray, xs, shift=0.0, work: Workspace | None = None) -> np.ndarray:
+def product(phi: np.ndarray, xs, shift=0.0, work: dict | None = None) -> np.ndarray:
     """phi @ xs + shift as a dense (rows, count) array, for shift >= +0.0 (a
     dither xi[:, None] or 0.0), lent by work (see lend). A SparseColumns batch
     costs K gathers of phi's columns: slot by slot, each column's terms are
@@ -183,7 +182,7 @@ class QuantizedMap:
     def n(self) -> int:
         return self.phi.shape[1]
 
-    def project_many(self, xs: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    def project_many(self, xs: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Phi x + xi for a batch of column vectors, (n, count) -> (m, count);
         xs may be SparseColumns, and work lends the output (see product)."""
         xs = as_batch(xs)
@@ -233,7 +232,7 @@ def make_map(ensemble: Ensemble, m: int, n: int, delta: float, seed,
     return qmap
 
 
-def apply_many(qmap: QuantizedMap, xs: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+def apply_many(qmap: QuantizedMap, xs: np.ndarray, work: dict | None = None) -> np.ndarray:
     """A(x)/delta as integer codes for a batch of column vectors, shape (m, count),
     with the projection and the codes lent by work (see lend)."""
     return quantize_array(qmap.project_many(xs, work), qmap.delta, work)

@@ -320,7 +320,7 @@ INPUTS = {
     (["quasi-isometry", *SWEEP, *SPARSE, "--slope-band=bad"], 2),
     (["consistency-width", *SWEEP, *SPARSE, "--slope-band=-1"], 2),
     (["quasi-isometry", "--ensemble", "rademacher", "--set", "lowrank:N1=8,N2=8,r=2",
-      "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3", "--k0", "16"], 2),
+      "--m-grid", "64,128,256", "--pairs", "20", "--trials", "3", "--k0", "8"], 2),
     (["embed", "--m", "4", "--in", "TMP/bad-token.txt"], 2),
     (["embed", "--m", "4", "--delta", "1e-10", "--in", "TMP/huge.txt"], 2),
     (["distance", "--m", "4", "--in", "TMP/ragged.txt"], 2),
@@ -586,6 +586,18 @@ def test_a_plan_the_filter_starves_exits_2_before_any_trial(command, k0, tmp_pat
                             "--out", str(tmp_path)], capsys)
     assert code == 2 and f"the k0={k0} anti-sparsity filter passes" in err
     assert started == [] and not any(tmp_path.iterdir())
+
+
+def test_a_ray_whose_anchor_passes_no_direction_exits_2(tmp_path, capsys):
+    # a rank-1 direction of an 8 x 8 anchor passes k0 = 16 only where no
+    # entry of the anchor's left singular vector holds half its norm; the
+    # share averaged over anchors passes the plan's check, so the sweep
+    # starts, and the first anchor that passes no direction gives up after
+    # MAX_DRAWS draws, about a second here
+    code, _, err = run_cli(["consistency-width", "--set", "lowrank:n1=8,n2=8,r=1,d=1",
+                            "--k0", "16", "--seed", "7", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "no direction passed the k0=16 anti-sparsity filter" in err
+    assert not any(tmp_path.iterdir())
 
 
 def _record_opens(monkeypatch) -> list:

@@ -509,7 +509,7 @@ def test_chord_ends_keep_the_anchor_codes_and_lie_in_the_set(spec, m, pull):
         assert np.all(np.linalg.norm(end, axis=0) <= 1.0)
         if isinstance(spec, G.SparseBall):
             support = np.zeros(anchors.shape, bool)
-            support[fold.anchors.rows, np.arange(fold.columns)] = True
+            support[fold.anchors.rows, np.arange(X._width_projects(plan)[0])] = True
             assert not np.any(end[~support])
         else:
             mats = end.T.reshape(-1, spec.n1, spec.n2)
@@ -531,15 +531,15 @@ def test_ray_radii_blocked_equals_whole(kind):
     ens = E.make_ensemble(kind)
     spec = G.SparseBall(n=n, k=4, radius=1.0)
     qmap = Q.make_map(ens, m, n, 0.5, 7)
-    rays_fold = X._consistency_width(_plan(set_spec=spec, pairs_per_m=rays),
-                                     np.random.default_rng(7))
+    plan = _plan(set_spec=spec, pairs_per_m=rays)
+    assert X._width_projects(plan) == (rays, False)
+    rays_fold = X._consistency_width(plan, np.random.default_rng(7))
     sparse, caps = (rays_fold.anchors, rays_fold.dirs), rays_fold.radii
     for xs, us in (sparse, tuple(map(_dense, sparse))):
         whole = X._chord_radii(qmap.project_many(xs), Q.product(qmap.phi, us), caps, qmap.delta)
         assert np.all(whole < caps)
         for blocks in ([qmap], Q.map_blocks(ens, m, n, 0.5, 7, rows)):
             fold = X._Rays(xs, us, caps)
-            assert fold.columns == rays
             assert all([fold.step(block) for block in blocks])
             assert np.array_equal(fold.radii, whole)
             assert fold.finish() == float(whole.sum(axis=0).max()) > 0.0
@@ -576,7 +576,7 @@ def test_distortion_folds_on_one_workspace_equal_pair_distances(spec):
     plan, n = _plan(set_spec=spec, pairs_per_m=200), G.ambient_dim(spec)
     rows = E.block_rows(n, 400)
     m = 3 * rows + 5
-    work = Q.Workspace()
+    work = {}
     for seed in range(3):
         fold = X._Distortion(plan, np.random.default_rng(seed), work)
         assert all([fold.step(block)
@@ -600,7 +600,7 @@ def test_distortion_steps_after_the_first_allocate_no_block_array(spec):
     plan, n = _plan(set_spec=spec, pairs_per_m=200), G.ambient_dim(spec)
     rows = E.block_rows(n, 400)
     blocks = list(Q.map_blocks(plan.ensemble, 3 * rows + 5, n, plan.delta, 1, rows))
-    fold = X._Distortion(plan, np.random.default_rng(1), Q.Workspace())
+    fold = X._Distortion(plan, np.random.default_rng(1), {})
     fold.step(blocks[0])
     tracemalloc.start()
     try:
@@ -613,19 +613,58 @@ def test_distortion_steps_after_the_first_allocate_no_block_array(spec):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_each_worker_folds_its_trials_on_one_workspace(jobs, monkeypatch):
-    from qembed import quantizer as Q
+def test_each_worker_folds_its_trials_on_one_workspace(jobs):
+    # each trial's fold is handed its worker's workspace; holding every one
+    # keeps their ids apart
+    plan, works = _plan(), []
 
-    made = []
+    def start(plan, rng, work):
+        works.append(work)
+        return X._Distortion(plan, rng, work)
 
-    class Counted(Q.Workspace):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    statistic = X._Statistic(start, X._distortion_projects)
+    X._sweep(plan, [("quasi-isometry", statistic, None)], jobs)
+    assert len(works) == len(plan.m_grid) * plan.trials_per_m
+    assert 1 <= len({id(work) for work in works}) <= jobs
 
-    monkeypatch.setattr(X, "Workspace", Counted)
-    X.quasi_isometry_sweep(_plan(), jobs=jobs)
-    assert 1 <= len(made) <= jobs
+
+@pytest.mark.parametrize("spec", [G.SparseBall(n=64, k=4, radius=1.0),
+                                  G.LowRankBall(n1=8, n2=8, r=2, radius=1.0),
+                                  G.FiniteSet(points=np.eye(4))],
+                         ids=["sparse", "lowrank", "finite"])
+def test_folds_project_the_columns_their_statistic_states(spec):
+    # the sweep sizes its blocks and decides to draw ahead from projects(plan)
+    # before any fold is built; each fold projects exactly those columns,
+    # and only the finite set's refinement may stop
+    plan = _plan(set_spec=spec, pairs_per_m=30)
+    width = {X._Distortion: lambda fold: fold.batch.shape[1],
+             X._Rays: lambda fold: fold.anchors.shape[1],
+             X._SharedCodes: lambda fold: len(fold.points)}
+    for stat in X.STATISTICS.values():
+        fold = stat.start(plan, np.random.default_rng(0), {})
+        assert stat.projects(plan) == (width[type(fold)](fold), isinstance(fold, X._SharedCodes))
+
+
+def test_a_low_rank_anchor_that_passes_no_direction_gives_up():
+    # a rank-1 direction of an 8 x 8 anchor is a e g^T, with a the anchor's
+    # left singular vector, so ||u||^2 / ||u||_inf^2 <= 8 / max a_i^2 < 16
+    # here: no draw passes k0 = 16, and the ray gives up after MAX_DRAWS
+    # (lowered to keep the test short; the CLI row runs the real bound)
+    spec = G.LowRankBall(n1=8, n2=8, r=1, radius=1.0)
+    x = np.outer([0.6, 0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0], np.full(8, 0.1)).ravel()
+    draws = []
+    real = X._direction_draw
+
+    def counted(*args):
+        draws.append(real(*args))
+        return draws[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(X, "_direction_draw", counted)
+        mp.setattr(X, "MAX_DRAWS", 1000)
+        with pytest.raises(X.SetFilterError, match="no direction passed the k0=16"):
+            X._direction_for(spec, x, None, 16.0, np.random.default_rng(0), np.zeros(64))
+    assert len(draws) == 1000 and not any(draws)
 
 
 def test_filter_rates_known_exactly_draw_nothing():

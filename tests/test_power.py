@@ -72,6 +72,9 @@ DEFECTS = {
     "fold-buffer-reads-stale-rows":
         (X._Distortion, "step", "pair_counts(block, self.batch, work=self.work).sum(axis=0)",
          "pair_counts(block, self.batch, work=self.work).base.sum(axis=0)"),
+    # the fold draws one pair more than the sweep sized its blocks for
+    "distortion-projects-past-its-statement":
+        (X._Distortion, "__init__", "range(columns // 2)", "range(columns // 2 + 1)"),
     "slots-sorted-without-their-values":
         (X, "_slot_columns", "np.take_along_axis(values, order, axis=1).T", "values.T"),
     "enumerator-ignores-the-block-budget":
@@ -181,6 +184,9 @@ ROWS = [
        test_experiments.test_distortion_folds_on_one_workspace_equal_pair_distances, (spec,))
       for spec in (G.SparseBall(n=512, k=4, radius=1.0),
                    G.LowRankBall(n1=16, n2=16, r=2, radius=1.0))],
+    ("distortion-projects-past-its-statement",
+     test_experiments.test_folds_project_the_columns_their_statistic_states,
+     (G.SparseBall(n=64, k=4, radius=1.0),)),
     ("slots-sorted-without-their-values",
      test_experiments.test_pair_batch_from_slots_equals_csc_array_of_the_dense_pairs, (4, 1.5)),
     ("slots-sorted-without-their-values",
