@@ -43,7 +43,6 @@ from .geometry import (
     anti_sparse,
     diameter,
     sample_point,
-    sparse_ball_point,
     sparse_ball_slots,
 )
 from .quantizer import SparseColumns, apply_many, map_blocks, product, quantize_array
@@ -126,21 +125,18 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> Optional[tuple[fl
     return slope, math.sqrt(sigma2 / sxx)
 
 
-def _point_and_support(spec: SetSpec, rng):
-    """A point of the set and its drawn support on a sparse ball (None elsewhere)."""
-    if isinstance(spec, SparseBall):
-        return sparse_ball_point(spec, rng)
-    return sample_point(spec, rng), None
+def _draw(spec: SetSpec, rng):
+    """A point of the set as a sweep draws it: on a sparse ball its slots
+    (support, values) from sparse_ball_slots, elsewhere sample_point's."""
+    return (sparse_ball_slots if isinstance(spec, SparseBall) else sample_point)(spec, rng)
 
 
 def _pair_draw(spec: SetSpec, k0: float, rng):
-    """Points x, y of the set, whether their difference passes the
-    anti-sparsity filter, and its norm. On a sparse ball a point is its slots
-    (support, values) from sparse_ball_slots, and the dense difference is
-    built from them with the bits of subtracting the dense points; its norm
-    is np.linalg.norm's formula sqrt(d . d)."""
-    point = sparse_ball_slots if isinstance(spec, SparseBall) else sample_point
-    x, y = point(spec, rng), point(spec, rng)
+    """Points x, y of the set (see _draw), whether their difference passes
+    the anti-sparsity filter, and its norm. On a sparse ball the dense
+    difference is built from the slots with the bits of subtracting the
+    dense points; its norm is np.linalg.norm's formula sqrt(d . d)."""
+    x, y = _draw(spec, rng), _draw(spec, rng)
     if isinstance(spec, SparseBall):
         d = np.zeros(spec.n)
         d[x[0]] = x[1]
@@ -167,38 +163,18 @@ def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
     raise _starved("pair", k0)
 
 
-def _slot_columns(supports, values, n: int) -> SparseColumns:
-    """Columns given by their (count, K) slots as SparseColumns, each
-    column's rows sorted with their values: the order in which csc_array of
-    the dense columns would sum them (see _batch)."""
-    order = np.argsort(supports, axis=1)
-    return SparseColumns(np.take_along_axis(supports, order, axis=1).T,
-                         np.take_along_axis(values, order, axis=1).T, n)
-
-
-def _batch(spec: SetSpec, xs: np.ndarray, supports):
-    """The batch a fold projects: on a sparse ball xs as SparseColumns built
-    from its columns' drawn supports (one per column), without scanning xs,
-    and xs in C order on other sets (a dense product's bits depend on its
-    layout: ROADMAP item 8). Each column's rows are sorted, the order in
-    which csc_array(xs) would sum them, so each block's Phi @ batch runs over
-    the K slots of a column alone, summing in another order than the dense
-    product: a code can move only where Phi x + xi is within an ulp of a
-    threshold."""
-    if not isinstance(spec, SparseBall):
-        return np.ascontiguousarray(xs)
-    supports = np.asarray(supports)
-    return _slot_columns(supports, xs[supports, np.arange(xs.shape[1])[:, None]], xs.shape[0])
-
-
-def _pairs_batch(spec: SetSpec, points):
-    """The batch of pair points x0, y0, x1, y1, ... (see _pair_draw) as
-    columns: as _batch would build it from the dense points, but on a sparse
-    ball straight from their slots."""
+def _columns(spec: SetSpec, points):
+    """The batch a fold projects, its drawn points (see _draw) as columns: on
+    a sparse ball SparseColumns of their slots, with no dense point, and the
+    dense points in C order on other sets (a dense product's bits depend on
+    its layout: ROADMAP item 8). Each block's Phi @ batch then runs over the
+    K slots of a column alone, in scipy's order (see SparseColumns), not the
+    dense product's: a code can move only where Phi x + xi is within an ulp
+    of a threshold."""
     if not isinstance(spec, SparseBall):
         return np.column_stack(points)
     supports, values = map(np.array, zip(*points))
-    return _slot_columns(supports, values, spec.n)
+    return SparseColumns(supports.T, values.T, spec.n)
 
 
 def _cpus() -> int:
@@ -292,10 +268,10 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     # drawing ahead pays only on an idle CPU: on busy ones it slows the folds
     draw_ahead = 2 * workers <= _cpus() and not any(stops)
     with ThreadPoolExecutor(max_workers=workers) as helpers:
-        if jobs == 1:
+        if jobs == 1:  # in line: on a one-thread pool qi-sparse peaked 1.5 MB higher, no faster
             trials = [one(*task) for task in tasks]
         else:  # pool.map keeps the order of the tasks, whatever the workers
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 trials = list(pool.map(lambda task: one(*task), tasks))
     results = {}
     for i, (experiment, _, slope_band) in enumerate(statistics):
@@ -336,7 +312,7 @@ class _Distortion:
         columns, _ = _distortion_projects(plan)
         pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng) for _ in range(columns // 2)]
         self.dists = np.array([dist for *_, dist in pairs])
-        self.batch = _pairs_batch(plan.set_spec, [p for x, y, _ in pairs for p in (x, y)])
+        self.batch = _columns(plan.set_spec, [p for x, y, _ in pairs for p in (x, y)])
         self.delta, self.allowance, self.work = plan.delta, _allowance(plan), work
         self.counts = self.m = 0
 
@@ -350,12 +326,12 @@ class _Distortion:
         return float(np.max(errs / (self.dists + self.delta))) - self.allowance
 
 
-def _direction_basis(spec: SetSpec, x: np.ndarray, support):
-    """What every direction draw for the anchor x reads: on a sparse ball
-    x's drawn support (see _point_and_support) in sorted order, on a
-    low-rank ball the first r left singular vectors of x as a matrix."""
+def _direction_basis(spec: SetSpec, x):
+    """What every direction draw for the drawn anchor x (see _draw) reads: on
+    a sparse ball x's support in sorted order, on a low-rank ball the first r
+    left singular vectors of x as a matrix."""
     if isinstance(spec, SparseBall):
-        return np.sort(support)
+        return np.sort(x[0])
     if isinstance(spec, LowRankBall):
         uu, _, _ = np.linalg.svd(x.reshape(spec.n1, spec.n2), full_matrices=False)
         return uu[:, : spec.r]
@@ -375,12 +351,12 @@ def _direction_draw(spec: SetSpec, basis, k0: float, rng, u: np.ndarray):
     return anti_sparse(u, k0)
 
 
-def _direction_for(spec: SetSpec, x: np.ndarray, support, k0: float, rng, u: np.ndarray):
-    """Writes into u the first of _direction_draw's directions for the
+def _direction_for(spec: SetSpec, x, k0: float, rng, u: np.ndarray):
+    """Writes into u the first of _direction_draw's directions for the drawn
     anchor x that passes the filter (decay_sweeps has checked that
     directions do, on average over anchors), or SetFilterError after
     MAX_DRAWS that do not."""
-    basis = _direction_basis(spec, x, support)
+    basis = _direction_basis(spec, x)
     for _ in range(MAX_DRAWS):
         if _direction_draw(spec, basis, k0, rng, u):
             return
@@ -496,19 +472,28 @@ def _width_projects(plan: TrialPlan) -> tuple[int, bool]:
 
 def _consistency_width(plan: TrialPlan, rng, work: Optional[dict] = None):
     """The consistency width statistic's fold, which lends no arrays from
-    work: _SharedCodes of a finite set's points, or _Rays of anchors and
-    admissible directions as rows."""
+    work: _SharedCodes of a finite set's points, or _Rays of drawn anchors
+    and admissible directions. Their dense rows feed the formulas that read
+    all N entries, the direction norms and _radial_caps; on a sparse ball
+    the batches are built from the anchors' slots and the directions'
+    entries on the same supports."""
     columns, refines = _width_projects(plan)
     if refines:
         return _SharedCodes(plan.set_spec.points, plan.k0)
     spec, n = plan.set_spec, ambient_dim(plan.set_spec)
-    anchors, dirs, supports = np.empty((columns, n)), np.zeros((columns, n)), []
+    sparse = isinstance(spec, SparseBall)
+    anchors, dirs, points = np.zeros((columns, n)), np.zeros((columns, n)), []
     for x, u in zip(anchors, dirs):  # one ray at a time: the draws keep their order
-        x[:], support = _point_and_support(spec, rng)
-        _direction_for(spec, x, support, plan.k0, rng, u)
-        supports.append(support)
+        point = _draw(spec, rng)
+        if sparse:
+            x[point[0]] = point[1]
+        else:
+            x[:] = point
+        _direction_for(spec, point, plan.k0, rng, u)
+        points.append(point)
     dirs /= np.sqrt(np.vecdot(dirs, dirs))[:, None]
-    return _Rays(_batch(spec, anchors.T, supports), _batch(spec, dirs.T, supports),
+    directions = [(s, u[s]) for (s, _), u in zip(points, dirs)] if sparse else dirs
+    return _Rays(_columns(spec, points), _columns(spec, directions),
                  _radial_caps(anchors, dirs, diameter(spec)))
 
 
@@ -561,7 +546,7 @@ def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str,
                       lambda rng: _pair_draw(spec, plan.k0, rng)[2])
     if "consistency-width" in slope_bands and not isinstance(spec, FiniteSet):
         def passes(rng):  # each direction drawn for an anchor of its own
-            basis = _direction_basis(spec, *_point_and_support(spec, rng))
+            basis = _direction_basis(spec, _draw(spec, rng))
             return _direction_draw(spec, basis, plan.k0, rng, np.zeros(n))
 
         _check_filter(plan, "direction", spec.k if sparse else n, passes)

@@ -107,7 +107,10 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
         idx = rng.integers(0, spec.points.shape[0])
         return spec.points[idx].copy()
     if isinstance(spec, SparseBall):
-        return sparse_ball_point(spec, rng)[0]
+        support, values = sparse_ball_slots(spec, rng)
+        c = np.zeros(spec.n)
+        c[support] = values
+        return c
     if isinstance(spec, LowRankBall):
         a = rng.standard_normal((spec.n1, spec.r))
         b = rng.standard_normal((spec.r, spec.n2))
@@ -126,7 +129,7 @@ def sample_point(spec: SetSpec, seed) -> np.ndarray:
 def sparse_ball_slots(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
     """A point of a sparse ball as its K slots: the indices it drew as the
     support, in draw order, and its coefficients there (the point is zero
-    elsewhere). sparse_ball_point is the same draw as a dense vector."""
+    elsewhere). sample_point is the same draw as a dense vector."""
     rng = np.random.default_rng(seed)
     support = rng.choice(spec.n, size=spec.k, replace=False)
     coeffs = rng.standard_normal(spec.k)
@@ -136,15 +139,6 @@ def sparse_ball_slots(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
         norm = 1.0
     target = spec.radius * rng.random()
     return support, coeffs * (target / norm)
-
-
-def sparse_ball_point(spec: SparseBall, seed) -> tuple[np.ndarray, np.ndarray]:
-    """sample_point on a sparse ball together with the K indices it drew as
-    the support, in draw order: the point can be nonzero only there."""
-    support, values = sparse_ball_slots(spec, seed)
-    c = np.zeros(spec.n)
-    c[support] = values
-    return c, support
 
 
 def sup_oracle(spec: SetSpec, g: np.ndarray):

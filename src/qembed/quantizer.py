@@ -99,8 +99,9 @@ class SparseColumns:
     """A batch of count column vectors of length n with K >= 1 slots each:
     column j is the sum over k of values[k, j] times the unit vector at row
     rows[k, j] (a slot may hold 0.0). product sums the slots in order, so
-    rows sorted within each column give scipy's bits. The rows are checked
-    once, here, so product's gathers never clamp."""
+    each column's slots are sorted here by row, stably and with their
+    values: slots given in any order then give scipy's bits. The rows are
+    checked once, here, so product's gathers never clamp."""
 
     rows: np.ndarray    # (K, count) intp
     values: np.ndarray  # (K, count) float64
@@ -109,15 +110,16 @@ class SparseColumns:
     ndim = 2
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.intp)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        rows = np.asarray(self.rows, dtype=np.intp)
+        values = np.asarray(self.values, dtype=np.float64)
         if rows.ndim != 2 or rows.shape != values.shape or len(rows) < 1:
             raise InvalidArgument(f"rows and values must be (K, count) arrays of one shape with "
                                   f"K >= 1, got {rows.shape} and {values.shape}")
         if rows.size and not (0 <= rows.min() and rows.max() < self.n):
             raise InvalidArgument(f"support rows must lie in [0, {self.n})")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "values", values)
+        order = np.argsort(rows, axis=0, kind="stable")
+        object.__setattr__(self, "rows", np.take_along_axis(rows, order, axis=0))
+        object.__setattr__(self, "values", np.take_along_axis(values, order, axis=0))
 
     @property
     def shape(self) -> tuple[int, int]:

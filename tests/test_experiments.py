@@ -122,45 +122,35 @@ def test_quasi_isometry_sparse_ball_batch_matches_dense(monkeypatch):
     sparse = X.quasi_isometry_sweep(plan)
     assert seen and all(seen)
     seen.clear()
-    monkeypatch.setattr(X, "_pairs_batch", _dense_points)
+    monkeypatch.setattr(X, "_columns", lambda spec, points: _dense(points, spec.n))
     dense = X.quasi_isometry_sweep(plan)
     assert seen and not any(seen)
     assert sparse.rows == dense.rows
-
-
-def _dense_points(spec, points):
-    """Pair points, slots (support, values) on a sparse ball, as the dense
-    columns that sample_point draws."""
-    xs = np.zeros((spec.n, len(points)))
-    for j, (support, values) in enumerate(points):
-        xs[support, j] = values
-    return xs
 
 
 SPARSE_512 = G.SparseBall(n=512, k=4, radius=1.0)
 
 
 def _sparse_ball_batch():
-    """400 points of the 4-sparse unit ball in dimension 512, their drawn
-    supports, a zero column and a column with one nonzero coefficient."""
+    """The slots (support, values) of 400 points of the 4-sparse unit ball in
+    dimension 512, a zero column and a column with one nonzero coefficient."""
     rng = np.random.default_rng(17)
-    points = [G.sparse_ball_point(SPARSE_512, rng) for _ in range(400)]
-    xs = np.column_stack([x for x, _ in points])
-    supports = np.array([support for _, support in points], dtype=np.int32)
-    xs[:, 3] = 0.0  # rng.random() returned 0.0
-    xs[supports[5, 1:], 5] = 0.0  # the norm-0 fallback keeps one coefficient
-    return xs, supports
+    points = [G.sparse_ball_slots(SPARSE_512, rng) for _ in range(400)]
+    points[3][1][:] = 0.0  # rng.random() returned 0.0
+    points[5][1][1:] = 0.0  # the norm-0 fallback keeps one coefficient
+    return points
 
 
 def test_sparse_columns_equal_csc_array_of_the_dense_batch():
-    """The batch built from the supports holds csc_array(xs)'s entries in its
+    """The batch built from the slots holds csc_array(xs)'s entries in its
     order, plus the zeros that csc_array drops, and its product is
     Phi @ csc_array(xs) bit for bit, on the zero and the one-nonzero column too."""
     from qembed import quantizer as Q
     from scipy.sparse import csc_array
 
-    xs, supports = _sparse_ball_batch()
-    built, reference = X._batch(SPARSE_512, xs, supports), csc_array(xs)
+    points = _sparse_ball_batch()
+    xs = _dense(points, 512)
+    built, reference = X._columns(SPARSE_512, points), csc_array(xs)
     assert built.shape == xs.shape and built.rows.shape == (4, 400)
     stored = built.values.T != 0.0  # column by column, as csc_array stores them
     assert np.count_nonzero(stored) == reference.nnz == 400 * 4 - 4 - 3
@@ -177,8 +167,7 @@ def test_sparse_product_is_a_function_of_the_column():
     rows, give the bits of the whole batch through the whole map."""
     from qembed import quantizer as Q
 
-    xs, supports = _sparse_ball_batch()
-    batch = X._batch(SPARSE_512, xs, supports)
+    batch = X._columns(SPARSE_512, _sparse_ball_batch())
     phi = np.random.default_rng(19).standard_normal((3 * 256 + 5, 512))
     whole = Q.product(phi, batch).view(np.uint64)
     for j in range(400):
@@ -190,43 +179,42 @@ def test_sparse_product_is_a_function_of_the_column():
 
 
 def test_quasi_isometry_sparse_batch_from_supports_matches_csc_array(monkeypatch):
-    """Building the batch from the supports gives the rows of building it
-    from csc_array of the dense points."""
+    """Building the batch from the slots gives the rows of building it from
+    csc_array of the dense points."""
     from test_quantizer import csc_columns
 
     plan = _plan(set_spec=G.SparseBall(n=512, k=4, radius=1.0), m_grid=(16, 64, 256),
                  pairs_per_m=50, trials_per_m=2)
     from_supports = X.quasi_isometry_sweep(plan)
-    monkeypatch.setattr(X, "_pairs_batch",
-                        lambda spec, points: csc_columns(_dense_points(spec, points)))
+    monkeypatch.setattr(X, "_columns",
+                        lambda spec, points: csc_columns(_dense(points, spec.n)))
     assert from_supports.rows == X.quasi_isometry_sweep(plan).rows
 
 
 @pytest.mark.parametrize("k, k0", [(1, 1.0), (4, 1.5), (16, 1.5)])
 def test_pair_batch_from_slots_equals_csc_array_of_the_dense_pairs(k, k0):
     """The distortion fold's batch, built from its pairs' slots, holds
-    csc_array's entries of the dense pairs that sample_point draws, in its
-    order, and is _batch's of those pairs; each pair's distance is
-    np.linalg.norm(x - y), bit for bit. In dimension 24 a pair's supports
-    often overlap (at K = 1 every pair passes, so one may share its index),
-    and at k0 = 1.5 some pairs are redrawn."""
+    csc_array's entries of the dense pairs (the slots scattered, as
+    sample_point does), in its order, and is _columns' of those slots; each
+    pair's distance is np.linalg.norm(x - y), bit for bit. In dimension 24 a
+    pair's supports often overlap (at K = 1 every pair passes, so one may
+    share its index), and at k0 = 1.5 some pairs are redrawn."""
     from scipy.sparse import csc_array
 
     spec = G.SparseBall(n=24, k=k, radius=1.0)
     fold = X._Distortion(_plan(set_spec=spec, pairs_per_m=200, k0=k0), np.random.default_rng(k))
     rng = np.random.default_rng(k)  # the reference draws dense pairs until one passes
-    points, supports, dists, overlapping = [], [], [], 0
+    slots, dists, overlapping = [], [], 0
     while len(dists) < 200:
-        (x, sx), (y, sy) = G.sparse_ball_point(spec, rng), G.sparse_ball_point(spec, rng)
+        pair = [G.sparse_ball_slots(spec, rng), G.sparse_ball_slots(spec, rng)]
+        x, y = _dense(pair, 24).T
         if G.anti_sparse(x - y, k0):
-            points += [x, y]
-            supports += [sx, sy]
+            slots += pair
             dists.append(np.linalg.norm(x - y))
-            overlapping += bool(set(sx) & set(sy))
+            overlapping += bool(set(pair[0][0]) & set(pair[1][0]))
     assert overlapping > 0
     assert np.array_equal(fold.dists.view(np.uint64), np.array(dists).view(np.uint64))
-    xs = np.column_stack(points)
-    reference, built = csc_array(xs), X._batch(spec, xs, supports)
+    reference, built = csc_array(_dense(slots, 24)), X._columns(spec, slots)
     assert np.array_equal(fold.batch.rows, built.rows)
     assert np.array_equal(fold.batch.values.view(np.uint64), built.values.view(np.uint64))
     stored = fold.batch.values.T != 0.0
@@ -337,15 +325,16 @@ def test_direction_lies_on_the_drawn_support():
     rng = np.random.default_rng(8)
     unsorted = 0
     for _ in range(50):
-        x, support = G.sparse_ball_point(spec, rng)
+        support, values = G.sparse_ball_slots(spec, rng)
         unsorted += bool(np.any(np.diff(support) < 0))
         state = rng.bit_generator.state
         u, again = np.zeros(spec.n), np.zeros(spec.n)
-        X._direction_for(spec, x, support, 3.0, rng, u)
+        X._direction_for(spec, (support, values), 3.0, rng, u)
         assert np.array_equal(np.flatnonzero(u), np.sort(support))
         rng.bit_generator.state = state
+        x = _dense([(support, values)], spec.n)[:, 0]
         recovered = np.flatnonzero(np.abs(x) > 1e-12)
-        X._direction_for(spec, x, recovered, 3.0, rng, again)
+        X._direction_for(spec, (recovered, x[recovered]), 3.0, rng, again)
         assert np.array_equal(again, u)
     assert unsorted > 0
 
@@ -359,7 +348,12 @@ def _rays_one_at_a_time(spec, count: int, k0: float, rng):
     d = G.diameter(spec)
     anchors, dirs, caps, supports, rejected = [], [], [], [], 0
     for _ in range(count):
-        x, support = X._point_and_support(spec, rng)
+        if isinstance(spec, G.SparseBall):
+            support, values = G.sparse_ball_slots(spec, rng)
+            x = np.zeros(spec.n)
+            x[support] = values
+        else:
+            x, support = G.sample_point(spec, rng), None
         while True:
             if isinstance(spec, G.SparseBall):
                 u = np.zeros(spec.n)
@@ -474,14 +468,19 @@ def test_consistent_radius_is_tight(kind, m):
                 assert not np.array_equal(outside[:, 0], codes[:, j])
 
 
-def _dense(batch):
-    """A batch of column vectors as a dense array."""
+def _dense(batch, n=None):
+    """A batch of column vectors as a dense array: a dense batch as it is,
+    and SparseColumns, or the slots (support, values) of points of dimension
+    n, one per column, scattered into zeros column by column."""
     from qembed import quantizer as Q
 
-    if not isinstance(batch, Q.SparseColumns):
+    if isinstance(batch, np.ndarray):
         return batch
-    dense = np.zeros(batch.shape)
-    dense[batch.rows, np.arange(dense.shape[1])] = batch.values
+    if isinstance(batch, Q.SparseColumns):
+        batch, n = list(zip(batch.rows.T, batch.values.T)), batch.n
+    dense = np.zeros((n, len(batch)))
+    for j, (support, values) in enumerate(batch):
+        dense[support, j] = values
     return dense
 
 
@@ -663,7 +662,7 @@ def test_a_low_rank_anchor_that_passes_no_direction_gives_up():
         mp.setattr(X, "_direction_draw", counted)
         mp.setattr(X, "MAX_DRAWS", 1000)
         with pytest.raises(X.SetFilterError, match="no direction passed the k0=16"):
-            X._direction_for(spec, x, None, 16.0, np.random.default_rng(0), np.zeros(64))
+            X._direction_for(spec, x, 16.0, np.random.default_rng(0), np.zeros(64))
     assert len(draws) == 1000 and not any(draws)
 
 

@@ -56,11 +56,13 @@ def test_sparse_sample_respects_support_and_radius():
     assert np.linalg.norm(p) <= 1.0
 
 
-def test_sparse_ball_point_is_sample_point_with_its_support():
+def test_sample_point_is_sparse_ball_slots_scattered():
     spec = G.SparseBall(n=16, k=3, radius=1.0)
     a, b, c = (np.random.default_rng(4) for _ in range(3))
     for _ in range(20):
-        p, support = G.sparse_ball_point(spec, a)
+        support, values = G.sparse_ball_slots(spec, a)
+        p = np.zeros(16)
+        p[support] = values
         assert np.array_equal(p, G.sample_point(spec, b))
         # the Generator calls of a sparse-ball point, in their order
         drawn = c.choice(16, size=3, replace=False)

@@ -76,7 +76,10 @@ DEFECTS = {
     "distortion-projects-past-its-statement":
         (X._Distortion, "__init__", "range(columns // 2)", "range(columns // 2 + 1)"),
     "slots-sorted-without-their-values":
-        (X, "_slot_columns", "np.take_along_axis(values, order, axis=1).T", "values.T"),
+        (Q.SparseColumns, "__post_init__", "np.take_along_axis(values, order, axis=0)", "values"),
+    # the directions' slots take the values of the dense anchor rows
+    "direction-slots-from-the-anchors":
+        (X, "_consistency_width", "zip(points, dirs)", "zip(points, anchors)"),
     "enumerator-ignores-the-block-budget":
         (D, "soft_count_enumerated", "chunk = block_rows(len(ks), 1)", "chunk = 4000"),
     "width-search-compares-256-points-at-once":
@@ -191,6 +194,11 @@ ROWS = [
      test_experiments.test_pair_batch_from_slots_equals_csc_array_of_the_dense_pairs, (4, 1.5)),
     ("slots-sorted-without-their-values",
      test_experiments.test_sparse_columns_equal_csc_array_of_the_dense_batch, ()),
+    ("slots-sorted-without-their-values",
+     test_quantizer.test_sparse_columns_sort_slots_given_in_any_order, ()),
+    *[("direction-slots-from-the-anchors",
+       test_experiments.test_ray_rows_equal_the_rays_drawn_one_at_a_time,
+       (G.SparseBall(n=64, k=4, radius=1.0), k0)) for k0 in (1.0, 3.0)],
     ("enumerator-ignores-the-block-budget",
      test_distances.test_enumerator_stays_within_the_block_budget, ()),
     ("width-search-compares-256-points-at-once",

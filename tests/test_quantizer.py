@@ -158,6 +158,37 @@ def test_project_many_takes_a_sparse_batch():
         qmap.project_many(csc_columns(np.ones((41, 2))))
 
 
+def test_sparse_columns_sort_slots_given_in_any_order():
+    # each column's slots come out sorted by row, stably, with their values,
+    # so the product is Phi @ csc_array of the dense columns bit for bit:
+    # all 24 orders of one K = 4 column, csc_columns' row-0 zero padding
+    # (after a stored row 0 too), a zero column and a one-nonzero column
+    from itertools import permutations
+
+    from scipy.sparse import csc_array
+
+    rng = np.random.default_rng(23)
+    rows, values = np.array([37, 5, 61, 18]), rng.standard_normal(4)
+    slots = [(rows[list(order)], values[list(order)]) for order in permutations(range(4))]
+    slots += [([12, 40, 0, 0], [*rng.standard_normal(2), 0.0, 0.0]),
+              ([0, 33, 0, 0], [*rng.standard_normal(2), 0.0, 0.0]),
+              ([3, 50, 7, 21], np.zeros(4)),
+              ([44, 2, 60, 9], [0.0, 0.0, rng.standard_normal(), 0.0])]
+    given_rows, given_values = (np.array(part).T for part in zip(*slots))
+    batch = Q.SparseColumns(given_rows, given_values, 64)
+    for j, (r, v) in enumerate(slots):
+        order = sorted(range(4), key=lambda k: r[k])  # Python's sort is stable
+        assert np.array_equal(batch.rows[:, j], np.asarray(r)[order])
+        assert np.array_equal(batch.values[:, j].view(np.uint64),
+                              np.asarray(v, dtype=float)[order].view(np.uint64))
+    dense = np.zeros((64, len(slots)))
+    np.add.at(dense, (given_rows, np.arange(len(slots))), given_values)
+    assert np.count_nonzero(dense) == 24 * 4 + 2 + 2 + 0 + 1
+    phi = rng.standard_normal((50, 64))
+    expected = phi @ csc_array(dense)
+    assert np.array_equal(Q.product(phi, batch).view(np.uint64), expected.view(np.uint64))
+
+
 def test_sparse_columns_reject_rows_outside_the_vector():
     for rows in ([[0, 5]], [[-1, 2]]):
         with pytest.raises(E.InvalidArgument, match="support rows"):
