@@ -51,29 +51,12 @@ class Ensemble:
             raise InvalidArgument("kappa_sg must be nonnegative")
 
 
-def _abs_moment(kind: str, p: int) -> float:
-    """E|X|^p in closed form for the non-Gaussian kinds, the ones whose kappa
-    reads psi2_norm."""
-    if kind == "rademacher":
-        return 1.0
-    if kind == "bounded-uniform":
-        # |X| uniform on [0, sqrt(3)]
-        return math.sqrt(3.0) ** p / (p + 1)
-    raise InvalidArgument(f"no closed-form moment for kind {kind!r}")
-
-
-def psi2_norm(kind: str) -> float:
-    """sup over integer p in {1..64} of p^(-1/2) (E|X|^p)^(1/p) for a
-    non-Gaussian kind (make_ensemble gives the Gaussian kappa 0 without it).
-
-    Closed-form moments are used; the sup is attained at small p for both
-    kinds, so the integer grid is exact in practice.
-    """
-    best = 0.0
-    for p in range(1, 65):
-        val = _abs_moment(kind, p) ** (1.0 / p) / math.sqrt(p)
-        best = max(best, val)
-    return best
+# psi2, the sup over p >= 1 of p^(-1/2) (E|X|^p)^(1/p), of the non-Gaussian
+# kinds (a Gaussian's kappa is 0 without it). Both peak at p = 1, where it is
+# E|X|: Rademacher's is p^(-1/2), and for |X| uniform on [0, sqrt(3)] it is
+# sqrt(3) (p + 1)^(-1/p) p^(-1/2), whose log has derivative
+# (ln(p + 1) - p/(p + 1) - p/2) / p^2 < 0 on p >= 1.
+_PSI2 = {"rademacher": 1.0, "bounded-uniform": math.sqrt(3.0) / 2}
 
 
 def make_ensemble(kind: str, kappa_source: str = "generic-bound") -> Ensemble:
@@ -88,7 +71,7 @@ def make_ensemble(kind: str, kappa_source: str = "generic-bound") -> Ensemble:
     if kind == "gaussian":
         kappa = 0.0
     elif kappa_source == "generic-bound":
-        kappa = GENERIC_KAPPA_FACTOR * psi2_norm(kind) ** 3
+        kappa = GENERIC_KAPPA_FACTOR * _PSI2[kind] ** 3
     else:
         kappa = estimate_kappa(kind)
     return Ensemble(kind=kind, kappa_sg=kappa)

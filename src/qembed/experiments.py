@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,12 +50,13 @@ from .quantizer import SparseColumns, apply_many, map_blocks, product, quantize_
 
 MAD_GAP_CONST = 1.0 / 7.0
 MIN_FIT_POINTS = 3  # the log-log fit's slope and stderr need one residual degree of freedom
-# a sweep's pairs and rays are drawn until they pass the k0 filter; it runs
-# only where the filter passes at least 1 in MAX_FILTER_DRAWS draws, a share
-# that is exact where it is known and else estimated from RATE_DRAWS draws.
-# A low-rank ray's share depends on its anchor, and some anchors pass no
-# direction, so each pair or ray gives up after MAX_DRAWS draws: one whose
-# own share is 1 in MAX_FILTER_DRAWS reaches it with probability about e^-100
+# a sweep's pairs and rays are drawn until they pass the k0 filter
+# (_first_passing); it runs only where the filter passes at least 1 in
+# MAX_FILTER_DRAWS draws, a share that is exact where it is known and else
+# estimated from RATE_DRAWS draws. A low-rank ray's share depends on its
+# anchor, and some anchors pass no direction, so each pair or ray gives up
+# after MAX_DRAWS draws: one whose own share is 1 in MAX_FILTER_DRAWS reaches
+# it with probability about e^-100
 MAX_FILTER_DRAWS = 1000
 RATE_DRAWS = 4000
 MAX_DRAWS = 100 * MAX_FILTER_DRAWS
@@ -101,7 +103,7 @@ class TrialRow:
 @dataclass
 class ExperimentResult:
     rows: list[TrialRow]
-    fit_points: list[tuple[int, float]]  # (m, worst uncensored statistic) where positive
+    fit_points: list[tuple[int, float]]  # (m, worst uncensored statistic) where there is one
     slope: Optional[float]
     slope_stderr: Optional[float]
     verdict: Optional[bool]
@@ -132,10 +134,11 @@ def _draw(spec: SetSpec, rng):
 
 
 def _pair_draw(spec: SetSpec, k0: float, rng):
-    """Points x, y of the set (see _draw), whether their difference passes
-    the anti-sparsity filter, and its norm. On a sparse ball the dense
-    difference is built from the slots with the bits of subtracting the
-    dense points; its norm is np.linalg.norm's formula sqrt(d . d)."""
+    """Points x, y of the set (see _draw) and the norm of their difference,
+    or None where the difference fails the anti-sparsity filter. On a sparse
+    ball the dense difference is built from the slots with the bits of
+    subtracting the dense points; its norm is np.linalg.norm's formula
+    sqrt(d . d)."""
     x, y = _draw(spec, rng), _draw(spec, rng)
     if isinstance(spec, SparseBall):
         d = np.zeros(spec.n)
@@ -143,24 +146,19 @@ def _pair_draw(spec: SetSpec, k0: float, rng):
         d[y[0]] -= y[1]
     else:
         d = x - y
-    return x, y, anti_sparse(d, k0), math.sqrt(d.dot(d))
+    return (x, y, math.sqrt(d.dot(d))) if anti_sparse(d, k0) else None
 
 
-def _starved(what: str, k0: float) -> SetFilterError:
-    """The error of a pair or ray that none of MAX_DRAWS draws passed."""
-    return SetFilterError(f"no {what} passed the k0={k0:g} anti-sparsity filter in {MAX_DRAWS} "
-                          "draws; lower k0 (--k0)")
-
-
-def _sample_filtered_pair(spec: SetSpec, k0: float, rng):
-    """Points x, y of the set whose difference passes the anti-sparsity
-    filter, drawn until a pair passes (decay_sweeps has checked that pairs
-    do) or MAX_DRAWS have not (SetFilterError), and the difference's norm."""
+def _first_passing(draw, what: str, k0: float):
+    """The first true result of draw(), which draws a pair or a direction
+    and gives a false one where the k0 filter rejects it (decay_sweeps has
+    checked that the filter passes such draws), or SetFilterError after
+    MAX_DRAWS rejected draws."""
     for _ in range(MAX_DRAWS):
-        x, y, passes, dist = _pair_draw(spec, k0, rng)
-        if passes:
-            return x, y, dist
-    raise _starved("pair", k0)
+        if got := draw():
+            return got
+    raise SetFilterError(f"no {what} passed the k0={k0:g} anti-sparsity filter in {MAX_DRAWS} "
+                         "draws; lower k0 (--k0)")
 
 
 def _columns(spec: SetSpec, points):
@@ -277,12 +275,8 @@ def _sweep(plan: TrialPlan, statistics, jobs: int) -> dict[str, ExperimentResult
     for i, (experiment, _, slope_band) in enumerate(statistics):
         rows = [TrialRow(experiment, m, t, stats[i], stats[i] <= 0, fingerprint)
                 for (_, m, t), (stats, fingerprint) in zip(tasks, trials)]
-        fit_points = []
-        for m in plan.m_grid:
-            vals = [r.statistic for r in rows if r.m == m and not r.censored]
-            worst = float(np.max(vals)) if vals else math.nan
-            if worst > 0:
-                fit_points.append((m, worst))
+        fit_points = [(m, float(np.max(vals))) for m in plan.m_grid
+                      if (vals := [r.statistic for r in rows if r.m == m and not r.censored])]
         slope, stderr = fit_loglog_slope(fit_points) or (None, None)
         verdict = None if slope_band is None else (
             slope is not None and slope_band[0] <= slope <= slope_band[1])
@@ -310,7 +304,8 @@ class _Distortion:
 
     def __init__(self, plan: TrialPlan, rng, work: Optional[dict] = None):
         columns, _ = _distortion_projects(plan)
-        pairs = [_sample_filtered_pair(plan.set_spec, plan.k0, rng) for _ in range(columns // 2)]
+        draw = partial(_pair_draw, plan.set_spec, plan.k0, rng)
+        pairs = [_first_passing(draw, "pair", plan.k0) for _ in range(columns // 2)]
         self.dists = np.array([dist for *_, dist in pairs])
         self.batch = _columns(plan.set_spec, [p for x, y, _ in pairs for p in (x, y)])
         self.delta, self.allowance, self.work = plan.delta, _allowance(plan), work
@@ -349,18 +344,6 @@ def _direction_draw(spec: SetSpec, basis, k0: float, rng, u: np.ndarray):
     else:
         rng.standard_normal(out=u)
     return anti_sparse(u, k0)
-
-
-def _direction_for(spec: SetSpec, x, k0: float, rng, u: np.ndarray):
-    """Writes into u the first of _direction_draw's directions for the drawn
-    anchor x that passes the filter (decay_sweeps has checked that
-    directions do, on average over anchors), or SetFilterError after
-    MAX_DRAWS that do not."""
-    basis = _direction_basis(spec, x)
-    for _ in range(MAX_DRAWS):
-        if _direction_draw(spec, basis, k0, rng, u):
-            return
-    raise _starved("direction", k0)
 
 
 def _radial_caps(xs: np.ndarray, us: np.ndarray, radius: float) -> np.ndarray:
@@ -489,7 +472,8 @@ def _consistency_width(plan: TrialPlan, rng, work: Optional[dict] = None):
             x[point[0]] = point[1]
         else:
             x[:] = point
-        _direction_for(spec, point, plan.k0, rng, u)
+        basis = _direction_basis(spec, point)
+        _first_passing(partial(_direction_draw, spec, basis, plan.k0, rng, u), "direction", plan.k0)
         points.append(point)
     dirs /= np.sqrt(np.vecdot(dirs, dirs))[:, None]
     directions = [(s, u[s]) for (s, _), u in zip(points, dirs)] if sparse else dirs
@@ -543,7 +527,7 @@ def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str,
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
     if "quasi-isometry" in slope_bands:  # two K-sparse points differ on at most 2K coordinates
         _check_filter(plan, "pair", min(2 * spec.k, n) if sparse else n,
-                      lambda rng: _pair_draw(spec, plan.k0, rng)[2])
+                      lambda rng: _pair_draw(spec, plan.k0, rng) is not None)
     if "consistency-width" in slope_bands and not isinstance(spec, FiniteSet):
         def passes(rng):  # each direction drawn for an anchor of its own
             basis = _direction_basis(spec, _draw(spec, rng))
@@ -576,20 +560,12 @@ def consistency_width_sweep(plan: TrialPlan, slope_band: Optional[tuple[float, f
 
 
 def _sample_local_set(spec: SetSpec, eta: float, rng) -> np.ndarray:
-    """A point of (K - K) inter eta B.
-
-    Continuum kinds: a sampled difference radially shrunk to a uniform norm
-    cap in [0, eta] (shrink only, so the point stays a difference); the draw
-    is homogeneous in eta while the cap binds. Finite sets: rejection.
-    """
+    """A point of (K - K) inter eta B of a set that is no FiniteSet: a
+    sampled difference radially shrunk to a uniform norm cap in [0, eta]
+    (shrink only, so the point stays a difference); the draw is homogeneous
+    in eta while the cap binds."""
     v = sample_point(spec, rng) - sample_point(spec, rng)
     cap = eta * rng.random()
-    if isinstance(spec, FiniteSet):
-        for _ in range(50):
-            if np.linalg.norm(v) <= eta:
-                return v
-            v = sample_point(spec, rng) - sample_point(spec, rng)
-        raise SetFilterError(f"no finite-set difference fits in the eta={eta} ball")
     norm = np.linalg.norm(v)
     if norm > cap and norm > 0:
         v = v * (cap / norm)
@@ -605,8 +581,11 @@ def lemma4_diameter_check(spec: SetSpec, eta: float, ensemble: Ensemble, m: int,
     check ||Phi v|| <= sqrt(m) * eta. Points sitting exactly on the eta
     sphere fail about half the time by the CLT; the guarantee has slack only
     over the interior, so sampling within half of eta (still a subset of the
-    local set) gives a clean exponential pass rate.
+    local set) gives a clean exponential pass rate. A finite set is refused:
+    a shrunk difference of its points is no difference of them.
     """
+    if isinstance(spec, FiniteSet):
+        raise InvalidArgument("Lemma 4 samples a continuum set, not a finite one")
     if not (eta > 0):
         raise InvalidArgument("eta must be positive")
     if trials < 1:

@@ -40,27 +40,29 @@ def lend(work: dict[str, np.ndarray] | None, name: str, shape: tuple,
 
 
 def _floor_index(t: np.ndarray, delta: float, work: dict | None = None) -> np.ndarray:
-    """Largest integer k with k*delta <= t, exact on representable lattice points.
+    """The k with fl(k*delta) <= t < fl((k+1)*delta), for |t| < 2^52 delta.
 
     A bare floor(t/delta) can land one bin off when t/delta rounds across an
-    integer (delta = 0.1 exhibits this); the fix-up loops restore the bracket
-    k*delta <= t < (k+1)*delta using correctly rounded products. The
+    integer (delta = 0.1 exhibits this), but never two. With x = t/delta,
+    fl(t/delta) is within 1/4 of x, half an ulp of |x| < 2^52. And
+    fl(k*delta)/delta is within 1/2 of k: a normal product is off by at most
+    2^-53 |k| delta with |k| <= 2^52, a subnormal one by at most half the
+    least subnormal, which is at most delta/2. So the bare floor and the
+    answer both lie in {floor(x - 1/2), floor(x + 1/2)}, and one step up
+    where fl((k+1)*delta) <= t, then one step down where fl(k*delta) > t,
+    restore the bracket; each step is skipped where no entry moves. The
     temporaries and the int64 result are lent by work (see lend).
     """
     k = np.divide(t, delta, out=lend(work, "floor", t.shape))
     np.floor(k, out=k)
     wall = lend(work, "scratch", t.shape)
     moved = lend(work, "moved", t.shape, bool)
-    for _ in range(3):
-        np.add(k, 1.0, out=wall)
-        wall *= delta
-        if not np.less_equal(wall, t, out=moved).any():
-            break
+    np.add(k, 1.0, out=wall)
+    wall *= delta
+    if np.less_equal(wall, t, out=moved).any():
         np.add(k, 1.0, out=k, where=moved)
-    for _ in range(3):
-        np.multiply(k, delta, out=wall)
-        if not np.greater(wall, t, out=moved).any():
-            break
+    np.multiply(k, delta, out=wall)
+    if np.greater(wall, t, out=moved).any():
         np.subtract(k, 1.0, out=k, where=moved)
     del wall, moved  # without a workspace they are freed before the codes are allocated
     codes = lend(work, "codes", t.shape, np.int64)

@@ -15,18 +15,37 @@ from qembed import geometry as G
 SQ2PI = math.sqrt(2.0 / math.pi)
 
 
+# E|X|^p of the non-Gaussian kinds; |X| is uniform on [0, sqrt(3)] for bounded-uniform
+ABS_MOMENTS = {"rademacher": lambda p: np.ones_like(p),
+               "bounded-uniform": lambda p: math.sqrt(3.0) ** p / (p + 1)}
+PSI2_GRID = np.linspace(1.0, 64.0, 63_001)  # real p in [1, 64], steps of 1e-3
+
+
+def _psi2_on_the_grid(kind):
+    """p^(-1/2) (E|X|^p)^(1/p) at each p of PSI2_GRID."""
+    return ABS_MOMENTS[kind](PSI2_GRID) ** (1.0 / PSI2_GRID) / np.sqrt(PSI2_GRID)
+
+
 def test_psi2_closed_forms():
-    assert E.psi2_norm("rademacher") == 1.0
-    assert E.psi2_norm("bounded-uniform") == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-    # a Gaussian's kappa is 0 without it, so it has no closed-form moment here
-    with pytest.raises(E.InvalidArgument):
-        E.psi2_norm("gaussian")
+    # each closed form is the sup over the grid, taken at p = 1, and gives
+    # the generic-bound kappa 9 sqrt(27) psi2^3
+    for kind in ("rademacher", "bounded-uniform"):
+        vals = _psi2_on_the_grid(kind)
+        assert np.argmax(vals) == 0
+        assert E._PSI2[kind] == pytest.approx(vals.max(), rel=1e-15)
+    assert E._PSI2 == {"rademacher": 1.0, "bounded-uniform": math.sqrt(3) / 2}
+    assert E.make_ensemble("rademacher").kappa_sg == 46.76537180435969
+    assert E.make_ensemble("bounded-uniform").kappa_sg == 30.374999999999996
+    # a Gaussian's kappa is 0 without it
+    assert "gaussian" not in E._PSI2
 
 
 def test_alpha_at_least_inv_sqrt2():
     # the p = 2 grid point pins the unit-variance floor
+    p2 = np.flatnonzero(PSI2_GRID == 2.0)
     for kind in ("rademacher", "bounded-uniform"):
-        assert E.psi2_norm(kind) >= 1 / math.sqrt(2) - 1e-12
+        assert _psi2_on_the_grid(kind)[p2] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert E._PSI2[kind] >= 1 / math.sqrt(2) - 1e-12
 
 
 def test_make_ensemble_kappa_sources():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -317,6 +318,13 @@ def test_all_censored_sweep_has_no_fit_points():
     assert X.gnuplot_data(res) == "\n"
 
 
+def _direction_for(spec, x, k0: float, rng, u):
+    """Writes into u the sweep's direction for the drawn anchor x: the first
+    of _direction_draw's draws that passes the filter."""
+    basis = X._direction_basis(spec, x)
+    X._first_passing(lambda: X._direction_draw(spec, basis, k0, rng, u), "direction", k0)
+
+
 def test_direction_lies_on_the_drawn_support():
     # u is nonzero exactly on the support the point was drawn on, and for a
     # generic point it is the direction on the support recovered from the
@@ -329,12 +337,12 @@ def test_direction_lies_on_the_drawn_support():
         unsorted += bool(np.any(np.diff(support) < 0))
         state = rng.bit_generator.state
         u, again = np.zeros(spec.n), np.zeros(spec.n)
-        X._direction_for(spec, (support, values), 3.0, rng, u)
+        _direction_for(spec, (support, values), 3.0, rng, u)
         assert np.array_equal(np.flatnonzero(u), np.sort(support))
         rng.bit_generator.state = state
         x = _dense([(support, values)], spec.n)[:, 0]
         recovered = np.flatnonzero(np.abs(x) > 1e-12)
-        X._direction_for(spec, (recovered, x[recovered]), 3.0, rng, again)
+        _direction_for(spec, (recovered, x[recovered]), 3.0, rng, again)
         assert np.array_equal(again, u)
     assert unsorted > 0
 
@@ -648,10 +656,12 @@ def test_a_low_rank_anchor_that_passes_no_direction_gives_up():
     # a rank-1 direction of an 8 x 8 anchor is a e g^T, with a the anchor's
     # left singular vector, so ||u||^2 / ||u||_inf^2 <= 8 / max a_i^2 < 16
     # here: no draw passes k0 = 16, and the ray gives up after MAX_DRAWS
-    # (lowered to keep the test short; the CLI row runs the real bound)
+    # (lowered to keep the test short; the CLI row runs the real bound). The
+    # counts are asserted before the error, so a loop that ends early fails
+    # an assertion
     spec = G.LowRankBall(n1=8, n2=8, r=1, radius=1.0)
     x = np.outer([0.6, 0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0], np.full(8, 0.1)).ravel()
-    draws = []
+    draws, error = [], None
     real = X._direction_draw
 
     def counted(*args):
@@ -661,9 +671,12 @@ def test_a_low_rank_anchor_that_passes_no_direction_gives_up():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(X, "_direction_draw", counted)
         mp.setattr(X, "MAX_DRAWS", 1000)
-        with pytest.raises(X.SetFilterError, match="no direction passed the k0=16"):
-            X._direction_for(spec, x, 16.0, np.random.default_rng(0), np.zeros(64))
+        try:
+            _direction_for(spec, x, 16.0, np.random.default_rng(0), np.zeros(64))
+        except X.SetFilterError as err:
+            error = err
     assert len(draws) == 1000 and not any(draws)
+    assert error is not None and re.search("no direction passed the k0=16", str(error))
 
 
 def test_filter_rates_known_exactly_draw_nothing():
@@ -907,10 +920,11 @@ def test_consistency_width_finite_exact_grouping():
     assert all(r.statistic >= 0.99e-4 or r.censored for r in res.rows)
 
 
-def test_lemma4_zero_vector_always_passes():
-    passed = X.lemma4_diameter_check(G.FiniteSet(points=np.zeros((1, 4))), 0.5,
-                                     E.make_ensemble("gaussian"), 32, 50, 0)
-    assert passed.all()
+def test_lemma4_refuses_a_finite_set():
+    # a shrunk difference of a finite set's points is no difference of them
+    with pytest.raises(E.InvalidArgument, match="finite"):
+        X.lemma4_diameter_check(G.FiniteSet(points=np.zeros((1, 4))), 0.5,
+                                E.make_ensemble("gaussian"), 32, 50, 0)
 
 
 def test_lemma4_interior_margin_zero_failures():

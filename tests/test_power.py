@@ -34,6 +34,9 @@ DEFECTS = {
     "floor-without-downward-fixup":
         (Q, "_floor_index", "np.greater(wall, t, out=moved)",
          "np.logical_and(moved, False, out=moved)"),
+    # a direction the filter rejects (its draw returns False) is kept
+    "filtered-draw-keeps-a-failing-draw":
+        (X, "_first_passing", "if got := draw():", "if (got := draw()) is not None:"),
     "radius-to-the-wall-behind":
         (X, "_chord_radii", "enumerate((rising, falling))", "enumerate((falling, rising))"),
     "backward-walls-from-the-forward-rule":
@@ -97,7 +100,7 @@ DEFECTS = {
     "irwin-hall-without-its-last-term":
         (E, "_uniform_sum_tail", "range(int(y) + 1)", "range(int(y))"),
     "fit-point-is-the-mean-not-the-worst":
-        (X, "_sweep", "worst = float(np.max(vals))", "worst = float(np.mean(vals))"),
+        (X, "_sweep", "float(np.max(vals))", "float(np.mean(vals))"),
     "tail-gap-piece-not-split-at-the-crossing":
         (E, "exact_tail_gap_discrete",
          "pieces = [(lo, t_star, -1.0), (t_star, hi, 1.0)]", "pieces = [(lo, hi, 1.0)]"),
@@ -141,6 +144,15 @@ ROWS = [
     ("floor-without-upward-fixup", test_quantizer.test_lattice_exactness, (0.1,)),
     ("floor-without-downward-fixup", test_quantizer.test_floor_bracket_at_lattice_neighbours,
      (0.1,)),
+    *[(defect, test_quantizer.test_floor_bracket_near_the_range_guard, (delta,))
+      for defect in ("floor-without-upward-fixup", "floor-without-downward-fixup")
+      for delta in (0.1, 1e260)],
+    *[("filtered-draw-keeps-a-failing-draw",
+       test_experiments.test_ray_rows_equal_the_rays_drawn_one_at_a_time, (spec, 3.0))
+      for spec in (G.SparseBall(n=64, k=4, radius=1.0),
+                   G.LowRankBall(n1=8, n2=8, r=2, radius=1.0))],
+    ("filtered-draw-keeps-a-failing-draw",
+     test_experiments.test_a_low_rank_anchor_that_passes_no_direction_gives_up, ()),
     ("radius-to-the-wall-behind", test_experiments.test_consistent_radius_is_tight,
      ("gaussian", 256)),
     ("backward-walls-from-the-forward-rule", test_experiments.test_consistent_radius_is_tight,

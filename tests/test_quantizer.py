@@ -68,12 +68,34 @@ def test_floor_bracket_property(t, delta):
 @pytest.mark.parametrize("delta", [0.1, 0.3, 0.7])
 def test_floor_bracket_at_lattice_neighbours(delta):
     # the float neighbours of k*delta on both sides; for many of them
-    # t/delta rounds across an integer, and the fix-up loops must undo it
+    # t/delta rounds across an integer, and the fix-up steps must undo it
     lattice = np.arange(-200_000, 200_001) * delta
     for t in (np.nextafter(lattice, np.inf), np.nextafter(lattice, -np.inf)):
         k = Q.quantize_array(t, delta).astype(np.float64)
         assert np.all(k * delta <= t)
         assert np.all(t < (k + 1.0) * delta)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 7e-310, 1e260])
+def test_floor_bracket_near_the_range_guard(delta):
+    # lattice points fl(k*delta) with |k| in [2^51, 2^52), where an ulp of
+    # t/delta is 1/2, and their float neighbours up to 4 ulp either way: the
+    # bare floor is one bin off on many of them, one step each way is not
+    rng = np.random.default_rng(52)
+    k = rng.integers(2**51, 2**52 - 8, size=2500) * rng.choice([-1, 1], size=2500)
+    lattice = k * delta
+    ts = [lattice]
+    for toward in (np.inf, -np.inf):
+        t = lattice
+        for _ in range(4):
+            t = np.nextafter(t, toward)
+            ts.append(t)
+    t = np.concatenate(ts)
+    t = t[np.abs(t) < 2.0**52 * delta]
+    codes = Q.quantize_array(t, delta).astype(np.float64)
+    assert np.all(codes * delta <= t)
+    assert np.all(t < (codes + 1.0) * delta)
+    assert np.any(np.floor(t / delta) < codes) and np.any(np.floor(t / delta) > codes)
 
 
 def test_dither_law():
