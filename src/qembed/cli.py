@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         return SUBCOMMANDS[args.command][2](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (ConfigError, InvalidArgument, OSError, experiments.SetFilterError) as exc:
+    except (ConfigError, InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -126,17 +126,12 @@ def mu_sg(ensemble: Ensemble, u: np.ndarray, samples: int, seed) -> tuple[float,
     samples x n matrix from sample_matrix, in blocks of the largest power of
     two rows within block_rows(n, 1): BLAS takes rows in groups of 4, so each
     |<phi, u>| keeps the whole product's bits, unless the last block is one row.
-
-    The gaussian kind returns the exact sqrt(2/pi)*||u|| with stderr 0.
     """
     u = np.asarray(u, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
+    if np.linalg.norm(u) == 0.0:
         raise InvalidArgument("u must be nonzero")
     if samples < 1:
         raise InvalidArgument("samples must be >= 1")
-    if ensemble.kind == "gaussian":
-        return SQRT_2_OVER_PI * norm, 0.0
     rows = 1 << (block_rows(u.size, 1).bit_length() - 1)
     blocks = sample_matrix(ensemble, samples, u.size, seed, rows)
     vals = np.concatenate([np.abs(phi @ u) for phi in blocks])

@@ -62,7 +62,7 @@ RATE_DRAWS = 4000
 MAX_DRAWS = 100 * MAX_FILTER_DRAWS
 
 
-class SetFilterError(RuntimeError):
+class SetFilterError(InvalidArgument):
     """The anti-sparsity filter passes too few of a plan's pairs or rays."""
 
 
@@ -123,7 +123,7 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> Optional[tuple[fl
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     resid = y - (ym + slope * (x - xm))
-    sigma2 = float(np.sum(resid**2) / max(n - 2, 1))
+    sigma2 = float(np.sum(resid**2) / (n - 2))
     return slope, math.sqrt(sigma2 / sxx)
 
 
@@ -488,19 +488,16 @@ STATISTICS = {
 }
 
 
-def _check_filter(plan: TrialPlan, what: str, nonzeros: int, passes) -> None:
+def _check_filter(plan: TrialPlan, what: str, passes) -> None:
     """SetFilterError unless the k0 filter passes at least 1 in
     MAX_FILTER_DRAWS of the plan's `what` draws, so that each can be drawn
     until it passes. At k0 <= 1 every nonzero vector passes: the share is 1
     off a finite set, where a draw is nonzero almost surely, and for a
-    finite set's pairs the share of ordered pairs of unequal points. It is 0
-    where k0 exceeds the `nonzeros` a draw can have at most
-    (||u||^2 <= nnz(u) ||u||_inf^2), and else the share of RATE_DRAWS calls
-    passes(rng) that return True, on a seed of the plan's own."""
+    finite set's pairs the share of ordered pairs of unequal points. Above
+    k0 = 1 it is the share of RATE_DRAWS calls passes(rng) that return True,
+    on a seed of the plan's own."""
     spec = plan.set_spec
-    if plan.k0 > nonzeros:
-        rate = 0.0
-    elif plan.k0 > 1.0:
+    if plan.k0 > 1.0:
         # a one-word spawn key: no trial's (m index, trial) key
         rng = np.random.default_rng(np.random.SeedSequence(plan.master_seed, spawn_key=(0,)))
         rate = sum(passes(rng) for _ in range(RATE_DRAWS)) / RATE_DRAWS
@@ -522,18 +519,16 @@ def decay_sweeps(plan: TrialPlan, slope_bands: dict, jobs: int = 1) -> dict[str,
     and one whose pairs or directions the k0 filter passes too rarely
     SetFilterError, before any trial runs (_check_filter)."""
     spec, n = plan.set_spec, ambient_dim(plan.set_spec)
-    sparse = isinstance(spec, SparseBall)
     if "consistency-width" in slope_bands and diameter(spec) > 1.0 + 1e-9:
         raise InvalidArgument("consistency sweep requires the set inside the unit ball")
-    if "quasi-isometry" in slope_bands:  # two K-sparse points differ on at most 2K coordinates
-        _check_filter(plan, "pair", min(2 * spec.k, n) if sparse else n,
-                      lambda rng: _pair_draw(spec, plan.k0, rng) is not None)
+    if "quasi-isometry" in slope_bands:
+        _check_filter(plan, "pair", lambda rng: _pair_draw(spec, plan.k0, rng) is not None)
     if "consistency-width" in slope_bands and not isinstance(spec, FiniteSet):
         def passes(rng):  # each direction drawn for an anchor of its own
             basis = _direction_basis(spec, _draw(spec, rng))
             return _direction_draw(spec, basis, plan.k0, rng, np.zeros(n))
 
-        _check_filter(plan, "direction", spec.k if sparse else n, passes)
+        _check_filter(plan, "direction", passes)
     results = _sweep(plan, [(name, STATISTICS[name], band) for name, band in slope_bands.items()],
                      jobs)
     qi = results.get("quasi-isometry")
@@ -631,8 +626,8 @@ def _binomial_two_sided_p(k: int, n: int, p: float) -> float:
     return min(1.0, 2.0 * min(near, 1.0 - near + at_k))
 
 
-def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: float, m: int,
-                          r: int, trials: int, seed) -> Lemma5Report:
+def lemma5_chernoff_check(u, v, t: float, delta: float, m: int, r: int, trials: int,
+                          seed) -> Lemma5Report:
     """Tail bound P[D^t <= (delta/M) r] <= exp(-(Mp-r)^2 / (2Mp)) on the exact
     law of a Gaussian map's count, where p is the chance that one row's soft
     count is nonzero.
@@ -647,17 +642,15 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     (bit_length(m) + 1) (r + 1) eps <= 2 m (r + 1) eps, and the bound,
     evaluated at the float p, moves by at most m (E + eps) / 2 + 2 eps; the
     factor 4 leaves room for the higher orders.
-    The closed-form lower bound on p, which holds where sqrt(k0) >= 16 kappa
-    (always: a Gaussian's kappa is 0), is checked against p + E.
+    The closed-form lower bound on p, which holds where sqrt(k0) >= 16 kappa,
+    so for every k0 at a Gaussian's kappa = 0, is checked against p + E.
 
-    `trials` fresh m-row maps of the package's own path (map_counts) give the
-    empirical tail, and agreement_p is the exact two-sided binomial p-value of
-    their count of tail events against the exact tail.
+    `trials` fresh m-row Gaussian maps of the package's own path (map_counts)
+    give the empirical tail, and agreement_p is the exact two-sided binomial
+    p-value of their count of tail events against the exact tail.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if ensemble.kind != "gaussian":
-        raise InvalidArgument("the exact count law is Gaussian only")
     if t < 0:
         raise InvalidArgument("t must be nonnegative")
     if trials < 1 or m < 1 or r < 0:
@@ -665,8 +658,6 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     w = u - v
     if not np.any(w):
         raise InvalidArgument("u and v must differ")
-    if not anti_sparse(w, k0):
-        raise InvalidArgument("u - v fails the anti-sparsity precondition")
     dist = float(np.linalg.norm(w))
     eps = np.finfo(float).eps
     err = gaussian_count_error(dist, delta)
@@ -681,7 +672,8 @@ def lemma5_chernoff_check(u, v, k0: float, t: float, ensemble: Ensemble, delta: 
     tail = float(law.sum())
     budget = 4.0 * m * (r + 2) * (err + eps)
 
-    counts = map_counts(ensemble, trials, m, u.size, delta, seed, np.column_stack([u, v]), t)
+    counts = map_counts(make_ensemble("gaussian"), trials, m, u.size, delta, seed,
+                        np.column_stack([u, v]), t)
     hits = int(np.count_nonzero(counts <= r))
 
     mp = m * p

@@ -249,8 +249,6 @@ def dithered_floor_exact(x: float, y: float) -> float:
     cuts = sorted({0.0, 1.0 - fx, 1.0 - fy, 1.0})
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
         mid = 0.5 * (lo + hi)
         total += (hi - lo) * abs(math.floor(x + mid) - math.floor(y + mid))
     return total

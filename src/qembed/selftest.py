@@ -249,7 +249,6 @@ def criterion_12(seed: int, scale: str = FULL) -> CriterionResult:
     the exact law of a Gaussian row's count; the Monte Carlo tail of the
     package's own maps must agree with the exact one under an exact binomial
     test whose family-wise false-alarm rate is at most 1e-4."""
-    gauss = ensembles.make_ensemble("gaussian")
     rng = np.random.default_rng(_seed(seed, 12))
     trials = 1500 if scale == FULL else 400
     configs = [
@@ -272,7 +271,7 @@ def criterion_12(seed: int, scale: str = FULL) -> CriterionResult:
         p = ensembles.gaussian_count_tails(float(np.linalg.norm(u - v)), delta, t, 1)[1]
         r = max(1, int(math.ceil(m * p / 2.0)))
         rep = experiments.lemma5_chernoff_check(
-            u, v, k0=1.0, t=t, ensemble=gauss, delta=delta, m=m, r=r, trials=trials,
+            u, v, t=t, delta=delta, m=m, r=r, trials=trials,
             seed=np.random.SeedSequence(seed, spawn_key=(12, i)))
         ok &= (rep.bound_holds and not rep.bound_vacuous and rep.p_lower_holds
                and rep.agreement_p > alpha)
@@ -292,8 +291,6 @@ def criterion_13(seed: int, scale: str = FULL) -> CriterionResult:
     worst = 0.0
     for n in range(4, 11):
         for k in (1, 2, 3):
-            if k > n:
-                continue
             spec = geometry.SparseBall(n=n, k=k, radius=1.3)
             for _ in range(5):
                 g = rng.standard_normal(n)

@@ -117,12 +117,13 @@ def test_bounded_uniform_unit_variance():
     assert np.max(np.abs(draws)) <= math.sqrt(3)
 
 
-def test_mu_sg_gaussian_exact():
+def test_mu_sg_gaussian_agrees_with_the_exact_mean():
+    # <phi, u> ~ N(0, ||u||^2) for Gaussian rows, so E|<phi, u>| = sqrt(2/pi) ||u||
     g = E.make_ensemble("gaussian")
     u = np.array([3.0, -4.0])
-    est, se = E.mu_sg(g, u, 10, 0)
-    assert est == pytest.approx(SQ2PI * 5.0, abs=1e-12)
-    assert se == 0.0
+    est, se = E.mu_sg(g, u, 50_000, 0)
+    assert 0.0 < se < float("inf")
+    assert abs(est - SQ2PI * 5.0) <= 3 * se
 
 
 def test_mu_sg_rademacher_values():
@@ -155,7 +156,7 @@ def test_mu_sg_envelope_generic_bound():
             assert lhs <= ens.kappa_sg * np.max(np.abs(u)) + 3 * se
 
 
-@pytest.mark.parametrize("kind", ["rademacher", "bounded-uniform"])
+@pytest.mark.parametrize("kind", E.KINDS)
 @pytest.mark.parametrize("n, samples", [(9, 100_001), (32, 20_000), (4099, 70)])
 def test_mu_sg_blocked_equals_the_whole_draw(kind, n, samples):
     # several blocks and a partial last one of more than one row (a lone row
@@ -199,8 +200,7 @@ def _budget_cases() -> dict:
         "_max_filtered_distance": lambda: X._max_filtered_distance(pts, 1.0),
         "width_estimate": lambda: G.width_estimate(G.SparseBall(512, 4, 1.0), 4096, 2),
         "map_counts": lambda: D.map_counts(gauss, 1024, 4, 512, 0.5, 3, np.column_stack([u, v])),
-        "lemma5_chernoff_check": lambda: X.lemma5_chernoff_check(
-            u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 256, 4),
+        "lemma5_chernoff_check": lambda: X.lemma5_chernoff_check(u, v, 0.0, 1.0, 4, 2, 256, 4),
     }
 
 

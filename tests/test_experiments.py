@@ -682,19 +682,32 @@ def test_a_low_rank_anchor_that_passes_no_direction_gives_up():
 def test_filter_rates_known_exactly_draw_nothing():
     # every nonzero vector passes k0 <= 1, so a finite set's pair passes
     # unless both draws pick equal points (4 of 9 ordered pairs of a, a, b
-    # do, none of a one-point set's), and none with at most 4 nonzeros passes
-    # k0 = 4.5: no rate is estimated
+    # do, none of a one-point set's): no rate is estimated
     def never(rng):
         raise AssertionError("an exact rate was estimated")
 
     spec = G.SparseBall(n=64, k=4, radius=1.0)
-    X._check_filter(_plan(set_spec=spec, k0=1.0), "pair", 8, never)
-    with pytest.raises(X.SetFilterError, match="passes 0 of the direction draws"):
-        X._check_filter(_plan(set_spec=spec, k0=4.5), "direction", 4, never)
+    X._check_filter(_plan(set_spec=spec, k0=1.0), "pair", never)
     points = np.array([[0.5, -0.0], [0.5, 0.0], [0.0, 0.5]])
-    X._check_filter(_plan(set_spec=G.FiniteSet(points=points), k0=1.0), "pair", 2, never)
+    X._check_filter(_plan(set_spec=G.FiniteSet(points=points), k0=1.0), "pair", never)
     with pytest.raises(X.SetFilterError, match="passes 0 of the pair draws"):
-        X._check_filter(_plan(set_spec=G.FiniteSet(points=points[:2]), k0=1.0), "pair", 2, never)
+        X._check_filter(_plan(set_spec=G.FiniteSet(points=points[:2]), k0=1.0), "pair", never)
+
+
+def test_filter_check_estimates_a_k0_above_every_draws_nonzeros():
+    # a direction of a 4-sparse ball has 4 nonzeros, so none passes k0 = 4.5:
+    # the RATE_DRAWS draws of the estimate all fail and the plan is refused
+    spec = G.SparseBall(n=64, k=4, radius=1.0)
+    draws = []
+
+    def passes(rng):
+        basis = X._direction_basis(spec, X._draw(spec, rng))
+        draws.append(X._direction_draw(spec, basis, 4.5, rng, np.zeros(64)))
+        return draws[-1]
+
+    with pytest.raises(X.SetFilterError, match="passes 0 of the direction draws"):
+        X._check_filter(_plan(set_spec=spec, k0=4.5), "direction", passes)
+    assert len(draws) == X.RATE_DRAWS and not any(draws)
 
 
 def test_ray_projections_hold_one_block_budget(monkeypatch):
@@ -943,12 +956,11 @@ def test_lemma4_scale_invariance():
 
 
 def test_lemma5_bound_and_lower_bound():
-    gauss = E.make_ensemble("gaussian")
     rng = np.random.default_rng(2)
     u = rng.standard_normal(16)
     d = rng.standard_normal(16)
     v = u - 0.5 * d / np.linalg.norm(d)
-    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 64, 7, 600, 11)
+    rep = X.lemma5_chernoff_check(u, v, 0.0, 1.0, 64, 7, 600, 11)
     assert rep.bound_holds and not rep.bound_vacuous
     assert rep.tail + rep.budget <= rep.chernoff_bound
     assert 0.0 < rep.budget < 1e-9
@@ -959,7 +971,6 @@ def test_lemma5_bound_and_lower_bound():
 
 def test_lemma5_tail_is_the_m_fold_convolution():
     # the tail by squaring equals m - 1 plain convolutions of the pmf
-    gauss = E.make_ensemble("gaussian")
     u = np.array([0.2, 0.9, -0.4, 0.1])
     v = u - np.array([0.3, -0.2, 0.0, 0.1])
     dist = float(np.linalg.norm(u - v))
@@ -968,17 +979,16 @@ def test_lemma5_tail_is_the_m_fold_convolution():
         law = pmf
         for _ in range(m - 1):
             law = np.convolve(law, pmf)[: r + 1]
-        rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, 0.5, m, r, 1, 0)
+        rep = X.lemma5_chernoff_check(u, v, t, 0.5, m, r, 1, 0)
         assert rep.tail == pytest.approx(float(law.sum()), rel=1e-12, abs=0.0)
 
 
 def test_lemma5_verdict_reads_the_exact_tail():
     # one trial that lands in the tail puts the empirical tail at 1, above
     # the bound, while the exact tail stays below it
-    gauss = E.make_ensemble("gaussian")
     u = np.array([1.0, 0.0, 0.0, 0.0])
     v = u - np.array([0.5, 0.5, 0.5, 0.5])
-    hits = [X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 4, 2, 1, seed) for seed in range(8)]
+    hits = [X.lemma5_chernoff_check(u, v, 0.0, 1.0, 4, 2, 1, seed) for seed in range(8)]
     rep = next(rep for rep in hits if rep.empirical == 1.0)
     assert rep.tail + rep.budget < rep.chernoff_bound < rep.empirical
     assert rep.bound_holds
@@ -1012,7 +1022,7 @@ def test_lemma5_trials_are_the_m_row_slices_of_one_map():
     counts = D.soft_count_array(z[:, 0], z[:, 1], t, delta)
     sums = np.array([piece.sum() for piece in np.split(counts, trials)])
     r = int(np.median(sums))
-    rep = X.lemma5_chernoff_check(u, v, 1.0, t, gauss, delta, m, r, trials, seed)
+    rep = X.lemma5_chernoff_check(u, v, t, delta, m, r, trials, seed)
     assert 0 < rep.empirical < 1
     assert rep.empirical == np.count_nonzero(sums <= r) / trials
 
@@ -1027,8 +1037,7 @@ def test_lemma5_holds_one_block_of_phi():
     v = u - 0.4 * rng.standard_normal(16)
     tracemalloc.start()
     try:
-        X.lemma5_chernoff_check(u, v, 1.0, 0.0, E.make_ensemble("gaussian"), 1.0, 64, 7, 2000,
-                                11)
+        X.lemma5_chernoff_check(u, v, 0.0, 1.0, 64, 7, 2000, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1036,32 +1045,24 @@ def test_lemma5_holds_one_block_of_phi():
 
 
 def test_lemma5_vacuous_and_skips():
-    gauss = E.make_ensemble("gaussian")
     u = np.array([1.0, 0.0])
     v = np.array([0.999, 0.0])
-    rep = X.lemma5_chernoff_check(u, v, 1.0, 0.0, gauss, 1.0, 8, 8, 50, 0)
+    rep = X.lemma5_chernoff_check(u, v, 0.0, 1.0, 8, 8, 50, 0)
     assert rep.bound_vacuous and rep.chernoff_bound == 1.0
     # large t takes the count's law below the float range: p is 0, the
     # bound vacuous, and the lower bound on p negative
-    rep2 = X.lemma5_chernoff_check(u, v, 1.0, 50.0, gauss, 1.0, 8, 0, 50, 0)
+    rep2 = X.lemma5_chernoff_check(u, v, 50.0, 1.0, 8, 0, 50, 0)
     assert rep2.p == 0.0 and rep2.bound_vacuous
     assert rep2.p_lower_bound < 0 and rep2.p_lower_holds
 
 
 def test_lemma5_validation():
-    gauss = E.make_ensemble("gaussian")
     u = np.ones(4)
     with pytest.raises(E.InvalidArgument):
-        X.lemma5_chernoff_check(u, u, 1.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
-    with pytest.raises(E.InvalidArgument):
-        X.lemma5_chernoff_check(u, 0.5 * u, 16.0, 0.0, gauss, 1.0, 8, 0, 10, 0)
+        X.lemma5_chernoff_check(u, u, 0.0, 1.0, 8, 0, 10, 0)
     for m, r, trials in ((8, 0, 0), (0, 0, 10), (8, -1, 10)):
         with pytest.raises(E.InvalidArgument):
-            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, gauss, 1.0, m, r, trials, 0)
-    # the exact count law is a Gaussian row's; no other ensemble has one here
-    for kind in ("rademacher", "bounded-uniform"):
-        with pytest.raises(E.InvalidArgument):
-            X.lemma5_chernoff_check(u, 0.5 * u, 1.0, 0.0, E.make_ensemble(kind), 1.0, 8, 0, 10, 0)
+            X.lemma5_chernoff_check(u, 0.5 * u, 0.0, 1.0, m, r, trials, 0)
 
 
 def test_no_dither_counterexample():

@@ -133,6 +133,10 @@ DEFECTS = {
     "chernoff-bound-against-the-monte-carlo-tail":
         (X, "lemma5_chernoff_check", "bound_holds=tail + budget <= bound",
          "bound_holds=hits / trials <= bound"),
+    # a plan whose filter passes no draw runs its trials, whose pairs or rays
+    # then starve one by one
+    "filter-check-never-refuses":
+        (X, "_check_filter", "rate * MAX_FILTER_DRAWS < 1.0", "rate * MAX_FILTER_DRAWS < 0.0"),
     "soft-count-counts-the-upper-threshold":
         (D, "soft_count_array", "hi1 = np.ceil((a - t) / delta) - 1.0",
          "hi1 = np.ceil((a - t) / delta)"),
@@ -253,6 +257,8 @@ ROWS = [
     ("count-law-k-off-by-one",
      test_ensembles.test_count_law_is_a_quadrature_of_the_soft_count, (0.5, 1.0, 0.0)),
     ("count-law-k-off-by-one", test_ensembles.test_count_law_agrees_with_map_counts, ()),
+    ("filter-check-never-refuses",
+     test_experiments.test_filter_check_estimates_a_k0_above_every_draws_nonzeros, ()),
     ("chernoff-bound-against-the-monte-carlo-tail",
      test_experiments.test_lemma5_verdict_reads_the_exact_tail, ()),
     *[("width-estimate-draws-every-gaussian-at-once",
@@ -278,5 +284,7 @@ def test_planted_defect_is_caught(defect, test, args, monkeypatch, request):
     owner, name, anchor, replacement = DEFECTS[defect]
     monkeypatch.setattr(owner, name, _planted(owner, name, anchor, replacement))
     fixtures = list(inspect.signature(test).parameters)[len(args):]
-    with pytest.raises(AssertionError):
+    # a test whose check is a pytest.raises block fails with pytest's own
+    # Failed ("DID NOT RAISE"), which is no AssertionError
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         test(*args, *map(request.getfixturevalue, fixtures))
